@@ -65,6 +65,9 @@ let micro_tests mode =
     Test.make ~name:"primal-dual-stroll-n5"
       (Staged.stage (fun () ->
            ignore (Stroll_primal_dual.solve ~cm ~src ~dst ~n:5 ())));
+    (* Warm: the [current] solve above built the matrix's stroll table,
+       so this and mpareto-migrate time the per-rate-vector work. The
+       cold solve is BENCH_flatgraph's placement_dp_k8_n4. *)
     Test.make ~name:"dp-placement-n5"
       (Staged.stage (fun () -> ignore (Placement_dp.solve problem ~rates ())));
     Test.make ~name:"steering-n5"

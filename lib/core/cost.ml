@@ -1,4 +1,5 @@
 module Flow = Ppdc_traffic.Flow
+module Cost_matrix = Ppdc_topology.Cost_matrix
 
 type attach = {
   a_in : float array;
@@ -15,23 +16,28 @@ let check_rates problem rates =
         invalid_arg "Cost: rates must be finite and non-negative")
     rates
 
+(* Flows outside, switches inside, on the flat cost rows. Each
+   [a_in.(s)]/[a_out.(s)] must add its flows in flow order: float sums
+   depend on order, and the placement answers are pinned bit for bit.
+   [a_out] reads c(s, dst), not c(dst, s): on weighted fabrics the two
+   can differ in the last bit. *)
 let attach problem ~rates =
   check_rates problem rates;
-  let g = Problem.graph problem in
-  let num_nodes = Ppdc_topology.Graph.num_nodes g in
-  let a_in = Array.make num_nodes 0.0 in
-  let a_out = Array.make num_nodes 0.0 in
-  let flows = Problem.flows problem in
+  let cm = Problem.cm problem in
+  let costs = Cost_matrix.costs cm and stride = Cost_matrix.stride cm in
+  let a_in = Array.make (Cost_matrix.num_nodes cm) 0.0 in
+  let a_out = Array.make (Cost_matrix.num_nodes cm) 0.0 in
   let switches = Problem.switches problem in
   Array.iter
-    (fun s ->
-      Array.iter
-        (fun (f : Flow.t) ->
-          let rate = rates.(f.id) in
-          a_in.(s) <- a_in.(s) +. (rate *. Problem.cost problem f.src_host s);
-          a_out.(s) <- a_out.(s) +. (rate *. Problem.cost problem s f.dst_host))
-        flows)
-    switches;
+    (fun (f : Flow.t) ->
+      let rate = rates.(f.id) in
+      let src_row = f.src_host * stride and dst = f.dst_host in
+      for j = 0 to Array.length switches - 1 do
+        let s = switches.(j) in
+        a_in.(s) <- a_in.(s) +. (rate *. costs.{src_row + s});
+        a_out.(s) <- a_out.(s) +. (rate *. costs.{(s * stride) + dst})
+      done)
+    (Problem.flows problem);
   { a_in; a_out; total_rate = Flow.total_rate rates }
 
 let chain_cost problem p =

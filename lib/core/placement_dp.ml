@@ -1,5 +1,13 @@
 module Parallel = Ppdc_prelude.Parallel
 module Obs = Ppdc_prelude.Obs
+module Mutexes = Ppdc_prelude.Mutexes
+module Cost_matrix = Ppdc_topology.Cost_matrix
+
+(* Lock classes of the per-fabric pair table (DESIGN.md §4k). The memo
+   lock guards the matrix -> variants table and is held only for a
+   lookup or insert; a variant's fill lock is held while its missing
+   rows are built. A fill never runs under the memo lock. *)
+[@@@ppdc.lock_order "placement_dp.fill placement_dp.memo"]
 
 let stroll_workspace = Domain.DLS.new_key Stroll_dp.workspace
 
@@ -63,7 +71,235 @@ let solve_n2 problem att ingresses egresses =
   let s, t = !best_pair in
   { placement = [| s; t |]; cost = !best; objective = !best }
 
+(* --- per-fabric pair table ---------------------------------------------- *)
+
+(* Algo. 2's answer for one (egress, ingress) pair depends on the cost
+   matrix, the candidate switches, n and the edge budget — never on the
+   rates. A [pairs] value stores those answers for one such variant:
+   the stroll cost and the n−2 middles (as candidate indices) of every
+   pair, egress-major, in off-heap rows filled one egress at a time. *)
+type pairs = {
+  candidates : int array;  (* the instance's switches, in instance order *)
+  n : int;
+  max_edges : int option;  (* handed to [Stroll_dp.query] *)
+  slot : int array;  (* node -> candidate index, -1 off the candidates *)
+  stroll : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (* [stroll.{e * m + i}]: cost of the stroll from ingress i to
+         egress e (m = number of candidates) *)
+  middles :
+    (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (* [middles.{(e * m + i) * (n - 2) + j}]: candidate index of the
+         pair's j-th middle switch *)
+  built : Bytes.t;  (* per egress row: '\001' once filled; under [fill] *)
+  fill : Mutex.t; [@ppdc.guards "placement_dp.fill"]
+}
+
+let create_pairs cm ~candidates ~n ~max_edges =
+  let m = Array.length candidates and k = n - 2 in
+  if m > 65536 then
+    invalid_arg
+      (Printf.sprintf
+         "Placement_dp.solve: %d candidate switches exceed the pair \
+          table's 65536"
+         m);
+  let slot = Array.make (Cost_matrix.num_nodes cm) (-1) in
+  Array.iteri (fun i s -> slot.(s) <- i) candidates;
+  let open Bigarray in
+  {
+    candidates;
+    n;
+    max_edges;
+    slot;
+    stroll = Array1.create float64 c_layout (max 1 (m * m));
+    middles = Array1.create int16_unsigned c_layout (max 1 (m * m * k));
+    built = Bytes.make m '\000';
+    fill = Mutex.create ();
+  }
+
+(* Keyed by the matrix's identity: the ephemeron holds the matrix
+   weakly, so a matrix's tables die with it. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Cost_matrix.t
+
+  let equal = ( == )
+  let hash = Cost_matrix.id
+end)
+
+let memo : pairs list Memo.t = Memo.create 16
+[@@ppdc.domain_safe "read and written only under memo_mutex"]
+
+let memo_mutex = Mutex.create () [@@ppdc.guards "placement_dp.memo"]
+
+(* Variants kept per matrix, most recently used first. *)
+let variants_per_matrix = 4
+
+let pairs_for cm ~candidates ~n ~max_edges =
+  Mutexes.with_lock memo_mutex (fun () ->
+      let variants = Option.value (Memo.find_opt memo cm) ~default:[] in
+      match
+        List.find_opt
+          (fun p ->
+            p.n = n && p.max_edges = max_edges && p.candidates = candidates)
+          variants
+      with
+      | Some p ->
+          if not (p == List.hd variants) then
+            Memo.replace memo cm (p :: List.filter (fun q -> q != p) variants);
+          p
+      | None ->
+          let p = create_pairs cm ~candidates ~n ~max_edges in
+          let kept = List.filteri (fun i _ -> i < variants_per_matrix - 1) in
+          Memo.replace memo cm (p :: kept variants);
+          p)
+[@@ppdc.domain_safe
+  "memo_mutex is a leaf: held only for one table lookup or insert, never \
+   across user code or another lock"]
+
+(* Build the rows of the egresses in [missing] (candidate indices), one
+   Stroll_dp table per egress answering every ingress — Algo. 3's
+   per-egress fan-out, in parallel over the per-domain workspaces. Each
+   task writes only its own egress's rows. *)
+let fill_rows p ~cm missing =
+  let m = Array.length p.candidates and k = p.n - 2 in
+  Parallel.parallel_for (Array.length missing) (fun row ->
+      let e = missing.(row) in
+      let egress = p.candidates.(e) in
+      let table =
+        Stroll_dp.prepare_in
+          (Domain.DLS.get stroll_workspace)
+          ~cm ~dst:egress ~candidates:p.candidates ~extras:[||]
+      in
+      for i = 0 to m - 1 do
+        if i <> e then begin
+          let ingress = p.candidates.(i) in
+          let (r : Stroll_dp.result) =
+            match
+              Stroll_dp.query table ~src:ingress ~n:k ?max_edges:p.max_edges ()
+            with
+            | Some r -> r
+            | None ->
+                (* Edge budget exhausted for this pair: greedy filler so
+                   the pair still competes. *)
+                let eligible =
+                  Array.of_list
+                    (List.filter
+                       (fun v -> v <> ingress && v <> egress)
+                       (Array.to_list p.candidates))
+                in
+                Stroll_dp.nearest_neighbour ~cm ~src:ingress ~dst:egress ~n:k
+                  ~eligible
+          in
+          let pair = (e * m) + i in
+          p.stroll.{pair} <- r.cost;
+          for j = 0 to k - 1 do
+            p.middles.{(pair * k) + j} <- p.slot.(r.switches.(j))
+          done
+        end
+      done)
+
+(* One request fills a variant's missing rows while any other request
+   needing them waits on [fill], then finds them built. Rows are marked
+   only after the whole fill returns, so a fill that raises marks none. *)
+let ensure_rows p ~cm egresses =
+  Mutexes.with_lock p.fill (fun () ->
+      let missing =
+        Array.of_list
+          (List.filter
+             (fun e -> Bytes.get p.built e = '\000')
+             (Array.to_list egresses))
+      in
+      if Array.length missing > 0 then begin
+        fill_rows p ~cm missing;
+        Array.iter (fun e -> Bytes.set p.built e '\001') missing
+      end)
+[@@ppdc.domain_safe
+  "the fill lock is per variant and held only while its rows are built; \
+   the fill takes no lock but the scheduler's and Obs's own, and a fill \
+   started inside a Parallel task fans out sequentially on its own \
+   domain, so a task waiting here never holds up the filler"]
+
+(* Algo. 3's pair selection over filled rows: per egress, the first
+   ingress with a strictly smaller key, then the per-egress winners in
+   egress order with the same strict [<] — the order and comparisons of
+   the parallel per-egress scan, so the winner is bit-identical. *)
+let scan problem (att : Cost.attach) p ~rescore ~ingresses ~egresses =
+  let m = Array.length p.candidates and k = p.n - 2 in
+  let cand = p.candidates in
+  let cm = Problem.cm problem in
+  let costs = Cost_matrix.costs cm and stride = Cost_matrix.stride cm in
+  (* [Cost.chain_cost] of the pair's placement, summed in its order. *)
+  let chain_cost ~ingress ~pair ~egress =
+    let acc = ref 0.0 and prev = ref ingress in
+    for j = 0 to k - 1 do
+      let v = cand.(p.middles.{(pair * k) + j}) in
+      acc := !acc +. costs.{(!prev * stride) + v};
+      prev := v
+    done;
+    !acc +. costs.{(!prev * stride) + egress}
+  in
+  let best_key = ref infinity and best_pair = ref (-1) in
+  let best_objective = ref infinity in
+  let tried = ref 0 in
+  for ei = 0 to Array.length egresses - 1 do
+    let e = egresses.(ei) in
+    let egress = cand.(e) in
+    let local_key = ref infinity and local_pair = ref (-1) in
+    let local_objective = ref infinity in
+    for ii = 0 to Array.length ingresses - 1 do
+      let i = ingresses.(ii) in
+      if i <> e then begin
+        incr tried;
+        let ingress = cand.(i) in
+        let pair = (e * m) + i in
+        let objective =
+          att.a_in.(ingress)
+          +. (att.total_rate *. p.stroll.{pair})
+          +. att.a_out.(egress)
+        in
+        let key =
+          if rescore then
+            att.a_in.(ingress)
+            +. (att.total_rate *. chain_cost ~ingress ~pair ~egress)
+            +. att.a_out.(egress)
+          else objective
+        in
+        if !local_pair < 0 || not (key >= !local_key) then begin
+          local_key := key;
+          local_pair := pair;
+          local_objective := objective
+        end
+      end
+    done;
+    if !local_pair >= 0 && (!best_pair < 0 || not (!local_key >= !best_key))
+    then begin
+      best_key := !local_key;
+      best_pair := !local_pair;
+      best_objective := !local_objective
+    end
+  done;
+  if !tried > 0 then Obs.incr ~by:!tried "placement_dp.pairs_tried";
+  if !best_pair < 0 then
+    invalid_arg "Placement_dp.solve: no feasible ingress/egress pair";
+  let pair = !best_pair in
+  let placement =
+    Array.init p.n (fun j ->
+        if j = 0 then cand.(pair mod m)
+        else if j = p.n - 1 then cand.(pair / m)
+        else cand.(p.middles.{(pair * k) + j - 1}))
+  in
+  {
+    placement;
+    cost = Cost.comm_cost_with_attach problem att placement;
+    objective = !best_objective;
+  }
+
 let solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges () =
+  (match pair_limit with
+  | Some k when k < 1 ->
+      invalid_arg
+        (Printf.sprintf "Placement_dp.solve: pair_limit must be >= 1, got %d"
+           k)
+  | _ -> ());
   Obs.time "placement_dp.solve" @@ fun () ->
   let att = Cost.attach problem ~rates in
   let switches = Problem.switches problem in
@@ -83,79 +319,9 @@ let solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges () =
            "Placement_dp.solve: chain of %d VNFs needs %d candidate \
             switches, have %d"
            n n (Array.length switches));
-    (* One DP table per candidate egress, each answering every ingress
-       query — embarrassingly parallel across egresses. Each task scans
-       its ingresses in the original inner-loop order and keeps the
-       first strict improvement, and the per-egress winners are reduced
-       in egress index order with the same strict [<], so the outcome is
-       bit-identical to the sequential double loop for any
-       PPDC_DOMAINS. *)
-    let egress_best egress =
-      (* Re-prepare into this domain's workspace: the per-egress fan-out
-         rebuilds the DP table in place instead of allocating one per
-         egress. Tasks on different domains get distinct workspaces, so
-         the parallel map stays race-free. *)
-      let table =
-        Stroll_dp.prepare_in
-          (Domain.DLS.get stroll_workspace)
-          ~cm ~dst:egress ~candidates:switches ~extras:[||]
-      in
-      let local = ref None in
-      let consider ~ingress ~middles ~stroll_cost =
-        Obs.incr "placement_dp.pairs_tried";
-        let placement = Array.concat [ [| ingress |]; middles; [| egress |] ] in
-        let objective =
-          att.a_in.(ingress)
-          +. (att.total_rate *. stroll_cost)
-          +. att.a_out.(egress)
-        in
-        let actual = Cost.comm_cost_with_attach problem att placement in
-        let key = if rescore then actual else objective in
-        match !local with
-        | Some (best_key, _, _, _) when key >= best_key -> ()
-        | _ -> local := Some (key, actual, placement, objective)
-      in
-      Array.iter
-        (fun ingress ->
-          if ingress <> egress then begin
-            match
-              Stroll_dp.query table ~src:ingress ~n:(n - 2) ?max_edges ()
-            with
-            | Some r ->
-                consider ~ingress ~middles:r.switches ~stroll_cost:r.cost
-            | None ->
-                (* Edge budget exhausted for this pair: greedy filler so
-                   the pair still competes. *)
-                let eligible =
-                  Array.of_list
-                    (List.filter
-                       (fun v -> v <> ingress && v <> egress)
-                       (Array.to_list switches))
-                in
-                let r =
-                  Stroll_dp.nearest_neighbour ~cm ~src:ingress ~dst:egress
-                    ~n:(n - 2) ~eligible
-                in
-                consider ~ingress ~middles:r.switches ~stroll_cost:r.cost
-          end)
-        ingresses;
-      !local
-    in
-    let best =
-      Parallel.map_reduce
-        ~n:(Array.length egresses)
-        ~map:(fun ei -> egress_best egresses.(ei))
-        ~init:None
-        ~combine:(fun acc candidate ->
-          match (acc, candidate) with
-          | None, c -> c
-          | a, None -> a
-          | Some (best_key, _, _, _), Some (key, _, _, _) when key >= best_key
-            ->
-              acc
-          | _, c -> c)
-    in
-    match best with
-    | Some (_, cost, placement, objective) -> { placement; cost; objective }
-    | None -> invalid_arg "Placement_dp.solve: no feasible ingress/egress pair"
+    let p = pairs_for cm ~candidates:switches ~n ~max_edges in
+    let slots nodes = Array.map (fun s -> p.slot.(s)) nodes in
+    let ingresses = slots ingresses and egresses = slots egresses in
+    ensure_rows p ~cm egresses;
+    scan problem att p ~rescore ~ingresses ~egresses
   end

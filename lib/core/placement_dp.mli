@@ -4,8 +4,17 @@
     and egress — the middle of the chain is filled with an (n−2)-stroll
     from Algo. 2, and the pair with the smallest
     [A_in(p(1)) + Λ · stroll + A_out(p(n))] wins. One DP table per egress
-    switch answers *all* ingress queries, so the overall cost is
-    O(|V_s| · (table + |V_s| · extraction)) rather than |V_s|² tables.
+    switch answers *all* ingress queries.
+
+    The strolls depend on the cost matrix, the candidate switches, [n]
+    and the edge budget, never on the rates, so they are kept per
+    matrix (DESIGN.md §4k): the first solve per (matrix, candidates, n,
+    max_edges) costs O(|V_s| · (table + |V_s| · extraction)), and every
+    later one — any rates, any flows — costs O(|V_s|² + |V_s| · l): the
+    attachment sums plus a scan over the stored pairs. The table is
+    keyed by the matrix's identity and released with it; answers are
+    bit-identical either way. A solve needing only some egress rows
+    ([pair_limit]) fills only those.
 
     [n = 1] and [n = 2] have closed-form optimal solutions (scan switches
     / switch pairs), as the paper notes. *)
@@ -37,6 +46,12 @@ val solve :
     [pair_limit k] restricts candidate ingresses to the [k] switches with
     the smallest [A_in] and egresses to the [k] smallest [A_out] — a
     scalability knob for very large PPDCs (used by the k=16 simulation);
-    omit for the paper-faithful full scan.
+    omit for the paper-faithful full scan. Raises [Invalid_argument]
+    naming [pair_limit] when [k < 1].
 
-    [max_edges] is passed through to {!Stroll_dp.query}. *)
+    [max_edges] is passed through to {!Stroll_dp.query}.
+
+    Raises [Invalid_argument] if the rates are invalid (see
+    {!Cost.attach}), if no ingress/egress pair is feasible, or, for
+    [n >= 3], if the instance has more than 65536 candidate switches
+    (the stored middles are 16-bit candidate indices). *)

@@ -13,7 +13,13 @@
     The DP table for a fixed destination [t] simultaneously answers
     queries from *every* source, which Algo. 3 exploits: one [prepare]
     per candidate egress switch serves all candidate ingress switches.
-    [prepare] is O(|V''|²) per edge level; a query is O(e). *)
+    [prepare] is O(|V''|²) per edge level; a query is O(e).
+
+    The tables themselves are not cached here. {!Placement_dp} keeps
+    their query answers per cost matrix, so it prepares each egress's
+    table once per fabric (per candidate set, [n] and edge budget), not
+    once per solve; Algo. 5 (mPareto) and the event simulator reuse
+    them through it. *)
 
 type table
 

@@ -7,6 +7,7 @@
    mark cycle at k=32). This is the layout the flat-graph benches
    (BENCH_flatgraph.json) hold the line on. *)
 type t = {
+  id : int;  (* unique per value, for identity-keyed caches ([id]) *)
   graph : Graph.t;
   n : int;  (* row stride *)
   dist : Shortest_paths.dist_row;  (* length n * n *)
@@ -15,6 +16,9 @@ type t = {
 }
 
 module Obs = Ppdc_prelude.Obs
+
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1
 
 (* One Dijkstra per source, distributed over the domain pool: each task
    writes only its own row segment [src*n .. src*n + n - 1] of the
@@ -34,7 +38,7 @@ let compute ?algo graph =
           invalid_arg "Cost_matrix.compute: graph is not connected"
       done);
   Obs.incr ~by:n "cost_matrix.dijkstra_runs";
-  { graph; n; dist; pred }
+  { id = fresh_id (); graph; n; dist; pred }
 
 (* --- dynamic repair ------------------------------------------------------ *)
 
@@ -184,7 +188,7 @@ let repair_rows ?algo t g' changes =
       end);
   Obs.incr ~by:!repaired "cost_matrix.repair.rows";
   Obs.incr "cost_matrix.repair.calls";
-  ({ graph = g'; n; dist; pred }, !repaired)
+  ({ id = fresh_id (); graph = g'; n; dist; pred }, !repaired)
 
 let repair_to ?algo t g' =
   match diff_changes t.graph g' with
@@ -192,7 +196,7 @@ let repair_to ?algo t g' =
   | Some [] ->
       (* Structurally identical fabric: the matrices can be shared as
          they are; only the graph handle moves. *)
-      Some ({ t with graph = g' }, 0)
+      Some ({ t with id = fresh_id (); graph = g' }, 0)
   | Some changes -> Some (repair_rows ?algo t g' changes)
 
 let graph_without_edge g ~u ~v =
@@ -229,7 +233,7 @@ let increase_weight ?algo t ~u ~v ~weight =
         Graph.map_weights t.graph (fun a b wab ->
             if (a = u && b = v) || (a = v && b = u) then weight else wab)
       in
-      if Float.compare weight w = 0 then { t with graph = g' }
+      if Float.compare weight w = 0 then { t with id = fresh_id (); graph = g' }
       else fst (repair_rows ?algo t g' [ Increase (min u v, max u v) ])
 
 let decrease_weight ?algo t ~u ~v ~weight =
@@ -246,7 +250,7 @@ let decrease_weight ?algo t ~u ~v ~weight =
         Graph.map_weights t.graph (fun a b wab ->
             if (a = u && b = v) || (a = v && b = u) then weight else wab)
       in
-      if Float.compare weight w = 0 then { t with graph = g' }
+      if Float.compare weight w = 0 then { t with id = fresh_id (); graph = g' }
       else fst (repair_rows ?algo t g' [ Relax (min u v, max u v, weight) ])
 
 let restore_edge ?algo t ~u ~v ~weight =
@@ -263,6 +267,7 @@ let restore_edge ?algo t ~u ~v ~weight =
   in
   fst (repair_rows ?algo t g' [ Relax (min u v, max u v, weight) ])
 
+let id t = t.id
 let graph t = t.graph
 
 let cost t u v = t.dist.{(u * t.n) + v}

@@ -20,6 +20,11 @@ val compute : ?algo:Shortest_paths.algo -> Graph.t -> t
 
 val graph : t -> Graph.t
 
+val id : t -> int
+(** A number unique to this matrix value: {!compute}, every repair and
+    every derivation below return a new one, even when they share
+    storage. Caches keyed by matrix identity hash on it. *)
+
 (** {1 Dynamic repair}
 
     A dynamic fabric changes by link failures, weight drifts, and link

@@ -347,6 +347,48 @@ let test_attach_consistency () =
       (Cost.comm_cost_with_attach problem att p)
   done
 
+(* The attachment sums as a switch-outer loop over [Problem.cost] — the
+   shape [Cost.attach] had before it read the flat cost rows. Both add
+   each switch's flows in flow order, so they must agree bit for bit. *)
+let switch_outer_attach problem ~rates =
+  let num_nodes = Graph.num_nodes (Problem.graph problem) in
+  let a_in = Array.make num_nodes 0.0 and a_out = Array.make num_nodes 0.0 in
+  Array.iter
+    (fun s ->
+      Array.iter
+        (fun (f : Flow.t) ->
+          let rate = rates.(f.id) in
+          a_in.(s) <- a_in.(s) +. (rate *. Problem.cost problem f.src_host s);
+          a_out.(s) <- a_out.(s) +. (rate *. Problem.cost problem s f.dst_host))
+        (Problem.flows problem))
+    (Problem.switches problem);
+  (a_in, a_out)
+
+let test_attach_bit_identical () =
+  List.iter
+    (fun weighted ->
+      let rng = Rng.create 31 in
+      let ft =
+        if weighted then
+          let w = Rng.split rng in
+          Fat_tree.build ~weight:(fun _ _ -> Rng.uniform w ~lo:0.2 ~hi:2.8) 4
+        else Fat_tree.build 4
+      in
+      let flows = Workload.generate_on_fat_tree ~rng ~l:40 ft in
+      let problem =
+        Problem.make ~cm:(Cost_matrix.compute ft.graph) ~flows ~n:3 ()
+      in
+      for _ = 1 to 20 do
+        let rates = Workload.redraw_rates ~rng flows in
+        let att = Cost.attach problem ~rates in
+        let a_in, a_out = switch_outer_attach problem ~rates in
+        let bits a = Array.map Int64.bits_of_float a in
+        Alcotest.(check (array int64)) "a_in bits" (bits a_in) (bits att.a_in);
+        Alcotest.(check (array int64))
+          "a_out bits" (bits a_out) (bits att.a_out)
+      done)
+    [ false; true ]
+
 (* --- flow metrics -------------------------------------------------------- *)
 
 let test_flow_metrics_fig2 () =
@@ -522,5 +564,7 @@ let () =
             test_total_cost_decomposition;
           Alcotest.test_case "attach sums match direct evaluation" `Quick
             test_attach_consistency;
+          Alcotest.test_case "attach bit-identical to switch-outer sums"
+            `Quick test_attach_bit_identical;
         ] );
     ]

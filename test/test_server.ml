@@ -288,6 +288,33 @@ let test_engine_invalid_params () =
           {|{"id":3,"method":"load_topology","params":{"session":"t","k":3}}|}));
   ignore (expect_ok (Engine.handle_line e {|{"id":4,"method":"health"}|}))
 
+(* A non-positive pair_limit is refused with a message naming it. *)
+let test_engine_pair_limit () =
+  let e = eng () in
+  ignore (load e ());
+  List.iter
+    (fun k ->
+      let line =
+        Engine.handle_line e
+          (Printf.sprintf
+             {|{"id":1,"method":"place","params":{"session":"s","algo":"dp","pair_limit":%d}}|}
+             k)
+      in
+      Alcotest.(check string) "code" "invalid_params" (expect_error line);
+      match Json.member "error" (Json.parse line) with
+      | Some err ->
+          Alcotest.(check string)
+            "message"
+            (Printf.sprintf
+               "Placement_dp.solve: pair_limit must be >= 1, got %d" k)
+            (str_field err "message")
+      | None -> Alcotest.fail "no error object")
+    [ -1; 0 ];
+  ignore
+    (expect_ok
+       (Engine.handle_line e
+          {|{"id":2,"method":"place","params":{"session":"s","algo":"dp","pair_limit":2}}|}))
+
 let test_engine_shutdown () =
   let e = eng () in
   ignore (expect_ok (Engine.handle_line e {|{"id":1,"method":"shutdown"}|}));
@@ -590,6 +617,8 @@ let () =
             test_engine_failure_log_ordering;
           Alcotest.test_case "invalid params are contained" `Quick
             test_engine_invalid_params;
+          Alcotest.test_case "pair_limit < 1 is invalid_params by name" `Quick
+            test_engine_pair_limit;
           Alcotest.test_case "shutdown" `Quick test_engine_shutdown;
           Alcotest.test_case "expired deadline is admission control" `Quick
             test_engine_deadline;
