@@ -23,8 +23,11 @@
    every CI invocation in full mode — but it is not fully
    machine-independent: repair is dominated by the flat matrix blits
    (memory bandwidth) while rebuild is Dijkstra-bound (CPU), so the
-   observed ratio ranges from ~5.5× to ~3.2× across machines; the
-   floor sits under that spread). *)
+   ratio shrinks as Dijkstra gets faster and varies with the machine:
+   ~5.5× to ~3.2× across machines with the earlier Dijkstra engines,
+   and 2.4× to 3.6× (median 2.9×) over five runs of the current
+   kernel on a shared 2-core VM, where copying the 718 MB distance
+   matrix into fresh pages alone took 0.6–0.9 s). *)
 
 module Bench = Bench_common
 module Rng = Ppdc_prelude.Rng

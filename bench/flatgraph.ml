@@ -1,34 +1,43 @@
 (* Flat-graph bench: the committed performance trajectory of the CSR +
    Bigarray cost-matrix stack (BENCH_flatgraph.json).
 
-   Measures all-pairs shortest paths on k=16/k=32 fat-trees (dial and
-   forced-heap engines) and Algo. 3 placement solves: a cold solve,
-   which builds the fabric's stroll table, and warm re-solves that
-   reuse it. Timing, artifact format and the normalized `--check`
-   regression gate live in {!Bench_common}. *)
+   Measures all-pairs shortest paths on unit-weight k=16/k=32
+   fat-trees and on a k=16 fat-tree with uniform link delays (the
+   float-weight fabric `load_topology ~weighted` serves), and Algo. 3
+   placement solves: a cold solve, which builds the fabric's stroll
+   table, and warm re-solves that reuse it. Timing, artifact format and
+   the normalized `--check` regression gate live in {!Bench_common}. *)
 
 module Bench = Bench_common
 module Rng = Ppdc_prelude.Rng
 module Fat_tree = Ppdc_topology.Fat_tree
 module Cost_matrix = Ppdc_topology.Cost_matrix
-module Shortest_paths = Ppdc_topology.Shortest_paths
 module Workload = Ppdc_traffic.Workload
 module Flow = Ppdc_traffic.Flow
 
 let reference_entry = "all_pairs_k16_auto"
 
+(* Link delays uniform with mean 1.5 and variance 0.5, drawn the way
+   the server's weighted [load_topology] draws them. *)
+let uniform_delay_fat_tree k =
+  let weight_rng = Rng.split (Rng.create 1) in
+  let half_width = sqrt 1.5 in
+  Fat_tree.build
+    ~weight:(fun _ _ ->
+      Rng.uniform weight_rng ~lo:(1.5 -. half_width) ~hi:(1.5 +. half_width))
+    k
+
 let run ~quick t =
   let ft16 = Fat_tree.build 16 in
   Bench.record t reference_entry ~reps:5 (fun () ->
       Cost_matrix.compute ft16.graph);
-  Bench.record t "all_pairs_k16_heap" ~reps:5 (fun () ->
-      Cost_matrix.compute ~algo:Shortest_paths.Heap ft16.graph);
+  let weighted16 = uniform_delay_fat_tree 16 in
+  Bench.record t "all_pairs_k16_weighted" ~reps:5 (fun () ->
+      Cost_matrix.compute weighted16.graph);
   if not quick then begin
     let ft32 = Fat_tree.build 32 in
-    Bench.record t "all_pairs_k32_dial" ~reps:3 (fun () ->
-        Cost_matrix.compute ft32.graph);
-    Bench.record t "all_pairs_k32_heap" ~reps:3 (fun () ->
-        Cost_matrix.compute ~algo:Shortest_paths.Heap ft32.graph)
+    Bench.record t "all_pairs_k32" ~reps:3 (fun () ->
+        Cost_matrix.compute ft32.graph)
   end;
   let ft8 = Fat_tree.build 8 in
   let cm8 = Cost_matrix.compute ft8.graph in

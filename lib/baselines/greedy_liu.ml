@@ -1,4 +1,5 @@
 open Ppdc_core
+module Cost_matrix = Ppdc_topology.Cost_matrix
 
 type outcome = { placement : Placement.t; cost : float }
 
@@ -8,15 +9,19 @@ let place problem ~rates =
   let k = Array.length switches in
   let n = Problem.n problem in
   (* Average distance from each switch to all switches: the "weighted
-     average delay of all unplaced MBs" proxy. *)
-  let avg_dist = Array.make (Ppdc_topology.Graph.num_nodes (Problem.graph problem)) 0.0 in
-  Array.iter
-    (fun s ->
-      let total =
-        Array.fold_left (fun acc t -> acc +. Problem.cost problem s t) 0.0 switches
-      in
-      avg_dist.(s) <- total /. float_of_int k)
-    switches;
+     average delay of all unplaced MBs" proxy. Summed straight off the
+     flat cost rows in a loop-local accumulator, so no float is boxed. *)
+  let cm = Problem.cm problem in
+  let costs = Cost_matrix.costs cm and stride = Cost_matrix.stride cm in
+  let avg_dist = Array.make (Cost_matrix.num_nodes cm) 0.0 in
+  for i = 0 to k - 1 do
+    let row = switches.(i) * stride in
+    let total = ref 0.0 in
+    for j = 0 to k - 1 do
+      total := !total +. costs.{row + switches.(j)}
+    done;
+    avg_dist.(switches.(i)) <- !total /. float_of_int k
+  done;
   let used = Hashtbl.create n in
   let placement = Array.make n (-1) in
   for j = 0 to n - 1 do

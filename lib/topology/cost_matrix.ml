@@ -24,15 +24,14 @@ let fresh_id () = Atomic.fetch_and_add next_id 1
    writes only its own row segment [src*n .. src*n + n - 1] of the
    shared flat arrays, so the result is identical to the sequential
    loop's for any PPDC_DOMAINS. *)
-let compute ?algo graph =
+let compute graph =
   Obs.time "cost_matrix.compute" @@ fun () ->
   let n = Graph.num_nodes graph in
   let dist = Shortest_paths.alloc_dist_rows (max (n * n) 1) in
   let pred = Shortest_paths.alloc_pred_rows (max (n * n) 1) in
   Ppdc_prelude.Parallel.parallel_for n (fun src ->
       let base = src * n in
-      (Obs.time "cost_matrix.dijkstra" @@ fun () ->
-       Shortest_paths.dijkstra_into ?algo graph ~src ~dist ~pred ~base);
+      Shortest_paths.dijkstra_into graph ~src ~dist ~pred ~base;
       for v = base to base + n - 1 do
         if not (Float.is_finite dist.{v}) then
           invalid_arg "Cost_matrix.compute: graph is not connected"
@@ -139,7 +138,7 @@ let diff_changes g g' =
    [dist(u) + w > dist(v)] by the failed test (old distances are lower
    bounds for prefixes of any path, by induction on the number of
    changed-edge traversals), so it shortens nothing. Distances
-   unchanged, and since both engines freeze the tree as the
+   unchanged, and since the kernel freezes the tree as the
    lowest-numbered-predecessor tree — a pure function of [dist] and
    the adjacency (see Shortest_paths) — [pred.(x)] is the least
    neighbour [y] with [dist.(y) + w(y, x) = dist.(x)]: a deleted edge
@@ -147,19 +146,22 @@ let diff_changes g g' =
    only pushes a non-candidate further from candidacy (Dijkstra's
    invariant gives [dist.(u) + w >= dist.(v)] beforehand), and a
    relaxed edge that failed the [<=] test is strictly
-   non-competitive. *)
-let row_affected t ~base changes =
-  List.exists
-    (fun c ->
-      match c with
-      | Delete (u, v) | Increase (u, v) ->
-          t.pred.{base + v} = u || t.pred.{base + u} = v
-      | Relax (u, v, w) ->
-          t.dist.{base + u} +. w <= t.dist.{base + v}
-          || t.dist.{base + v} +. w <= t.dist.{base + u})
-    changes
+   non-competitive.
 
-let repair_rows ?algo t g' changes =
+   A direct recursion rather than [List.exists], so testing a row
+   allocates no closure. *)
+let rec row_affected t ~base = function
+  | [] -> false
+  | (Delete (u, v) | Increase (u, v)) :: rest ->
+      t.pred.{base + v} = u
+      || t.pred.{base + u} = v
+      || row_affected t ~base rest
+  | Relax (u, v, w) :: rest ->
+      t.dist.{base + u} +. w <= t.dist.{base + v}
+      || t.dist.{base + v} +. w <= t.dist.{base + u}
+      || row_affected t ~base rest
+
+let repair_rows t g' changes =
   Obs.time "cost_matrix.repair" @@ fun () ->
   let n = t.n in
   let dist = Shortest_paths.alloc_dist_rows (max (n * n) 1) in
@@ -179,8 +181,7 @@ let repair_rows ?algo t g' changes =
   Ppdc_prelude.Parallel.parallel_for n (fun src ->
       if affected.(src) then begin
         let base = src * n in
-        (Obs.time "cost_matrix.dijkstra" @@ fun () ->
-         Shortest_paths.dijkstra_into ?algo g' ~src ~dist ~pred ~base);
+        Shortest_paths.dijkstra_into g' ~src ~dist ~pred ~base;
         for v = base to base + n - 1 do
           if not (Float.is_finite dist.{v}) then
             invalid_arg "Cost_matrix.repair: graph is not connected"
@@ -190,14 +191,14 @@ let repair_rows ?algo t g' changes =
   Obs.incr "cost_matrix.repair.calls";
   ({ id = fresh_id (); graph = g'; n; dist; pred }, !repaired)
 
-let repair_to ?algo t g' =
+let repair_to t g' =
   match diff_changes t.graph g' with
   | None -> None
   | Some [] ->
       (* Structurally identical fabric: the matrices can be shared as
          they are; only the graph handle moves. *)
       Some ({ t with id = fresh_id (); graph = g' }, 0)
-  | Some changes -> Some (repair_rows ?algo t g' changes)
+  | Some changes -> Some (repair_rows t g' changes)
 
 let graph_without_edge g ~u ~v =
   let found = ref false in
@@ -216,12 +217,12 @@ let graph_without_edge g ~u ~v =
          ~kinds:(Array.init (Graph.num_nodes g) (Graph.kind g))
          ~edges)
 
-let delete_edge ?algo t ~u ~v =
+let delete_edge t ~u ~v =
   match graph_without_edge t.graph ~u ~v with
   | None -> invalid_arg "Cost_matrix.delete_edge: no such edge"
-  | Some g' -> fst (repair_rows ?algo t g' [ Delete (u, v) ])
+  | Some g' -> fst (repair_rows t g' [ Delete (u, v) ])
 
-let increase_weight ?algo t ~u ~v ~weight =
+let increase_weight t ~u ~v ~weight =
   match Graph.edge_weight t.graph u v with
   | None -> invalid_arg "Cost_matrix.increase_weight: no such edge"
   | Some w when Float.compare weight w < 0 ->
@@ -234,9 +235,9 @@ let increase_weight ?algo t ~u ~v ~weight =
             if (a = u && b = v) || (a = v && b = u) then weight else wab)
       in
       if Float.compare weight w = 0 then { t with id = fresh_id (); graph = g' }
-      else fst (repair_rows ?algo t g' [ Increase (min u v, max u v) ])
+      else fst (repair_rows t g' [ Increase (min u v, max u v) ])
 
-let decrease_weight ?algo t ~u ~v ~weight =
+let decrease_weight t ~u ~v ~weight =
   if not (Float.is_finite weight) || weight <= 0.0 then
     invalid_arg "Cost_matrix.decrease_weight: weight must be finite positive";
   match Graph.edge_weight t.graph u v with
@@ -251,9 +252,9 @@ let decrease_weight ?algo t ~u ~v ~weight =
             if (a = u && b = v) || (a = v && b = u) then weight else wab)
       in
       if Float.compare weight w = 0 then { t with id = fresh_id (); graph = g' }
-      else fst (repair_rows ?algo t g' [ Relax (min u v, max u v, weight) ])
+      else fst (repair_rows t g' [ Relax (min u v, max u v, weight) ])
 
-let restore_edge ?algo t ~u ~v ~weight =
+let restore_edge t ~u ~v ~weight =
   if not (Float.is_finite weight) || weight <= 0.0 then
     invalid_arg "Cost_matrix.restore_edge: weight must be finite positive";
   (match Graph.edge_weight t.graph u v with
@@ -265,7 +266,7 @@ let restore_edge ?algo t ~u ~v ~weight =
       ~kinds:(Array.init (Graph.num_nodes t.graph) (Graph.kind t.graph))
       ~edges:((min u v, max u v, weight) :: Graph.edges t.graph)
   in
-  fst (repair_rows ?algo t g' [ Relax (min u v, max u v, weight) ])
+  fst (repair_rows t g' [ Relax (min u v, max u v, weight) ])
 
 let id t = t.id
 let graph t = t.graph

@@ -7,16 +7,17 @@
     cost of flow [(v_i, v'_i)] is [λ_i · c(s(v_i), s(v'_i))] and migrating
     a VNF from switch [u] to [v] costs [μ · c(u, v)].
 
-    Memory is Θ(|V|²) in two flat arrays of row stride [num_nodes]; a
-    k=16 fat-tree (1344 nodes) needs ≈ 30 MB. *)
+    Each row is one run of the {!Shortest_paths} kernel, which
+    allocates nothing, so a build's allocation is the two matrices and
+    a few words. Memory is Θ(|V|²) in two flat off-heap arrays of row
+    stride [num_nodes]; a k=16 fat-tree (1344 nodes) needs ≈ 30 MB. *)
 
 type t
 
-val compute : ?algo:Shortest_paths.algo -> Graph.t -> t
-(** Run Dijkstra from every node ([?algo] selects the engine, default
-    {!Shortest_paths.Auto}; every engine produces identical matrices).
-    Raises [Invalid_argument] if the graph is not connected (a PPDC is
-    always connected). *)
+val compute : Graph.t -> t
+(** Run Dijkstra ({!Shortest_paths.dijkstra_into}) from every node,
+    one row per source over the domain pool. Raises [Invalid_argument]
+    if the graph is not connected (a PPDC is always connected). *)
 
 val graph : t -> Graph.t
 
@@ -50,7 +51,7 @@ val id : t -> int
     {!repair_to} refuses it and the caller falls back to {!compute}
     (see EXTENDING.md). *)
 
-val repair_to : ?algo:Shortest_paths.algo -> t -> Graph.t -> (t * int) option
+val repair_to : t -> Graph.t -> (t * int) option
 (** [repair_to t g'] derives the all-pairs matrix of [g'] from [t]
     when [g'] has the same node count and kinds as [graph t]; any mix
     of deleted, added, and reweighted edges is localized per the tests
@@ -61,19 +62,19 @@ val repair_to : ?algo:Shortest_paths.algo -> t -> Graph.t -> (t * int) option
     [Invalid_argument] if [g'] is disconnected (as {!compute}
     would). *)
 
-val delete_edge : ?algo:Shortest_paths.algo -> t -> u:int -> v:int -> t
+val delete_edge : t -> u:int -> v:int -> t
 (** [delete_edge t ~u ~v] is the matrix of [graph t] minus the edge
     [(u, v)], repairing only the rows whose tree used it. Raises
     [Invalid_argument] if the edge does not exist or its removal
     disconnects the graph. *)
 
-val increase_weight : ?algo:Shortest_paths.algo -> t -> u:int -> v:int -> weight:float -> t
+val increase_weight : t -> u:int -> v:int -> weight:float -> t
 (** [increase_weight t ~u ~v ~weight] is the matrix of [graph t] with
     edge [(u, v)] reweighted to [weight >=] its current weight.
     Raises [Invalid_argument] if the edge does not exist or [weight]
     is smaller than the current weight (use {!decrease_weight}). *)
 
-val decrease_weight : ?algo:Shortest_paths.algo -> t -> u:int -> v:int -> weight:float -> t
+val decrease_weight : t -> u:int -> v:int -> weight:float -> t
 (** [decrease_weight t ~u ~v ~weight] is the matrix of [graph t] with
     edge [(u, v)] reweighted to [weight <=] its current weight,
     repairing only the rows where the cheaper edge is competitive.
@@ -81,7 +82,7 @@ val decrease_weight : ?algo:Shortest_paths.algo -> t -> u:int -> v:int -> weight
     not finite positive, or [weight] exceeds the current weight (use
     {!increase_weight}). *)
 
-val restore_edge : ?algo:Shortest_paths.algo -> t -> u:int -> v:int -> weight:float -> t
+val restore_edge : t -> u:int -> v:int -> weight:float -> t
 (** [restore_edge t ~u ~v ~weight] is the matrix of [graph t] plus the
     edge [(u, v)] at [weight] — the inverse of {!delete_edge}, used
     when a failed link comes back. Only rows where the restored edge

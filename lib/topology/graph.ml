@@ -5,26 +5,16 @@ type node_kind = Host | Switch
    [weights]. One contiguous int array and one contiguous float array
    replace the former [(int * float) array array]: no per-node array
    headers, no tuple boxing, and the per-source Dijkstra sweep walks
-   memory linearly. [int_weights] additionally carries every weight as an
-   int (parallel to [targets]) when the whole graph has small integral
-   weights — the precondition for the dial (bucket-queue) Dijkstra fast
-   path in [Shortest_paths]. *)
+   memory linearly. *)
 type t = {
   kinds : node_kind array;
   row_ptr : int array;  (* length n+1; row_ptr.(n) = 2|E| *)
   targets : int array;  (* length 2|E| *)
   weights : float array;  (* length 2|E|, parallel to targets *)
-  int_weights : int array;  (* parallel to targets; [||] unless integral *)
-  int_weight_bound : int;  (* max integral weight; 0 = not integral *)
   edge_list : (int * int * float) array;  (* u < v, canonically sorted *)
   host_ids : int array;
   switch_ids : int array;
 }
-
-(* Weights strictly above this bound fall back to the heap path even if
-   integral: dial buckets are Θ(max weight) empty-bucket scans per
-   settled distance unit, which stops paying off for coarse weights. *)
-let max_dial_weight = 4096
 
 let validate_edges kinds edges =
   let n = Array.length kinds in
@@ -73,20 +63,6 @@ let make ~kinds ~edges =
       weights.(fill.(v)) <- w;
       fill.(v) <- fill.(v) + 1)
     edges;
-  let integral =
-    let ok = ref (m2 > 0) in
-    let bound = ref 0 in
-    Array.iter
-      (fun w ->
-        if Float.is_integer w && w >= 1.0 && w <= float_of_int max_dial_weight
-        then bound := max !bound (int_of_float w)
-        else ok := false)
-      weights;
-    if !ok then !bound else 0
-  in
-  let int_weights =
-    if integral > 0 then Array.map int_of_float weights else [||]
-  in
   let edge_list =
     edges
     |> List.map (fun (u, v, w) -> if u < v then (u, v, w) else (v, u, w))
@@ -111,8 +87,6 @@ let make ~kinds ~edges =
     row_ptr;
     targets;
     weights;
-    int_weights;
-    int_weight_bound = integral;
     edge_list;
     host_ids = ids_of_kind Host;
     switch_ids = ids_of_kind Switch;
@@ -152,10 +126,6 @@ let edges g = Array.to_list g.edge_list
 let csr_row_ptr g = g.row_ptr
 let csr_targets g = g.targets
 let csr_weights g = g.weights
-
-let integral_weights g =
-  if g.int_weight_bound > 0 then Some (g.int_weights, g.int_weight_bound)
-  else None
 
 let map_weights g f =
   let edges' =

@@ -71,15 +71,6 @@ val csr_weights : t -> float array
 (** CSR weight array, parallel to {!csr_targets}. Shared storage — do
     not mutate. *)
 
-val integral_weights : t -> (int array * int) option
-(** [Some (iw, bound)] when every edge weight is an integer in
-    [1 .. 4096]: [iw] carries the weights as ints, parallel to
-    {!csr_targets}, and [bound] is the largest weight. This is the
-    precondition for the dial (bucket-queue) Dijkstra fast path — unit-
-    weight fat-tree/leaf-spine fabrics always qualify. [None] otherwise
-    (fractional, non-positive-after-mapping, or very coarse weights).
-    Shared storage — do not mutate. *)
-
 val map_weights : t -> (int -> int -> float -> float) -> t
 (** [map_weights g f] is [g] with each edge [(u, v, w)], [u < v], carrying
     weight [f u v w] instead. Used to turn an unweighted (unit-cost)

@@ -1,9 +1,5 @@
-module Int_heap = Ppdc_prelude.Pqueue.Int_heap
-
 type dist_row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type pred_row = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type algo = Auto | Heap | Dial
 
 (* All-pairs rows live in Bigarrays, not OCaml arrays, for a reason that
    is easy to miss: a flat [int array] of |V|² predecessor slots is a
@@ -13,7 +9,7 @@ type algo = Auto | Heap | Dial
    Bigarray storage is off-heap: never scanned, never moved, no
    initialization cost at allocation. *)
 
-(* Both engines share the relaxation discipline:
+(* The relaxation discipline:
 
    - strict improvement moves [dist]/[pred] and (re)queues the node;
    - an equal-cost candidate only rewrites [pred.(v)] towards the
@@ -27,177 +23,76 @@ type algo = Auto | Heap | Dial
    path extraction diverges. With the guard, [pred.(v)] freezes at
    settlement, and since every equal-cost predecessor of [v] settles no
    later than [v], the final tree is still the lowest-numbered-
-   predecessor tree, independent of the queue discipline — which is why
-   the dial and heap engines agree bit-for-bit on integral weights. *)
+   predecessor tree, independent of the queue discipline. *)
 
-(* Per-domain scratch, reused across the all-pairs per-source fan-out so
-   the inner loops stop allocating: [settled] is a byte mask (Bytes, not
-   [bool array], to keep it off the scan path too), [idist]/[bucket]s
-   serve the dial engine, [heap] the heap engine. Keyed by Domain.DLS —
+(* Per-domain scratch, reused across the all-pairs per-source fan-out:
+   [heap] holds the queued node ids in binary-heap order, and [pos.(v)]
+   is [v]'s slot in it, or [unreached]/[settled]. Keyed by Domain.DLS —
    each worker domain owns one scratch, so concurrent sources never
-   share. Reuse cannot leak state between runs: every field is reset (or
-   provably empty, see the bucket invariant below) before use. *)
-type scratch = {
-  mutable settled : Bytes.t;
-  mutable idist : int array;
-  mutable bucket : int array array;
-  mutable bucket_len : int array;
-  heap : Int_heap.t;
-}
+   share. [pos] is reset before every run and [heap] is only read below
+   its live size, so no state leaks between runs. *)
+type scratch = { mutable heap : int array; mutable pos : int array }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        settled = Bytes.empty;
-        idist = [||];
-        bucket = [||];
-        bucket_len = [||];
-        heap = Int_heap.create ();
-      })
+let unreached = -1
+let settled = -2
 
-let scratch_settled s n =
-  if Bytes.length s.settled < n then s.settled <- Bytes.create n;
-  Bytes.fill s.settled 0 n '\000';
-  s.settled
+let scratch_key = Domain.DLS.new_key (fun () -> { heap = [||]; pos = [||] })
 
-let heap_into g ~src ~(dist : dist_row) ~(pred : pred_row) ~base =
-  let n = Graph.num_nodes g in
-  let row_ptr = Graph.csr_row_ptr g in
-  let targets = Graph.csr_targets g in
-  let weights = Graph.csr_weights g in
-  Bigarray.Array1.fill (Bigarray.Array1.sub dist base n) infinity;
-  Bigarray.Array1.fill (Bigarray.Array1.sub pred base n) (-1);
-  let s = Domain.DLS.get scratch_key in
-  let settled = scratch_settled s n in
-  let queue = s.heap in
-  Int_heap.clear queue;
-  dist.{base + src} <- 0.0;
-  pred.{base + src} <- src;
-  Int_heap.push queue 0.0 src;
-  while not (Int_heap.is_empty queue) do
-    let d = Int_heap.min_prio queue in
-    let u = Int_heap.pop queue in
-    if Bytes.get settled u = '\000' then begin
-      Bytes.set settled u '\001';
-      for i = row_ptr.(u) to row_ptr.(u + 1) - 1 do
-        let v = Array.unsafe_get targets i in
-        let candidate = d +. Array.unsafe_get weights i in
-        let dv = dist.{base + v} in
-        if candidate < dv then begin
-          dist.{base + v} <- candidate;
-          pred.{base + v} <- u;
-          Int_heap.push queue candidate v
-        end
-        else if
-          Float.equal candidate dv
-          && Bytes.get settled v = '\000'
-          && u < pred.{base + v}
-        then pred.{base + v} <- u
-      done
-    end
-  done
+(* The heap is keyed by each node's own entry in the row being written,
+   so its operations take and return node ids and slots only: no float
+   crosses a call boundary, and without flambda that is what keeps the
+   loop from boxing one per push and pop. [sift_up]/[sift_down] place
+   [v] by moving the hole from slot [i]. *)
+let sift_up heap pos (dist : dist_row) base i v =
+  let key = dist.{base + v} in
+  let i = ref i in
+  while
+    !i > 0 && dist.{base + Array.unsafe_get heap ((!i - 1) / 2)} > key
+  do
+    let parent = (!i - 1) / 2 in
+    let p = Array.unsafe_get heap parent in
+    Array.unsafe_set heap !i p;
+    Array.unsafe_set pos p !i;
+    i := parent
+  done;
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set pos v !i
 
-(* Dial's algorithm: a circular array of [maxw + 1] buckets indexed by
-   distance modulo the bucket count. Valid because every queued entry's
-   distance lies within [maxw] of the current settling distance, so the
-   residue is unambiguous. Integer distance arithmetic is exact, and
-   [float_of_int] of a small int is exact, so the emitted rows are
-   bit-identical to the heap engine's. *)
-let dial_into g ~iw ~maxw ~src ~(dist : dist_row) ~(pred : pred_row) ~base =
-  let n = Graph.num_nodes g in
-  let row_ptr = Graph.csr_row_ptr g in
-  let targets = Graph.csr_targets g in
-  let nb = maxw + 1 in
-  let s = Domain.DLS.get scratch_key in
-  if Array.length s.bucket < nb then begin
-    s.bucket <- Array.make nb [||];
-    s.bucket_len <- Array.make nb 0
-  end;
-  (* Every push is matched by exactly one pop before [pending] reaches
-     zero, so a previous run leaves all bucket_len at 0 — but a run
-     aborted by an exception would not, so reset defensively. *)
-  Array.fill s.bucket_len 0 (Array.length s.bucket_len) 0;
-  let bucket = s.bucket and bucket_len = s.bucket_len in
-  let push b x =
-    let a = bucket.(b) in
-    let len = bucket_len.(b) in
-    if len = Array.length a then begin
-      let a' = Array.make (max 8 (2 * len)) 0 in
-      Array.blit a 0 a' 0 len;
-      bucket.(b) <- a'
-    end;
-    bucket.(b).(len) <- x;
-    bucket_len.(b) <- len + 1
-  in
-  if Array.length s.idist < n then s.idist <- Array.make n max_int
-  else Array.fill s.idist 0 n max_int;
-  let idist = s.idist in
-  let settled = scratch_settled s n in
-  Bigarray.Array1.fill (Bigarray.Array1.sub pred base n) (-1);
-  idist.(src) <- 0;
-  pred.{base + src} <- src;
-  push 0 src;
-  let pending = ref 1 in
-  let d = ref 0 in
-  while !pending > 0 do
-    let b = !d mod nb in
-    if bucket_len.(b) = 0 then incr d
+let sift_down heap pos (dist : dist_row) base size i v =
+  let key = dist.{base + v} in
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= size then sinking := false
     else begin
-      let len = bucket_len.(b) - 1 in
-      let u = bucket.(b).(len) in
-      bucket_len.(b) <- len;
-      decr pending;
-      (* [u] is stale if it was re-queued at a smaller distance and
-         settled when that earlier bucket drained. *)
-      if Bytes.get settled u = '\000' then begin
-        Bytes.set settled u '\001';
-        let du = !d in
-        for i = row_ptr.(u) to row_ptr.(u + 1) - 1 do
-          let v = Array.unsafe_get targets i in
-          let candidate = du + Array.unsafe_get iw i in
-          let dv = Array.unsafe_get idist v in
-          if candidate < dv then begin
-            Array.unsafe_set idist v candidate;
-            pred.{base + v} <- u;
-            push (candidate mod nb) v;
-            incr pending
-          end
-          else if
-            candidate = dv
-            && Bytes.get settled v = '\000'
-            && u < pred.{base + v}
-          then pred.{base + v} <- u
-        done
+      let c =
+        if
+          l + 1 < size
+          && dist.{base + Array.unsafe_get heap (l + 1)}
+             < dist.{base + Array.unsafe_get heap l}
+        then l + 1
+        else l
+      in
+      let cv = Array.unsafe_get heap c in
+      if dist.{base + cv} < key then begin
+        Array.unsafe_set heap !i cv;
+        Array.unsafe_set pos cv !i;
+        i := c
       end
+      else sinking := false
     end
   done;
-  for v = 0 to n - 1 do
-    let dv = Array.unsafe_get idist v in
-    dist.{base + v} <- (if dv = max_int then infinity else float_of_int dv)
-  done
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set pos v !i
 
-(* Dial wins on fine-grained integral weights (unit-weight fabrics
-   especially) but pays one empty-bucket scan per unit of distance, so
-   coarse weights fall back to the heap. *)
-let max_auto_dial_weight = 64
-
-type engine = E_heap | E_dial of int array * int
-
-let select g algo =
-  match algo with
-  | Heap -> E_heap
-  | Dial -> (
-      match Graph.integral_weights g with
-      | Some (iw, maxw) -> E_dial (iw, maxw)
-      | None ->
-          invalid_arg
-            "Shortest_paths: Dial requires small integral edge weights")
-  | Auto -> (
-      match Graph.integral_weights g with
-      | Some (iw, maxw) when maxw <= max_auto_dial_weight -> E_dial (iw, maxw)
-      | _ -> E_heap)
-
-let dijkstra_into ?(algo = Auto) g ~src ~dist ~pred ~base =
+(* Dijkstra over an indexed binary heap with decrease-key, so the heap
+   never holds a stale entry. A degree-1 node other than the source is
+   settled at its first relaxation instead of being queued: its only
+   neighbour is the node settling now, so popping it later would relax
+   nothing, and nothing else can reach it to move its [dist] or [pred].
+   The degree comes from [row_ptr], not the node kind — a multi-homed
+   host is not a leaf, and a pendant switch is. *)
+let dijkstra_into g ~src ~(dist : dist_row) ~(pred : pred_row) ~base =
   let n = Graph.num_nodes g in
   if src < 0 || src >= n then invalid_arg "Shortest_paths.dijkstra: bad source";
   if
@@ -205,9 +100,52 @@ let dijkstra_into ?(algo = Auto) g ~src ~dist ~pred ~base =
     || base + n > Bigarray.Array1.dim dist
     || base + n > Bigarray.Array1.dim pred
   then invalid_arg "Shortest_paths.dijkstra_into: row out of bounds";
-  match select g algo with
-  | E_heap -> heap_into g ~src ~dist ~pred ~base
-  | E_dial (iw, maxw) -> dial_into g ~iw ~maxw ~src ~dist ~pred ~base
+  let row_ptr = Graph.csr_row_ptr g in
+  let targets = Graph.csr_targets g in
+  let weights = Graph.csr_weights g in
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.pos < n then begin
+    s.heap <- Array.make n 0;
+    s.pos <- Array.make n unreached
+  end
+  else Array.fill s.pos 0 n unreached;
+  let heap = s.heap and pos = s.pos in
+  for v = base to base + n - 1 do
+    dist.{v} <- infinity;
+    pred.{v} <- -1
+  done;
+  dist.{base + src} <- 0.0;
+  pred.{base + src} <- src;
+  heap.(0) <- src;
+  pos.(src) <- 0;
+  let size = ref 1 in
+  while !size > 0 do
+    let u = heap.(0) in
+    pos.(u) <- settled;
+    decr size;
+    if !size > 0 then sift_down heap pos dist base !size 0 heap.(!size);
+    let du = dist.{base + u} in
+    for i = row_ptr.(u) to row_ptr.(u + 1) - 1 do
+      let v = Array.unsafe_get targets i in
+      let p = Array.unsafe_get pos v in
+      if p <> settled then begin
+        let candidate = du +. Array.unsafe_get weights i in
+        let dv = dist.{base + v} in
+        if candidate < dv then begin
+          dist.{base + v} <- candidate;
+          pred.{base + v} <- u;
+          if p <> unreached then sift_up heap pos dist base p v
+          else if row_ptr.(v + 1) - row_ptr.(v) = 1 then pos.(v) <- settled
+          else begin
+            sift_up heap pos dist base !size v;
+            incr size
+          end
+        end
+        else if Float.equal candidate dv && u < pred.{base + v} then
+          pred.{base + v} <- u
+      end
+    done
+  done
 
 let alloc_dist_rows len : dist_row =
   Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
@@ -215,11 +153,11 @@ let alloc_dist_rows len : dist_row =
 let alloc_pred_rows len : pred_row =
   Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
 
-let dijkstra ?algo g ~src =
+let dijkstra g ~src =
   let n = Graph.num_nodes g in
   let dist = alloc_dist_rows (max n 1) in
   let pred = alloc_pred_rows (max n 1) in
-  dijkstra_into ?algo g ~src ~dist ~pred ~base:0;
+  dijkstra_into g ~src ~dist ~pred ~base:0;
   (Array.init n (fun v -> dist.{v}), Array.init n (fun v -> pred.{v}))
 
 let path_from_pred ?(base = 0) ~pred ~src ~dst () =

@@ -1,19 +1,18 @@
 (** Single-source shortest paths over the CSR graph.
 
-    Two engines produce identical rows:
+    One kernel: Dijkstra over an indexed binary heap of node ids with
+    decrease-key, keyed by the row's own off-heap distance entries, so
+    the heap holds no stale entries and the loop allocates nothing. A
+    degree-1 node other than the source (a host on a fat-tree) is
+    settled when it is first reached instead of being queued, since its
+    only neighbour has already settled.
 
-    - a binary-heap Dijkstra (works for any positive float weights);
-    - a dial (bucket-queue) Dijkstra used automatically when the graph
-      reports small integral weights ({!Graph.integral_weights} with a
-      bound ≤ 64) — the common unit-weight fat-tree/leaf-spine case,
-      where it replaces O(log n) heap sifts with O(1) bucket pushes.
-
-    Both engines break shortest-path ties towards the lowest-numbered
-    predecessor, and the tie-break only applies while the target is not
-    yet settled, so the predecessor tree is frozen at settlement: the
-    resulting [(dist, pred)] rows are a pure function of the graph,
-    independent of the queue discipline. On integral weights the two
-    engines agree bit-for-bit (integer arithmetic is exact in both). *)
+    Shortest-path ties break towards the lowest-numbered predecessor,
+    and the tie-break only applies while the target is not yet settled,
+    so the predecessor tree is frozen at settlement: the resulting
+    [(dist, pred)] rows are a pure function of the graph, independent of
+    the queue discipline (the differential suite checks them bit for bit
+    against a queue-free scan-minimum oracle). *)
 
 type dist_row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Flat distance storage, one or more rows of a source-major matrix.
@@ -31,23 +30,15 @@ val alloc_dist_rows : int -> dist_row
 
 val alloc_pred_rows : int -> pred_row
 
-type algo =
-  | Auto  (** dial when {!Graph.integral_weights} holds with bound ≤ 64 *)
-  | Heap  (** force the binary-heap engine *)
-  | Dial
-      (** force the bucket-queue engine; raises [Invalid_argument] if
-          the graph does not report integral weights *)
-
-val dijkstra : ?algo:algo -> Graph.t -> src:int -> float array * int array
+val dijkstra : Graph.t -> src:int -> float array * int array
 (** [dijkstra g ~src] returns [(dist, pred)]: [dist.(v)] is the cheapest
     cost from [src] to [v] ([infinity] if unreachable) and [pred.(v)] is
     [v]'s predecessor on one cheapest path ([src] for the source itself,
     [-1] if unreachable). Ties are broken deterministically towards the
     lowest-numbered predecessor, so extracted paths are stable across
-    runs and engines. *)
+    runs. *)
 
 val dijkstra_into :
-  ?algo:algo ->
   Graph.t ->
   src:int ->
   dist:dist_row ->

@@ -5,13 +5,12 @@
    deletions, weight increases, decreases, and edge restores, the
    repaired matrix must be bit-identical — dist by IEEE bit pattern,
    pred exactly — to a cold [Cost_matrix.compute] on the current
-   graph, for both engines. The repair's whole claim is that
+   graph. The repair's whole claim is that
    unaffected rows need no work — trees that avoided a
    deleted/increased edge, sources for which a relaxed edge is not
    competitive; these tests are what keeps that claim honest. *)
 
 module Graph = Ppdc_topology.Graph
-module Shortest_paths = Ppdc_topology.Shortest_paths
 module Cost_matrix = Ppdc_topology.Cost_matrix
 module Fat_tree = Ppdc_topology.Fat_tree
 module Random_topology = Ppdc_topology.Random_topology
@@ -200,35 +199,6 @@ let prop_repair_to_matches_fail_links =
           if failed = [] && rows <> 0 then
             QCheck.Test.fail_report "no failures but rows re-ran";
           matrices_bit_equal repaired (Cost_matrix.compute degraded))
-
-let prop_repair_engine_parity =
-  QCheck.Test.make ~name:"repair rows agree across heap/dial engines"
-    ~count:25
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      (* Unit weights so both engines are available. *)
-      let rng = Rng.create seed in
-      let rt =
-        Random_topology.build ~rng
-          ~num_switches:(3 + Rng.int rng 8)
-          ~extra_edges:(2 + Rng.int rng 8)
-          ~hosts_per_switch:(1 + Rng.int rng 2)
-          ()
-      in
-      let g = rt.graph in
-      let degraded, _ =
-        Failures.fail_links ~rng:(Rng.create (seed + 29)) ~fraction:0.25 g
-      in
-      let repair algo =
-        match
-          Cost_matrix.repair_to ~algo (Cost_matrix.compute ~algo g) degraded
-        with
-        | Some (cm, _) -> cm
-        | None -> QCheck.Test.fail_report "repair_to refused a pure deletion"
-      in
-      matrices_bit_equal
-        (repair Shortest_paths.Heap)
-        (repair Shortest_paths.Dial))
 
 (* --- unit tests -------------------------------------------------------- *)
 
@@ -464,7 +434,6 @@ let () =
           prop_repair_matches_cold_compute;
           prop_repair_to_mixed_deltas;
           prop_repair_to_matches_fail_links;
-          prop_repair_engine_parity;
         ];
       ( "repair",
         [

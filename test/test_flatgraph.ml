@@ -1,18 +1,19 @@
 (* Differential oracle for the flat (CSR + Bigarray) graph stack.
 
    The adjacency representation, the all-pairs storage layout, and the
-   dial shortest-path engine were all replaced at once; this suite pins
-   each replacement against an independent reference:
+   shortest-path kernel each have an independent reference here:
 
    - [Legacy]: the old nested [(int * float) array array] adjacency and
      a scan-minimum Dijkstra with the same tie-break discipline. The
-     CSR engines must reproduce its rows bit-for-bit.
+     CSR kernel must reproduce its rows bit-for-bit, on unit, integral
+     and float weights, and on graphs whose leaves (degree-1 nodes) are
+     not the hosts.
    - digest: the graph digest serializes the abstract structure only,
      so it must not move when the adjacency representation does — the
      RPC server's cost-matrix cache keys depend on that.
    - solvers: Placement_dp / Placement_opt / Mpareto must be
-     bit-identical whether the cost matrix was computed by the heap or
-     the dial engine, at 1 and at 4 domains. *)
+     bit-identical at 1 and at 4 domains.
+   - allocation: the kernel's loop allocates nothing per source. *)
 
 module Graph = Ppdc_topology.Graph
 module Shortest_paths = Ppdc_topology.Shortest_paths
@@ -97,14 +98,16 @@ end
 let sorted_neighbors l =
   List.sort compare (List.map (fun (v, w) -> (v, Int64.bits_of_float w)) l)
 
+(* Unit, small-integral or float link weights, a third each. *)
 let random_graph seed =
   let rng = Rng.create seed in
-  let weighted = Rng.int rng 2 = 0 in
   let rt =
     Random_topology.build
       ?weight:
-        (if weighted then Some (fun () -> Rng.uniform rng ~lo:0.25 ~hi:4.0)
-         else None)
+        (match Rng.int rng 3 with
+        | 0 -> None
+        | 1 -> Some (fun () -> float_of_int (1 + Rng.int rng 7))
+        | _ -> Some (fun () -> Rng.uniform rng ~lo:0.25 ~hi:4.0))
       ~rng
       ~num_switches:(3 + Rng.int rng 10)
       ~extra_edges:(Rng.int rng 12)
@@ -189,57 +192,186 @@ let prop_dijkstra_matches_legacy =
       done;
       !ok)
 
-let prop_dial_matches_heap =
-  QCheck.Test.make ~name:"dial rows = heap rows on integral weights"
-    ~count:75
+let matrices_bit_equal a b =
+  let n = Cost_matrix.num_nodes a in
+  let ca = Cost_matrix.costs a and cb = Cost_matrix.costs b in
+  let ok = ref (Cost_matrix.num_nodes b = n) in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let i = (src * n) + dst in
+      (* [path] walks pred, and every node's parent lies on its own
+         path, so equal paths mean equal predecessor rows. *)
+      if
+        Int64.bits_of_float ca.{i} <> Int64.bits_of_float cb.{i}
+        || Cost_matrix.path a ~src ~dst <> Cost_matrix.path b ~src ~dst
+      then ok := false
+    done
+  done;
+  !ok
+
+(* Graphs built directly with [Graph.make] whose degree-1 nodes are not
+   the hosts: hosts homed on 1–3 switches (a multi-homed host is no
+   leaf), pendant switches (a switch can be one), and now and then the
+   two-node graph. Node ids are shuffled so the lowest-numbered-
+   predecessor ties fall every way. The kernel settles leaves at their
+   first relaxation, so a leaf test by node kind instead of degree
+   settles multi-homed hosts too early and breaks these rows. *)
+let leafy_graph seed =
+  let rng = Rng.create seed in
+  let unit_weights = Rng.int rng 2 = 0 in
+  let weight () =
+    if unit_weights then 1.0 else Rng.uniform rng ~lo:0.25 ~hi:4.0
+  in
+  if Rng.int rng 8 = 0 then
+    let other = if Rng.int rng 2 = 0 then Graph.Host else Graph.Switch in
+    Graph.make ~kinds:[| Graph.Switch; other |] ~edges:[ (0, 1, weight ()) ]
+  else begin
+    let core = 2 + Rng.int rng 6 in
+    let pendants = Rng.int rng 3 in
+    let hosts = 1 + Rng.int rng 6 in
+    let n = core + pendants + hosts in
+    let id = Array.init n Fun.id in
+    Rng.shuffle rng id;
+    let edges = Hashtbl.create 32 in
+    let add a b =
+      let key = (min id.(a) id.(b), max id.(a) id.(b)) in
+      if not (Hashtbl.mem edges key) then Hashtbl.add edges key (weight ())
+    in
+    for c = 1 to core - 1 do
+      add c (Rng.int rng c)
+    done;
+    for _ = 1 to Rng.int rng (core + 1) do
+      let a = Rng.int rng core and b = Rng.int rng core in
+      if a <> b then add a b
+    done;
+    for p = core to core + pendants - 1 do
+      add p (Rng.int rng core)
+    done;
+    for h = core + pendants to n - 1 do
+      for _ = 1 to 1 + Rng.int rng 3 do
+        add h (Rng.int rng core)
+      done
+    done;
+    let kinds = Array.make n Graph.Switch in
+    for h = core + pendants to n - 1 do
+      kinds.(id.(h)) <- Graph.Host
+    done;
+    Graph.make ~kinds
+      ~edges:
+        (List.sort compare
+           (Hashtbl.fold (fun (a, b) w acc -> (a, b, w) :: acc) edges []))
+  end
+
+let connected n edges =
+  let uf = Ppdc_prelude.Union_find.create n in
+  List.iter
+    (fun (a, b, _) -> ignore (Ppdc_prelude.Union_find.union uf a b))
+    edges;
+  Ppdc_prelude.Union_find.count_sets uf = 1
+
+let prop_leaf_rule =
+  QCheck.Test.make
+    ~name:
+      "leaf rule: rows = legacy, repair = cold compute (multi-homed hosts, \
+       pendant switches)"
+    ~count:300
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let rng = Rng.create seed in
-      let rt =
-        Random_topology.build
-          ~weight:(fun () -> float_of_int (1 + Rng.int rng 7))
-          ~rng
-          ~num_switches:(3 + Rng.int rng 10)
-          ~extra_edges:(Rng.int rng 12)
-          ~hosts_per_switch:(1 + Rng.int rng 2)
-          ()
-      in
-      let g = rt.graph in
+      let g = leafy_graph seed in
       let n = Graph.num_nodes g in
-      (match Graph.integral_weights g with
-      | Some _ -> ()
-      | None -> QCheck.Test.fail_report "integral graph not detected");
-      let ok = ref true in
+      let legacy = Legacy.of_graph g in
       for src = 0 to n - 1 do
         if
           not
-            (rows_equal ~n
-               (Shortest_paths.dijkstra ~algo:Shortest_paths.Dial g ~src)
-               (Shortest_paths.dijkstra ~algo:Shortest_paths.Heap g ~src))
-        then ok := false
+            (rows_equal ~n (Shortest_paths.dijkstra g ~src)
+               (Legacy.dijkstra legacy ~src))
+        then QCheck.Test.fail_reportf "row %d differs from the oracle" src
       done;
-      !ok)
+      (* Delete a few edges (keeping the graph connected), then restore
+         some of them at fresh weights; each step is repaired from the
+         previous matrix and must equal a cold compute. *)
+      let rng = Rng.create (seed + 1) in
+      let kinds = Array.init n (Graph.kind g) in
+      let deleted = ref [] in
+      let edges =
+        List.fold_left
+          (fun edges e ->
+            let rest = List.filter (fun e' -> e' <> e) edges in
+            if
+              List.length !deleted < 3 && Rng.int rng 3 = 0 && connected n rest
+            then begin
+              deleted := e :: !deleted;
+              rest
+            end
+            else edges)
+          (Graph.edges g) (Graph.edges g)
+      in
+      let restored =
+        List.filter_map
+          (fun (a, b, w) ->
+            if Rng.int rng 2 = 0 then None
+            else Some (a, b, if Rng.int rng 2 = 0 then w else w *. 0.75))
+          !deleted
+      in
+      let step cm g' =
+        match Cost_matrix.repair_to cm g' with
+        | None -> QCheck.Test.fail_report "repair_to refused an edge delta"
+        | Some (cm', _) ->
+            if not (matrices_bit_equal cm' (Cost_matrix.compute g')) then
+              QCheck.Test.fail_report "repair differs from a cold compute";
+            cm'
+      in
+      let cm = Cost_matrix.compute g in
+      let g1 = Graph.make ~kinds ~edges in
+      let g2 = Graph.make ~kinds ~edges:(restored @ edges) in
+      ignore (step (step cm g1) g2);
+      true)
 
-let test_cost_matrix_engine_parity () =
-  let ft = Fat_tree.build 4 in
-  let cm_dial = Cost_matrix.compute ~algo:Shortest_paths.Dial ft.graph in
-  let cm_heap = Cost_matrix.compute ~algo:Shortest_paths.Heap ft.graph in
-  let n = Cost_matrix.num_nodes cm_dial in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if
-        Int64.bits_of_float (Cost_matrix.cost cm_dial u v)
-        <> Int64.bits_of_float (Cost_matrix.cost cm_heap u v)
-      then
-        Alcotest.failf "cost (%d,%d): dial %h vs heap %h" u v
-          (Cost_matrix.cost cm_dial u v)
-          (Cost_matrix.cost cm_heap u v);
-      if Cost_matrix.path cm_dial ~src:u ~dst:v <> Cost_matrix.path cm_heap ~src:u ~dst:v
-      then Alcotest.failf "path (%d,%d) differs between engines" u v
-    done
-  done
+(* The kernel's loop allocates nothing: a weighted k=8 build, and a
+   repair that re-runs every row, stay under 16 minor words per source
+   (a heap that boxes its float priorities costs about 1,000).
+   [Gc.minor_words] counts the calling domain only, hence one domain. *)
+let test_kernel_allocates_nothing () =
+  with_domains 1 (fun () ->
+      (* The fabric [load_topology ~weighted] builds: uniform delays
+         with mean 1.5 and variance 0.5. *)
+      let weight_rng = Rng.split (Rng.create 1) in
+      let half_width = sqrt 1.5 in
+      let ft =
+        Fat_tree.build
+          ~weight:(fun _ _ ->
+            Rng.uniform weight_rng ~lo:(1.5 -. half_width)
+              ~hi:(1.5 +. half_width))
+          8
+      in
+      let g = ft.graph in
+      let n = Graph.num_nodes g in
+      let per_source f =
+        let before = Gc.minor_words () in
+        let r = f () in
+        ((Gc.minor_words () -. before) /. float_of_int n, r)
+      in
+      let cm = Cost_matrix.compute g (* sizes this domain's scratch *) in
+      let words, _ = per_source (fun () -> Cost_matrix.compute g) in
+      if words >= 16.0 then
+        Alcotest.failf "compute: %.1f minor words per source" words;
+      (* A cheaper host link shortens every source's path to that host,
+         so every row re-runs. *)
+      let h = ft.hosts.(0) in
+      let g' =
+        Graph.map_weights g (fun a b w ->
+            if a = h || b = h then w /. 2.0 else w)
+      in
+      let words, repaired =
+        per_source (fun () -> Cost_matrix.repair_to cm g')
+      in
+      (match repaired with
+      | Some (_, rows) -> Alcotest.(check int) "every row re-ran" n rows
+      | None -> Alcotest.fail "repair_to refused a weight decrease");
+      if words >= 16.0 then
+        Alcotest.failf "repair_to: %.1f minor words per source" words)
 
-(* --- solver parity: dial-built vs heap-built cost matrix ------------------- *)
+(* --- solver parity across domain counts ----------------------------------- *)
 
 type solver_bundle = {
   dp : Placement_dp.outcome;
@@ -247,10 +379,10 @@ type solver_bundle = {
   mp : Mpareto.outcome;
 }
 
-let solve_bundle ~algo ~domains =
+let solve_bundle ~domains =
   with_domains domains (fun () ->
       let ft = Fat_tree.build 4 in
-      let cm = Cost_matrix.compute ~algo ft.graph in
+      let cm = Cost_matrix.compute ft.graph in
       let rng = Rng.create 11 in
       let flows = Workload.generate_on_fat_tree ~rng ~l:10 ft in
       let problem = Problem.make ~cm ~flows ~n:3 () in
@@ -282,13 +414,8 @@ let check_bundles name a b =
   Alcotest.(check int) (name ^ " mpareto moved") a.mp.moved b.mp.moved
 
 let test_solvers_engine_parity () =
-  let heap1 = solve_bundle ~algo:Shortest_paths.Heap ~domains:1 in
-  let dial1 = solve_bundle ~algo:Shortest_paths.Dial ~domains:1 in
-  let dial4 = solve_bundle ~algo:Shortest_paths.Dial ~domains:4 in
-  let heap4 = solve_bundle ~algo:Shortest_paths.Heap ~domains:4 in
-  check_bundles "heap1-vs-dial1" heap1 dial1;
-  check_bundles "heap1-vs-dial4" heap1 dial4;
-  check_bundles "heap1-vs-heap4" heap1 heap4
+  check_bundles "1-vs-4-domains" (solve_bundle ~domains:1)
+    (solve_bundle ~domains:4)
 
 let qsuite name tests =
   (name, List.map (fun t -> QCheck_alcotest.to_alcotest t) tests)
@@ -304,11 +431,11 @@ let () =
       qsuite "digest-properties" [ prop_digest_matches_reference_serialization ];
       ( "engines",
         [
-          Alcotest.test_case "cost-matrix dial/heap parity" `Quick
-            test_cost_matrix_engine_parity;
           Alcotest.test_case "solver outcomes independent of engine/domains"
             `Quick test_solvers_engine_parity;
+          Alcotest.test_case "kernel allocates nothing per source" `Quick
+            test_kernel_allocates_nothing;
         ] );
       qsuite "engine-properties"
-        [ prop_dijkstra_matches_legacy; prop_dial_matches_heap ];
+        [ prop_dijkstra_matches_legacy; prop_leaf_rule ];
     ]
