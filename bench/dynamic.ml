@@ -5,8 +5,8 @@
    k=32) fat-tree; we measure deriving the degraded all-pairs matrix
    two ways: a cold [Cost_matrix.compute] of the degraded graph
    (rebuild) versus [Cost_matrix.repair_to] from the healthy parent's
-   matrix (repair — copy the flat matrices, re-run Dijkstra only for
-   sources whose shortest-path tree used the failed link). Both
+   matrix (repair — copy the stored rows, re-run Dijkstra only for
+   the rows whose shortest-path tree used the failed link). Both
    produce bit-identical matrices; the differential tests in
    test/test_dynamic.ml hold that line, this bench holds the speed.
 
@@ -20,14 +20,12 @@
    Besides the usual normalized `--check` gate, the bench enforces an
    in-run floor: on k=32 repair must beat rebuild by at least 2.5× (a
    ratio within one run, so it needs no committed baseline and runs on
-   every CI invocation in full mode — but it is not fully
-   machine-independent: repair is dominated by the flat matrix blits
-   (memory bandwidth) while rebuild is Dijkstra-bound (CPU), so the
-   ratio shrinks as Dijkstra gets faster and varies with the machine:
-   ~5.5× to ~3.2× across machines with the earlier Dijkstra engines,
-   and 2.4× to 3.6× (median 2.9×) over five runs of the current
-   kernel on a shared 2-core VM, where copying the 718 MB distance
-   matrix into fresh pages alone took 0.6–0.9 s). *)
+   every CI invocation in full mode). The floor dates from the dense
+   9472² layout, where copying the 718 MB distance matrix dominated
+   repair and the ratio read 2.4× to 3.6× on a shared 2-core VM. The
+   leaf-factored k=32 matrix is 1792 stored rows of 1280 columns
+   (≈ 37 MB for both blocks), so repair is now bound by its 49 re-run
+   rows, and the ratio read about 16× on the same VM. *)
 
 module Bench = Bench_common
 module Rng = Ppdc_prelude.Rng
@@ -65,10 +63,12 @@ let scenario t ~k ~reps =
   let degraded = fail_one_link ~seed:7 ft.graph in
   let _, rows = repair_or_die parent degraded in
   Printf.eprintf "  k=%-2d: 1 link failed, %d of %d rows re-run\n%!" k rows
-    (Cost_matrix.num_nodes parent);
+    (Cost_matrix.num_rows parent);
   Bench.record t (Printf.sprintf "rebuild_k%d" k) ~reps (fun () ->
       Cost_matrix.compute degraded);
-  Bench.record t (Printf.sprintf "repair_k%d" k) ~reps (fun () ->
+  (* Repair is ~20x cheaper than the rebuild and noisier (its copy of
+     the stored rows lands on fresh pages), so it gets more reps. *)
+  Bench.record t (Printf.sprintf "repair_k%d" k) ~reps:(4 * reps) (fun () ->
       repair_or_die parent degraded)
 
 (* Distinct, deterministic link weights so the restored link is not an
@@ -84,7 +84,7 @@ let restore_scenario t ~k ~reps =
   (match Cost_matrix.repair_to dm ft.graph with
   | Some (_, rows) ->
       Printf.eprintf "  k=%-2d: link restored, %d of %d rows re-run\n%!" k rows
-        (Cost_matrix.num_nodes healthy)
+        (Cost_matrix.num_rows healthy)
   | None -> failwith "dynamic bench: repair_to refused a restore");
   Bench.record t (Printf.sprintf "restore_k%d" k) ~reps (fun () ->
       match Cost_matrix.repair_to dm ft.graph with
@@ -92,14 +92,14 @@ let restore_scenario t ~k ~reps =
       | None -> failwith "dynamic bench: repair_to refused a restore")
 
 let run ~quick t =
-  (* Everything gates normalized by rebuild_k16 (~50ms), so its min
-     must be stable: give the k=16 entries enough reps that scheduler
-     noise cannot move the reference by double digits. *)
-  scenario t ~k:16 ~reps:15;
-  restore_scenario t ~k:16 ~reps:15;
+  (* Everything gates normalized by rebuild_k16 (~10 ms), so its min
+     must be stable: give the k=16 entries enough reps, about a second,
+     that scheduler noise cannot move the reference by double digits. *)
+  scenario t ~k:16 ~reps:100;
+  restore_scenario t ~k:16 ~reps:100;
   if not quick then begin
-    scenario t ~k:32 ~reps:3;
-    restore_scenario t ~k:32 ~reps:3
+    scenario t ~k:32 ~reps:10;
+    restore_scenario t ~k:32 ~reps:10
   end
 
 (* The acceptance floor: k=32 single-link repair ≥ 2.5× faster than the

@@ -1,12 +1,20 @@
 (* Flat-graph bench: the committed performance trajectory of the CSR +
    Bigarray cost-matrix stack (BENCH_flatgraph.json).
 
-   Measures all-pairs shortest paths on unit-weight k=16/k=32
+   Measures all-pairs shortest paths on unit-weight k=16/k=32/k=48
    fat-trees and on a k=16 fat-tree with uniform link delays (the
    float-weight fabric `load_topology ~weighted` serves), and Algo. 3
    placement solves: a cold solve, which builds the fabric's stroll
    table, and warm re-solves that reuse it. Timing, artifact format and
-   the normalized `--check` regression gate live in {!Bench_common}. *)
+   the normalized `--check` regression gate live in {!Bench_common}.
+
+   The k=48 build (full mode only) also gates memory: the process's
+   peak resident size (VmHWM) must stay under [k48_ceiling_mb]. Its
+   leaf-factored matrix is 2880 rows of switches plus 1152 class rows
+   (one per edge switch) over 2880 switch columns, ≈ 186 MB; a dense
+   30528² matrix would be ≈ 14.9 GB, one row per host ≈ 1.4 GB, and
+   two k=48 matrices alive at once ≈ 370 MB. The process holds about
+   60 MB before the build and peaked at 239 MB on a 2-core VM. *)
 
 module Bench = Bench_common
 module Rng = Ppdc_prelude.Rng
@@ -16,6 +24,7 @@ module Workload = Ppdc_traffic.Workload
 module Flow = Ppdc_traffic.Flow
 
 let reference_entry = "all_pairs_k16_auto"
+let k48_ceiling_mb = 300
 
 (* Link delays uniform with mean 1.5 and variance 0.5, drawn the way
    the server's weighted [load_topology] draws them. *)
@@ -28,16 +37,25 @@ let uniform_delay_fat_tree k =
     k
 
 let run ~quick t =
+  (* Every entry gates normalized by the reference (~10 ms), so its
+     min must be stable: enough reps, about a second, that scheduler
+     noise cannot move it by double digits. *)
   let ft16 = Fat_tree.build 16 in
-  Bench.record t reference_entry ~reps:5 (fun () ->
+  Bench.record t reference_entry ~reps:100 (fun () ->
       Cost_matrix.compute ft16.graph);
   let weighted16 = uniform_delay_fat_tree 16 in
-  Bench.record t "all_pairs_k16_weighted" ~reps:5 (fun () ->
+  Bench.record t "all_pairs_k16_weighted" ~reps:10 (fun () ->
       Cost_matrix.compute weighted16.graph);
   if not quick then begin
     let ft32 = Fat_tree.build 32 in
     Bench.record t "all_pairs_k32" ~reps:3 (fun () ->
-        Cost_matrix.compute ft32.graph)
+        Cost_matrix.compute ft32.graph);
+    let ft48 = Fat_tree.build 48 in
+    Bench.record t "all_pairs_k48" ~reps:2 (fun () ->
+        (* Free the previous rep's matrix first: the peak is one
+           matrix's. *)
+        Gc.full_major ();
+        Cost_matrix.compute ft48.graph)
   end;
   let ft8 = Fat_tree.build 8 in
   let cm8 = Cost_matrix.compute ft8.graph in
@@ -48,7 +66,7 @@ let run ~quick t =
   (* Placement_dp keeps its stroll table per matrix identity, so each
      cold rep solves on a new identity over the same storage (a repair
      onto the unchanged graph). *)
-  let reps = 5 in
+  let reps = 15 in
   let cold =
     Array.init reps (fun _ ->
         match Cost_matrix.repair_to cm8 ft8.graph with
@@ -71,4 +89,33 @@ let run ~quick t =
         (fun rates -> ignore (Ppdc_core.Placement_dp.solve problem ~rates ()))
         rate_vectors)
 
-let () = Bench.main ~bench:"flatgraph" ~reference:reference_entry run
+(* Peak resident size in MB from /proc/self/status, where there is one. *)
+let vm_hwm_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line -> (
+            match Scanf.sscanf line "VmHWM: %d kB" Fun.id with
+            | kb -> Some (kb / 1024)
+            | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+                scan ())
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
+
+let post ~quick _entries =
+  if not quick then
+    match vm_hwm_mb () with
+    | None -> print_endline "all_pairs_k48 peak RSS: not measurable here"
+    | Some mb ->
+        Printf.printf "all_pairs_k48 peak RSS: %d MB (ceiling %d MB)\n" mb
+          k48_ceiling_mb;
+        if mb > k48_ceiling_mb then begin
+          Printf.printf
+            "bench-check: the k=48 build's peak RSS exceeds its ceiling\n";
+          exit 1
+        end
+
+let () = Bench.main ~bench:"flatgraph" ~reference:reference_entry ~post run

@@ -10,15 +10,23 @@ let place problem ~rates =
   let n = Problem.n problem in
   (* Average distance from each switch to all switches: the "weighted
      average delay of all unplaced MBs" proxy. Summed straight off the
-     flat cost rows in a loop-local accumulator, so no float is boxed. *)
+     matrix's stored rows in a loop-local accumulator, with each
+     switch's column and leaf weight read once, so no float is boxed. *)
   let cm = Problem.cm problem in
-  let costs = Cost_matrix.costs cm and stride = Cost_matrix.stride cm in
+  let r = Cost_matrix.rows cm in
+  let dist = r.dist in
+  let cols = Array.map (fun s -> r.col.(s)) switches in
+  let leaves = Array.make k 0.0 in
+  for j = 0 to k - 1 do
+    leaves.(j) <- r.leaf.(switches.(j))
+  done;
   let avg_dist = Array.make (Cost_matrix.num_nodes cm) 0.0 in
   for i = 0 to k - 1 do
-    let row = switches.(i) * stride in
+    let row = r.base.(switches.(i)) in
     let total = ref 0.0 in
     for j = 0 to k - 1 do
-      total := !total +. costs.{row + switches.(j)}
+      (* c(s, s) = 0 adds nothing. *)
+      if j <> i then total := !total +. (dist.{row + cols.(j)} +. leaves.(j))
     done;
     avg_dist.(switches.(i)) <- !total /. float_of_int k
   done;

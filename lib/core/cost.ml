@@ -7,43 +7,68 @@ type attach = {
   total_rate : float;
 }
 
+(* Index loops rather than [Array.iter]/[Array.fold_left]: a float
+   handed to or returned from a closure is boxed. *)
 let check_rates problem rates =
   if Array.length rates <> Problem.num_flows problem then
     invalid_arg "Cost: rate vector length mismatch";
-  Array.iter
-    (fun r ->
-      if r < 0.0 || not (Float.is_finite r) then
-        invalid_arg "Cost: rates must be finite and non-negative")
-    rates
+  for i = 0 to Array.length rates - 1 do
+    let r = rates.(i) in
+    if r < 0.0 || not (Float.is_finite r) then
+      invalid_arg "Cost: rates must be finite and non-negative"
+  done
 
-(* Flows outside, switches inside, on the flat cost rows. Each
-   [a_in.(s)]/[a_out.(s)] must add its flows in flow order: float sums
+(* Switches outside, flows inside, on the matrix's stored rows
+   ([Cost_matrix.rows]): each flow's row offset, destination column,
+   destination leaf weight and rate are read once, before the switch
+   loop, and each switch's sums run in registers. Each
+   [a_in.(s)]/[a_out.(s)] adds its flows in flow order: float sums
    depend on order, and the placement answers are pinned bit for bit.
    [a_out] reads c(s, dst), not c(dst, s): on weighted fabrics the two
-   can differ in the last bit. *)
+   can differ in the last bit. A host is never a switch, so no pair
+   here is a node with itself. *)
 let attach problem ~rates =
   check_rates problem rates;
   let cm = Problem.cm problem in
-  let costs = Cost_matrix.costs cm and stride = Cost_matrix.stride cm in
+  let r = Cost_matrix.rows cm in
+  let dist = r.dist in
+  let flows = Problem.flows problem in
+  let l = Array.length flows in
+  let f_src = Array.make l 0 and f_dst = Array.make l 0 in
+  let f_leaf = Array.make l 0.0 and f_rate = Array.make l 0.0 in
+  for i = 0 to l - 1 do
+    let f = flows.(i) in
+    f_src.(i) <- r.base.(f.src_host);
+    f_dst.(i) <- r.col.(f.dst_host);
+    f_leaf.(i) <- r.leaf.(f.dst_host);
+    f_rate.(i) <- rates.(f.id)
+  done;
   let a_in = Array.make (Cost_matrix.num_nodes cm) 0.0 in
   let a_out = Array.make (Cost_matrix.num_nodes cm) 0.0 in
   let switches = Problem.switches problem in
-  Array.iter
-    (fun (f : Flow.t) ->
-      let rate = rates.(f.id) in
-      let src_row = f.src_host * stride and dst = f.dst_host in
-      for j = 0 to Array.length switches - 1 do
-        let s = switches.(j) in
-        a_in.(s) <- a_in.(s) +. (rate *. costs.{src_row + s});
-        a_out.(s) <- a_out.(s) +. (rate *. costs.{(s * stride) + dst})
-      done)
-    (Problem.flows problem);
+  for j = 0 to Array.length switches - 1 do
+    let s = switches.(j) in
+    let base = r.base.(s) and col = r.col.(s) and leaf = r.leaf.(s) in
+    let sum_in = ref 0.0 and sum_out = ref 0.0 in
+    for i = 0 to l - 1 do
+      let rate = f_rate.(i) in
+      sum_in := !sum_in +. (rate *. (dist.{f_src.(i) + col} +. leaf));
+      sum_out := !sum_out +. (rate *. (dist.{base + f_dst.(i)} +. f_leaf.(i)))
+    done;
+    a_in.(s) <- !sum_in;
+    a_out.(s) <- !sum_out
+  done;
   { a_in; a_out; total_rate = Flow.total_rate rates }
 
+(* [c(u, v)] off the stored rows, so no float crosses a call. *)
+let[@inline] hop (r : Cost_matrix.rows) u v =
+  if u = v then 0.0 else r.dist.{r.base.(u) + r.col.(v)} +. r.leaf.(v)
+
 let chain_cost problem p =
+  let r = Cost_matrix.rows (Problem.cm problem) in
   let acc = ref 0.0 in
   for j = 0 to Array.length p - 2 do
-    acc := !acc +. Problem.cost problem p.(j) p.(j + 1)
+    acc := !acc +. hop r p.(j) p.(j + 1)
   done;
   !acc
 
@@ -54,18 +79,19 @@ let comm_cost_with_attach problem att p =
 
 let comm_cost problem ~rates p =
   check_rates problem rates;
+  let r = Cost_matrix.rows (Problem.cm problem) in
   let flows = Problem.flows problem in
-  let n = Array.length p in
+  let first = p.(0) and last = p.(Array.length p - 1) in
   let internal = chain_cost problem p in
-  Array.fold_left
-    (fun acc (f : Flow.t) ->
-      let rate = rates.(f.id) in
-      acc
-      +. (rate
-          *. (Problem.cost problem f.src_host p.(0)
-              +. internal
-              +. Problem.cost problem p.(n - 1) f.dst_host)))
-    0.0 flows
+  let acc = ref 0.0 in
+  for i = 0 to Array.length flows - 1 do
+    let f = flows.(i) in
+    acc :=
+      !acc
+      +. rates.(f.id)
+         *. (hop r f.src_host first +. internal +. hop r last f.dst_host)
+  done;
+  !acc
 
 let migration_cost problem ~mu ~src ~dst =
   if Array.length src <> Array.length dst then

@@ -83,6 +83,11 @@ type pairs = {
   n : int;
   max_edges : int option;  (* handed to [Stroll_dp.query] *)
   slot : int array;  (* node -> candidate index, -1 off the candidates *)
+  (* Per candidate: its row offset, column and leaf weight in the
+     matrix's stored rows ([Cost_matrix.rows]), for [scan]'s rescore. *)
+  base : int array;
+  col : int array;
+  leaf : float array;
   stroll : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
       (* [stroll.{e * m + i}]: cost of the stroll from ingress i to
          egress e (m = number of candidates) *)
@@ -104,12 +109,18 @@ let create_pairs cm ~candidates ~n ~max_edges =
          m);
   let slot = Array.make (Cost_matrix.num_nodes cm) (-1) in
   Array.iteri (fun i s -> slot.(s) <- i) candidates;
+  let r = Cost_matrix.rows cm in
+  let leaf = Array.make m 0.0 in
+  Array.iteri (fun i s -> leaf.(i) <- r.leaf.(s)) candidates;
   let open Bigarray in
   {
     candidates;
     n;
     max_edges;
     slot;
+    base = Array.map (fun s -> r.base.(s)) candidates;
+    col = Array.map (fun s -> r.col.(s)) candidates;
+    leaf;
     stroll = Array1.create float64 c_layout (max 1 (m * m));
     middles = Array1.create int16_unsigned c_layout (max 1 (m * m * k));
     built = Bytes.make m '\000';
@@ -225,17 +236,23 @@ let ensure_rows p ~cm egresses =
 let scan problem (att : Cost.attach) p ~rescore ~ingresses ~egresses =
   let m = Array.length p.candidates and k = p.n - 2 in
   let cand = p.candidates in
-  let cm = Problem.cm problem in
-  let costs = Cost_matrix.costs cm and stride = Cost_matrix.stride cm in
-  (* [Cost.chain_cost] of the pair's placement, summed in its order. *)
-  let chain_cost ~ingress ~pair ~egress =
-    let acc = ref 0.0 and prev = ref ingress in
+  let dist = (Cost_matrix.rows (Problem.cm problem)).dist in
+  (* [Cost.chain_cost] of the pair's placement, summed in its order, on
+     candidate indices; c(u, u) = 0. *)
+  let chain_cost ~i ~pair ~e =
+    let acc = ref 0.0 and prev = ref i in
     for j = 0 to k - 1 do
-      let v = cand.(p.middles.{(pair * k) + j}) in
-      acc := !acc +. costs.{(!prev * stride) + v};
+      let v = p.middles.{(pair * k) + j} in
+      acc :=
+        !acc
+        +. (if !prev = v then 0.0
+            else dist.{p.base.(!prev) + p.col.(v)} +. p.leaf.(v));
       prev := v
     done;
-    !acc +. costs.{(!prev * stride) + egress}
+    !acc
+    +.
+    if !prev = e then 0.0
+    else dist.{p.base.(!prev) + p.col.(e)} +. p.leaf.(e)
   in
   let best_key = ref infinity and best_pair = ref (-1) in
   let best_objective = ref infinity in
@@ -259,7 +276,7 @@ let scan problem (att : Cost.attach) p ~rescore ~ingresses ~egresses =
         let key =
           if rescore then
             att.a_in.(ingress)
-            +. (att.total_rate *. chain_cost ~ingress ~pair ~egress)
+            +. (att.total_rate *. chain_cost ~i ~pair ~e)
             +. att.a_out.(egress)
           else objective
         in

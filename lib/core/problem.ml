@@ -53,7 +53,7 @@ let n t = t.n
 let num_flows t = Array.length t.flows
 let switches t = Array.copy t.switch_ids
 let is_candidate t s = Hashtbl.mem t.candidate s
-let cost t u v = Cost_matrix.cost t.cm u v
+let[@inline] cost t u v = Cost_matrix.cost t.cm u v
 
 let with_n t n = build t.cm t.flows n t.switch_ids
 

@@ -7,17 +7,28 @@
     cost of flow [(v_i, v'_i)] is [λ_i · c(s(v_i), s(v'_i))] and migrating
     a VNF from switch [u] to [v] costs [μ · c(u, v)].
 
-    Each row is one run of the {!Shortest_paths} kernel, which
-    allocates nothing, so a build's allocation is the two matrices and
-    a few words. Memory is Θ(|V|²) in two flat off-heap arrays of row
-    stride [num_nodes]; a k=16 fat-tree (1344 nodes) needs ≈ 30 MB. *)
+    The matrix is stored leaf-factored. A leaf is a degree-1 node (every
+    fat-tree host, and any pendant switch); no cheapest path passes
+    through one, so only the core — the other nodes — gets columns.
+    There is one row per core node, plus one per leaf class: the leaves
+    with the same attachment node and the same link weight share a row,
+    a Dijkstra from the attachment started at that weight. Entries with
+    a leaf destination are derived, not stored, and every derived entry
+    is bit-identical to the one a dense Dijkstra from the source
+    computes. Memory is |core| × (|core| + classes) entries of 16 bytes,
+    not Θ(|V|²): a unit k=32 fat-tree (9472 nodes) needs ≈ 37 MB, a
+    unit k=48 one ≈ 186 MB.
+
+    Each row is one run of the {!Shortest_paths} kernel over the core,
+    which allocates nothing, so a build's allocation is the two row
+    blocks and O(|V| + |E|) words of indexing. *)
 
 type t
 
 val compute : Graph.t -> t
-(** Run Dijkstra ({!Shortest_paths.dijkstra_into}) from every node,
-    one row per source over the domain pool. Raises [Invalid_argument]
-    if the graph is not connected (a PPDC is always connected). *)
+(** Run Dijkstra ({!Shortest_paths.dijkstra_into}) for every stored row,
+    over the domain pool. Raises [Invalid_argument] if the graph is not
+    connected (a PPDC is always connected). *)
 
 val graph : t -> Graph.t
 
@@ -30,36 +41,41 @@ val id : t -> int
 
     A dynamic fabric changes by link failures, weight drifts, and link
     repairs — all deltas whose effect on all-pairs shortest paths can
-    be localized per source. A source [s] is affected by a {e deletion
-    or increase} of edge [(u, v)] iff [s]'s shortest-path tree uses
+    be localized per stored row. A row is affected by a {e deletion or
+    increase} of core edge [(u, v)] iff its shortest-path tree uses
     that edge, and because every tree edge appears as exactly one
-    parent link, that test is O(1) per (source, edge) on the
-    predecessor row: [pred(v) = u] or [pred(u) = v]. A {e decrease or
-    restored edge} of new weight [w] is in nobody's tree, but it can
-    only shorten paths that cross it, so [s] is affected iff the edge
-    is competitive against the old distances at either endpoint:
-    [dist(s, u) + w <= dist(s, v)] or symmetrically (the [<=] also
-    catches equal-cost candidates that would displace the canonical
-    predecessor choice). Repair copies the two flat matrices once (the
-    parent stays valid — it may still be cached under its own digest)
-    and re-runs Dijkstra only for affected rows; unaffected rows are
-    byte-identical to the parent's, and the whole result is
-    bit-identical to a cold {!compute} on the new graph (differentially
-    tested in [test/test_dynamic.ml]).
+    parent link, that test is O(1) per (row, edge) on the predecessor
+    row: [pred(v) = u] or [pred(u) = v]. A {e decrease or restored
+    edge} of new weight [w] is in nobody's tree, but it can only
+    shorten paths that cross it, so a row is affected iff the edge is
+    competitive against the old distances at either endpoint:
+    [dist(u) + w <= dist(v)] or symmetrically (the [<=] also catches
+    equal-cost candidates that would displace the canonical
+    predecessor choice). Core rows and class rows take the same tests.
+    A leaf-link change touches no core row: it re-runs only the class
+    rows that no leaf carries over (a class row is kept when one of
+    its leaves has the same attachment and weight as before). A delta
+    that adds or removes a leaf — an edge added at a leaf, a switch
+    left with one link — rebuilds cold. Repair never mutates the
+    parent (it may still be cached under its own digest); unaffected
+    rows are byte-identical to the parent's, and the whole result is
+    bit-identical to a cold {!compute} on the new graph
+    (differentially tested in [test/test_dynamic.ml]).
 
-    Only a node-count or node-kind change is non-localizable:
-    {!repair_to} refuses it and the caller falls back to {!compute}
-    (see EXTENDING.md). *)
+    Only a node-count or node-kind change is refused: {!repair_to}
+    returns [None] and the caller falls back to {!compute} (see
+    EXTENDING.md). *)
 
 val repair_to : t -> Graph.t -> (t * int) option
 (** [repair_to t g'] derives the all-pairs matrix of [g'] from [t]
     when [g'] has the same node count and kinds as [graph t]; any mix
     of deleted, added, and reweighted edges is localized per the tests
-    above. Returns the repaired matrix and the number of rows that
-    were re-run ([Some (t', 0)] with shared matrix storage when the
-    edge lists are identical); [None] on a node/kind mismatch, in
-    which case the caller should run a cold {!compute}. Raises
-    [Invalid_argument] if [g'] is disconnected (as {!compute}
+    above. Returns the repaired matrix and the number of stored rows
+    that were run ([Some (t', 0)] with shared storage when the edge
+    lists are identical; [Some (t', num_rows t')] when the leaf set
+    changed and the matrix was rebuilt); [None] on a node/kind
+    mismatch, in which case the caller should run a cold {!compute}.
+    Raises [Invalid_argument] if [g'] is disconnected (as {!compute}
     would). *)
 
 val delete_edge : t -> u:int -> v:int -> t
@@ -95,13 +111,27 @@ val restore_edge : t -> u:int -> v:int -> weight:float -> t
 val cost : t -> int -> int -> float
 (** [cost t u v] is [c(u, v)]; 0 when [u = v]. *)
 
-val costs : t -> Shortest_paths.dist_row
-(** The flat distance matrix itself: [c(u, v)] lives at index
-    [u * stride t + v]. Off-heap shared storage for solver hot loops —
-    callers must not mutate it. *)
+(** {1 Stored rows, for hot loops} *)
 
-val stride : t -> int
-(** Row stride of {!costs} (equals {!num_nodes}). *)
+type rows = private {
+  dist : Shortest_paths.dist_row;
+      (** the stored rows, row-major, one entry per core node *)
+  base : int array;  (** [base.(u)]: offset in [dist] of [u]'s row *)
+  col : int array;
+      (** [col.(v)]: [v]'s column, or its attachment's for a leaf *)
+  leaf : float array;  (** [leaf.(v)]: [v]'s leaf-link weight; 0 in the core *)
+}
+(** The matrix's own storage, indexed by node id. For [u <> v],
+    [cost t u v] is [dist.{base.(u) + col.(v)} +. leaf.(v)], bit for
+    bit. Solver loops that read many entries fetch [base], [col] and
+    [leaf] for their fixed endpoints once, outside the loop: the lookup
+    costs more than a dense [u * n + v]. Shared storage — callers must
+    not mutate it. *)
+
+val rows : t -> rows
+
+val num_rows : t -> int
+(** Stored rows: one per core node plus one per leaf class. *)
 
 val path : t -> src:int -> dst:int -> int list
 (** Node sequence of one cheapest path, inclusive of both endpoints;

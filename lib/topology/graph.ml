@@ -122,6 +122,7 @@ let edge_weight g u v =
   !found
 
 let edges g = Array.to_list g.edge_list
+let edge g i = g.edge_list.(i)
 
 let csr_row_ptr g = g.row_ptr
 let csr_targets g = g.targets

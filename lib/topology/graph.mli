@@ -55,7 +55,12 @@ val edge_weight : t -> int -> int -> float option
 (** Weight of the edge between two nodes, if present. *)
 
 val edges : t -> (int * int * float) list
-(** All edges, each reported once with endpoints in increasing order. *)
+(** All edges, each reported once with endpoints in increasing order,
+    sorted. *)
+
+val edge : t -> int -> int * int * float
+(** [edge g i] is the [i]-th element of {!edges}, for
+    [0 <= i < num_edges g], without building the list. *)
 
 val csr_row_ptr : t -> int array
 (** CSR row index: the neighbours of [u] occupy slots

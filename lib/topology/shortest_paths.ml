@@ -1,6 +1,15 @@
 type dist_row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type pred_row = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+type csr = { row_ptr : int array; targets : int array; weights : float array }
+
+let csr g =
+  {
+    row_ptr = Graph.csr_row_ptr g;
+    targets = Graph.csr_targets g;
+    weights = Graph.csr_weights g;
+  }
+
 (* All-pairs rows live in Bigarrays, not OCaml arrays, for a reason that
    is easy to miss: a flat [int array] of |V|² predecessor slots is a
    scannable (tag-0) heap block, so every major GC mark pass reads the
@@ -92,17 +101,15 @@ let sift_down heap pos (dist : dist_row) base size i v =
    nothing, and nothing else can reach it to move its [dist] or [pred].
    The degree comes from [row_ptr], not the node kind — a multi-homed
    host is not a leaf, and a pendant switch is. *)
-let dijkstra_into g ~src ~(dist : dist_row) ~(pred : pred_row) ~base =
-  let n = Graph.num_nodes g in
+let dijkstra_into { row_ptr; targets; weights } ~src ~start ~(dist : dist_row)
+    ~(pred : pred_row) ~base =
+  let n = Array.length row_ptr - 1 in
   if src < 0 || src >= n then invalid_arg "Shortest_paths.dijkstra: bad source";
   if
     base < 0
     || base + n > Bigarray.Array1.dim dist
     || base + n > Bigarray.Array1.dim pred
   then invalid_arg "Shortest_paths.dijkstra_into: row out of bounds";
-  let row_ptr = Graph.csr_row_ptr g in
-  let targets = Graph.csr_targets g in
-  let weights = Graph.csr_weights g in
   let s = Domain.DLS.get scratch_key in
   if Array.length s.pos < n then begin
     s.heap <- Array.make n 0;
@@ -114,7 +121,7 @@ let dijkstra_into g ~src ~(dist : dist_row) ~(pred : pred_row) ~base =
     dist.{v} <- infinity;
     pred.{v} <- -1
   done;
-  dist.{base + src} <- 0.0;
+  dist.{base + src} <- start;
   pred.{base + src} <- src;
   heap.(0) <- src;
   pos.(src) <- 0;
@@ -157,7 +164,7 @@ let dijkstra g ~src =
   let n = Graph.num_nodes g in
   let dist = alloc_dist_rows (max n 1) in
   let pred = alloc_pred_rows (max n 1) in
-  dijkstra_into g ~src ~dist ~pred ~base:0;
+  dijkstra_into (csr g) ~src ~start:0.0 ~dist ~pred ~base:0;
   (Array.init n (fun v -> dist.{v}), Array.init n (fun v -> pred.{v}))
 
 let path_from_pred ?(base = 0) ~pred ~src ~dst () =

@@ -23,6 +23,14 @@ type dist_row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1
 type pred_row = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Flat predecessor storage; same layout contract as {!dist_row}. *)
 
+type csr = { row_ptr : int array; targets : int array; weights : float array }
+(** The adjacency the kernel reads, in {!Graph}'s CSR layout: the
+    neighbours of node [u] occupy slots [row_ptr.(u) .. row_ptr.(u+1) - 1]
+    of [targets] and [weights]; [Array.length row_ptr - 1] nodes. *)
+
+val csr : Graph.t -> csr
+(** The graph's own CSR arrays (shared, not copied). *)
+
 val alloc_dist_rows : int -> dist_row
 (** [alloc_dist_rows len] allocates uninitialized off-heap storage for
     [len] entries. Each {!dijkstra_into} call fully overwrites its own
@@ -39,17 +47,21 @@ val dijkstra : Graph.t -> src:int -> float array * int array
     runs. *)
 
 val dijkstra_into :
-  Graph.t ->
+  csr ->
   src:int ->
+  start:float ->
   dist:dist_row ->
   pred:pred_row ->
   base:int ->
   unit
 (** Zero-copy variant for flat all-pairs storage: writes the row into
     [dist.{base} .. dist.{base + n - 1}] (same for [pred]) instead of
-    allocating. [Cost_matrix] calls this once per source with
-    [base = src * n] on one shared [n²] Bigarray. Raises
-    [Invalid_argument] if the row does not fit. *)
+    allocating. The search starts at [src] with distance [start], not
+    0: a row seeded at a leaf's attachment node with the leaf's link
+    weight is, entry for entry, the row Dijkstra from the leaf itself
+    computes, since the leaf relaxes nothing but that one link.
+    [Cost_matrix] calls this once per stored row on one shared
+    Bigarray. Raises [Invalid_argument] if the row does not fit. *)
 
 val path_from_pred :
   ?base:int -> pred:int array -> src:int -> dst:int -> unit -> int list option

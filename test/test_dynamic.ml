@@ -29,19 +29,17 @@ let matrices_bit_equal a b =
   let n = Cost_matrix.num_nodes a in
   if Cost_matrix.num_nodes b <> n then false
   else begin
-    let da = Cost_matrix.costs a and db = Cost_matrix.costs b in
     let ok = ref true in
-    for i = 0 to (n * n) - 1 do
-      if Int64.bits_of_float da.{i} <> Int64.bits_of_float db.{i} then
-        ok := false
-    done;
     (* pred is not exported raw; extracted paths are a faithful witness
        of the whole predecessor tree (every node's parent appears on
        some path), and [path] walks pred directly. *)
     for src = 0 to n - 1 do
       for dst = 0 to n - 1 do
-        if Cost_matrix.path a ~src ~dst <> Cost_matrix.path b ~src ~dst then
-          ok := false
+        if
+          Int64.bits_of_float (Cost_matrix.cost a src dst)
+          <> Int64.bits_of_float (Cost_matrix.cost b src dst)
+          || Cost_matrix.path a ~src ~dst <> Cost_matrix.path b ~src ~dst
+        then ok := false
       done
     done;
     !ok
@@ -215,7 +213,7 @@ let test_fat_tree_single_link_locality () =
   match Cost_matrix.repair_to cm degraded with
   | None -> Alcotest.fail "repair_to refused a single deletion"
   | Some (repaired, rows) ->
-      let n = Cost_matrix.num_nodes cm in
+      let n = Cost_matrix.num_rows cm in
       Alcotest.(check bool) "some rows repaired" true (rows > 0);
       Alcotest.(check bool)
         (Printf.sprintf "locality: %d of %d rows re-ran" rows n)
@@ -232,7 +230,7 @@ let test_repair_shares_storage_when_identical () =
   match Cost_matrix.repair_to cm clone with
   | Some (cm', 0) ->
       Alcotest.(check bool) "dist storage shared" true
-        (Cost_matrix.costs cm' == Cost_matrix.costs cm)
+        ((Cost_matrix.rows cm').dist == (Cost_matrix.rows cm).dist)
   | Some (_, rows) -> Alcotest.failf "identical graph re-ran %d rows" rows
   | None -> Alcotest.fail "identical graph judged incompatible"
 
@@ -303,7 +301,7 @@ let test_decrease_weight_contracts () =
   (* Equal weight: nothing to repair, storage shared. *)
   let same = Cost_matrix.decrease_weight cm ~u ~v ~weight:w in
   Alcotest.(check bool) "equal weight shares storage" true
-    (Cost_matrix.costs same == Cost_matrix.costs cm);
+    ((Cost_matrix.rows same).dist == (Cost_matrix.rows cm).dist);
   (* Order of endpoints must not matter. *)
   let a = Cost_matrix.decrease_weight cm ~u ~v ~weight:(w /. 2.0) in
   let b = Cost_matrix.decrease_weight cm ~u:v ~v:u ~weight:(w /. 2.0) in
@@ -379,12 +377,103 @@ let test_increase_weight_contracts () =
   (* Equal weight: nothing to repair, storage shared. *)
   let same = Cost_matrix.increase_weight cm ~u ~v ~weight:w in
   Alcotest.(check bool) "equal weight shares storage" true
-    (Cost_matrix.costs same == Cost_matrix.costs cm);
+    ((Cost_matrix.rows same).dist == (Cost_matrix.rows cm).dist);
   (* Order of endpoints must not matter. *)
   let a = Cost_matrix.increase_weight cm ~u ~v ~weight:(w +. 2.0) in
   let b = Cost_matrix.increase_weight cm ~u:v ~v:u ~weight:(w +. 2.0) in
   Alcotest.(check bool) "endpoint order irrelevant" true
     (matrices_bit_equal a b)
+
+let reweight_host g h weight =
+  Graph.map_weights g (fun a b w -> if a = h || b = h then weight else w)
+
+(* A leaf-link weight change touches no switch row: only a class row
+   that no host carries over runs. *)
+let test_leaf_weight_repair () =
+  let check name cm g' expected =
+    match Cost_matrix.repair_to cm g' with
+    | None -> Alcotest.failf "%s: refused" name
+    | Some (cm', rows) ->
+        Alcotest.(check int) (name ^ ": class rows re-run") expected rows;
+        Alcotest.(check bool)
+          (name ^ ": bit-equal to cold compute")
+          true
+          (matrices_bit_equal cm' (Cost_matrix.compute g'));
+        cm'
+  in
+  (* Distinct weights: every host has a class row of its own, and a
+     new weight needs a new one. *)
+  let rng = Rng.create 17 in
+  let ft =
+    Fat_tree.build ~weight:(fun _ _ -> Rng.uniform rng ~lo:0.5 ~hi:2.5) 4
+  in
+  let cm = Cost_matrix.compute ft.graph in
+  Alcotest.(check int)
+    "20 switch rows + 16 host rows" 36 (Cost_matrix.num_rows cm);
+  let h = ft.hosts.(5) in
+  let w =
+    Option.get
+      (Graph.edge_weight ft.graph h (Fat_tree.edge_switch_of_host ft h))
+  in
+  ignore (check "weighted" cm (reweight_host ft.graph h (w *. 1.5)) 1);
+  (* Unit weights: the two hosts of an edge switch share its class row. *)
+  let ft = Fat_tree.build 4 in
+  let cm = Cost_matrix.compute ft.graph in
+  Alcotest.(check int)
+    "20 switch rows + 8 class rows" 28 (Cost_matrix.num_rows cm);
+  let h0 = ft.hosts.(0) and h1 = ft.hosts.(1) in
+  Alcotest.(check int) "hosts 0 and 1 share an edge switch"
+    (Fat_tree.edge_switch_of_host ft h0) (Fat_tree.edge_switch_of_host ft h1);
+  (* Host 0 leaves the shared class for a new one; host 1 keeps the old
+     row. *)
+  let g1 = reweight_host ft.graph h0 2.0 in
+  let cm1 = check "split" cm g1 1 in
+  Alcotest.(check int) "one more class" 29 (Cost_matrix.num_rows cm1);
+  (* Host 1 joins host 0's class, which host 0 carries over. *)
+  let g2 = reweight_host g1 h1 2.0 in
+  let cm2 = check "join" cm1 g2 0 in
+  Alcotest.(check int) "back to 8 classes" 28 (Cost_matrix.num_rows cm2)
+
+(* A delta that adds or removes a leaf rebuilds cold inside
+   [repair_to] and says so in its row count. *)
+let test_leaf_set_change () =
+  let ft = Fat_tree.build 4 in
+  let g = ft.graph in
+  let cm = Cost_matrix.compute g in
+  let check name g' =
+    match Cost_matrix.repair_to cm g' with
+    | None -> Alcotest.failf "%s: refused" name
+    | Some (cm', rows) ->
+        Alcotest.(check int) (name ^ ": every row ran")
+          (Cost_matrix.num_rows cm') rows;
+        Alcotest.(check bool)
+          (name ^ ": bit-equal to cold compute")
+          true
+          (matrices_bit_equal cm' (Cost_matrix.compute g'))
+  in
+  (* A second uplink makes a host multi-homed: it joins the core. *)
+  let h = ft.hosts.(0) in
+  let other_edge = ft.edge.(1) in
+  Alcotest.(check bool) "a different edge switch" true
+    (other_edge <> Fat_tree.edge_switch_of_host ft h);
+  check "edge added at a leaf"
+    (Graph.make ~kinds:(kinds_of g)
+       ~edges:((min h other_edge, max h other_edge, 1.5) :: Graph.edges g));
+  (* A core switch left with one link becomes a pendant switch: a leaf. *)
+  let c = ft.core.(0) in
+  let keep = ref 1 in
+  check "pendant switch"
+    (Graph.make ~kinds:(kinds_of g)
+       ~edges:
+         (List.filter
+            (fun (a, b, _) ->
+              if a <> c && b <> c then true
+              else if !keep > 0 then begin
+                decr keep;
+                true
+              end
+              else false)
+            (Graph.edges g)))
 
 let test_parent_matrix_untouched () =
   (* The parent may still be cached under its own digest: repair must
@@ -392,18 +481,21 @@ let test_parent_matrix_untouched () =
   let ft = Fat_tree.build 4 in
   let cm = Cost_matrix.compute ft.graph in
   let n = Cost_matrix.num_nodes cm in
-  let before = Array.init (n * n) (fun i -> (Cost_matrix.costs cm).{i}) in
+  let before =
+    Array.init (n * n) (fun i -> Cost_matrix.cost cm (i / n) (i mod n))
+  in
   let degraded, _ =
     Failures.fail_links ~rng:(Rng.create 5) ~fraction:0.04 ft.graph
   in
   (match Cost_matrix.repair_to cm degraded with
   | Some (_, rows) -> Alcotest.(check bool) "repaired" true (rows > 0)
   | None -> Alcotest.fail "refused");
-  let after = Cost_matrix.costs cm in
   let ok = ref true in
   for i = 0 to (n * n) - 1 do
-    if Int64.bits_of_float before.(i) <> Int64.bits_of_float after.{i} then
-      ok := false
+    if
+      Int64.bits_of_float before.(i)
+      <> Int64.bits_of_float (Cost_matrix.cost cm (i / n) (i mod n))
+    then ok := false
   done;
   Alcotest.(check bool) "parent rows unchanged" true !ok
 
@@ -451,6 +543,10 @@ let () =
             test_decrease_weight_contracts;
           Alcotest.test_case "restore_edge contracts" `Quick
             test_restore_edge_contracts;
+          Alcotest.test_case "leaf-weight repair re-runs class rows only"
+            `Quick test_leaf_weight_repair;
+          Alcotest.test_case "leaf-set change rebuilds cold" `Quick
+            test_leaf_set_change;
           Alcotest.test_case "parent matrix untouched" `Quick
             test_parent_matrix_untouched;
           Alcotest.test_case "domain-count independence" `Quick

@@ -194,15 +194,14 @@ let prop_dijkstra_matches_legacy =
 
 let matrices_bit_equal a b =
   let n = Cost_matrix.num_nodes a in
-  let ca = Cost_matrix.costs a and cb = Cost_matrix.costs b in
   let ok = ref (Cost_matrix.num_nodes b = n) in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
-      let i = (src * n) + dst in
       (* [path] walks pred, and every node's parent lies on its own
          path, so equal paths mean equal predecessor rows. *)
       if
-        Int64.bits_of_float ca.{i} <> Int64.bits_of_float cb.{i}
+        Int64.bits_of_float (Cost_matrix.cost a src dst)
+        <> Int64.bits_of_float (Cost_matrix.cost b src dst)
         || Cost_matrix.path a ~src ~dst <> Cost_matrix.path b ~src ~dst
       then ok := false
     done
@@ -216,11 +215,13 @@ let matrices_bit_equal a b =
    predecessor ties fall every way. The kernel settles leaves at their
    first relaxation, so a leaf test by node kind instead of degree
    settles multi-homed hosts too early and breaks these rows. *)
-let leafy_graph seed =
+let leafy_graph ?levels seed =
   let rng = Rng.create seed in
   let unit_weights = Rng.int rng 2 = 0 in
   let weight () =
-    if unit_weights then 1.0 else Rng.uniform rng ~lo:0.25 ~hi:4.0
+    match levels with
+    | Some levels -> levels.(Rng.int rng (Array.length levels))
+    | None -> if unit_weights then 1.0 else Rng.uniform rng ~lo:0.25 ~hi:4.0
   in
   if Rng.int rng 8 = 0 then
     let other = if Rng.int rng 2 = 0 then Graph.Host else Graph.Switch in
@@ -327,23 +328,90 @@ let prop_leaf_rule =
       ignore (step (step cm g1) g2);
       true)
 
-(* The kernel's loop allocates nothing: a weighted k=8 build, and a
-   repair that re-runs every row, stay under 16 minor words per source
-   (a heap that boxes its float priorities costs about 1,000).
-   [Gc.minor_words] counts the calling domain only, hence one domain. *)
+(* --- the leaf-factored matrix against dense rows ------------------------- *)
+
+(* Graphs whose leaves share classes and whose do not: leafy graphs
+   (pendant switches, multi-homed hosts, the two-node graph) with free
+   or three-level weights, and k=4 fat-trees with three-level weights,
+   where hosts under one edge switch share a class row or sit in
+   different ones. *)
+let factored_graph seed =
+  let levels = [| 0.5; 1.25; 2.0 |] in
+  match seed mod 3 with
+  | 0 -> leafy_graph seed
+  | 1 -> leafy_graph ~levels seed
+  | _ ->
+      let rng = Rng.create seed in
+      (Fat_tree.build ~weight:(fun _ _ -> levels.(Rng.int rng 3)) 4).graph
+
+let prop_factored_matches_oracle =
+  QCheck.Test.make
+    ~name:"factored cost/path/switch_path/hop_count = oracle's dense rows"
+    ~count:150
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let g = factored_graph seed in
+      let n = Graph.num_nodes g in
+      let legacy = Legacy.of_graph g in
+      let cm = Cost_matrix.compute g in
+      for src = 0 to n - 1 do
+        let dist, pred = Legacy.dijkstra legacy ~src in
+        for dst = 0 to n - 1 do
+          let path =
+            Option.get (Shortest_paths.path_from_pred ~pred ~src ~dst ())
+          in
+          if
+            Int64.bits_of_float (Cost_matrix.cost cm src dst)
+            <> Int64.bits_of_float dist.(dst)
+          then QCheck.Test.fail_reportf "cost %d %d differs" src dst;
+          if Cost_matrix.path cm ~src ~dst <> path then
+            QCheck.Test.fail_reportf "path %d %d differs" src dst;
+          if
+            Cost_matrix.switch_path cm ~src ~dst
+            <> List.filter (Graph.is_switch g) path
+          then QCheck.Test.fail_reportf "switch_path %d %d differs" src dst;
+          if Cost_matrix.hop_count cm ~src ~dst <> List.length path - 1 then
+            QCheck.Test.fail_reportf "hop_count %d %d differs" src dst
+        done
+      done;
+      true)
+
+(* [diameter] reads the stored rows once; it must equal the brute-force
+   maximum over [cost], which a leaf paired with itself would exceed. *)
+let prop_diameter_brute_force =
+  QCheck.Test.make ~name:"diameter = max over all pairs of cost" ~count:150
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let g = factored_graph seed in
+      let cm = Cost_matrix.compute g in
+      let n = Graph.num_nodes g in
+      let brute = ref 0.0 in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          brute := Float.max !brute (Cost_matrix.cost cm u v)
+        done
+      done;
+      Int64.equal
+        (Int64.bits_of_float (Cost_matrix.diameter cm))
+        (Int64.bits_of_float !brute))
+
+(* The fabric [load_topology ~weighted] builds: uniform delays with
+   mean 1.5 and variance 0.5. *)
+let weighted_fat_tree k =
+  let weight_rng = Rng.split (Rng.create 1) in
+  let half_width = sqrt 1.5 in
+  Fat_tree.build
+    ~weight:(fun _ _ ->
+      Rng.uniform weight_rng ~lo:(1.5 -. half_width) ~hi:(1.5 +. half_width))
+    k
+
+(* The kernel's loop allocates nothing: a weighted k=8 build and two
+   repairs stay under 16 minor words per node (a heap that boxes its
+   float priorities costs about 1,000 per row). [Gc.minor_words]
+   counts the calling domain only, hence one domain. *)
 let test_kernel_allocates_nothing () =
   with_domains 1 (fun () ->
-      (* The fabric [load_topology ~weighted] builds: uniform delays
-         with mean 1.5 and variance 0.5. *)
-      let weight_rng = Rng.split (Rng.create 1) in
-      let half_width = sqrt 1.5 in
-      let ft =
-        Fat_tree.build
-          ~weight:(fun _ _ ->
-            Rng.uniform weight_rng ~lo:(1.5 -. half_width)
-              ~hi:(1.5 +. half_width))
-          8
-      in
+      let ft = weighted_fat_tree 8 in
       let g = ft.graph in
       let n = Graph.num_nodes g in
       let per_source f =
@@ -352,24 +420,66 @@ let test_kernel_allocates_nothing () =
         ((Gc.minor_words () -. before) /. float_of_int n, r)
       in
       let cm = Cost_matrix.compute g (* sizes this domain's scratch *) in
+      (* 80 switch rows and one class row per host: no two host links
+         share a weight. *)
+      Alcotest.(check int) "stored rows" (80 + 128) (Cost_matrix.num_rows cm);
       let words, _ = per_source (fun () -> Cost_matrix.compute g) in
       if words >= 16.0 then
         Alcotest.failf "compute: %.1f minor words per source" words;
-      (* A cheaper host link shortens every source's path to that host,
-         so every row re-runs. *)
+      let repair name g' check_rows =
+        let words, repaired =
+          per_source (fun () -> Cost_matrix.repair_to cm g')
+        in
+        (match repaired with
+        | Some (_, rows) -> check_rows rows
+        | None -> Alcotest.failf "repair_to refused %s" name);
+        if words >= 16.0 then
+          Alcotest.failf "repair_to (%s): %.1f minor words per source" name
+            words
+      in
+      (* A cheaper host link moves the host to a class of its own: only
+         that class row runs. *)
       let h = ft.hosts.(0) in
-      let g' =
-        Graph.map_weights g (fun a b w ->
-            if a = h || b = h then w /. 2.0 else w)
+      repair "a host link"
+        (Graph.map_weights g (fun a b w ->
+             if a = h || b = h then w /. 2.0 else w))
+        (Alcotest.(check int) "one class row re-ran" 1);
+      (* Cheaper uplinks at one pod's aggregation switches shorten paths
+         between that pod and every other one. *)
+      let pod = Array.sub ft.aggregation 0 4 in
+      repair "core links"
+        (Graph.map_weights g (fun a b w ->
+             if Array.mem a pod || Array.mem b pod then w /. 2.0 else w))
+        (fun rows ->
+          if 2 * rows < Cost_matrix.num_rows cm then
+            Alcotest.failf "core links: %d of %d rows re-ran" rows
+              (Cost_matrix.num_rows cm)))
+
+(* [Cost.comm_cost] reads the stored rows in index loops: no float is
+   boxed per flow (one boxed cost per flow costs over 800 words per
+   call here). *)
+let test_comm_cost_allocates_nothing () =
+  with_domains 1 (fun () ->
+      let ft = weighted_fat_tree 8 in
+      let cm = Cost_matrix.compute ft.graph in
+      let rng = Rng.create 3 in
+      let flows = Workload.generate_on_fat_tree ~rng ~l:100 ft in
+      let problem = Problem.make ~cm ~flows ~n:5 () in
+      let rates = Flow.base_rates flows in
+      let p =
+        [|
+          ft.core.(0); ft.core.(1); ft.aggregation.(0); ft.edge.(0); ft.edge.(3);
+        |]
       in
-      let words, repaired =
-        per_source (fun () -> Cost_matrix.repair_to cm g')
-      in
-      (match repaired with
-      | Some (_, rows) -> Alcotest.(check int) "every row re-ran" n rows
-      | None -> Alcotest.fail "repair_to refused a weight decrease");
-      if words >= 16.0 then
-        Alcotest.failf "repair_to: %.1f minor words per source" words)
+      ignore (Cost.comm_cost problem ~rates p);
+      let calls = 100 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (Cost.comm_cost problem ~rates p))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int calls in
+      if words >= 8.0 then
+        Alcotest.failf "comm_cost: %.1f minor words per call" words)
 
 (* --- solver parity across domain counts ----------------------------------- *)
 
@@ -435,7 +545,11 @@ let () =
             `Quick test_solvers_engine_parity;
           Alcotest.test_case "kernel allocates nothing per source" `Quick
             test_kernel_allocates_nothing;
+          Alcotest.test_case "comm_cost allocates nothing per flow" `Quick
+            test_comm_cost_allocates_nothing;
         ] );
       qsuite "engine-properties"
         [ prop_dijkstra_matches_legacy; prop_leaf_rule ];
+      qsuite "factored"
+        [ prop_factored_matches_oracle; prop_diameter_brute_force ];
     ]

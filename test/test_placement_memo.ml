@@ -103,7 +103,7 @@ let fresh cm =
         (Cost_matrix.id cm' = Cost_matrix.id cm);
       Alcotest.(check bool)
         "shares storage" true
-        (Cost_matrix.costs cm' == Cost_matrix.costs cm);
+        ((Cost_matrix.rows cm').dist == (Cost_matrix.rows cm).dist);
       cm'
   | _ -> Alcotest.fail "repair_to on the unchanged graph"
 
