@@ -9,96 +9,31 @@ let solve problem ~rates ~mu ~current ?(budget = 20_000_000) ?incumbent () =
   Placement.validate problem current;
   let att = Cost.attach problem ~rates in
   let switches = Problem.switches problem in
-  let n = Problem.n problem in
-  let k = Array.length switches in
-  let d u v = Problem.cost problem u v in
-  let lambda = att.total_rate in
-  let delta_min = ref infinity in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      if i <> j then
-        delta_min := Float.min !delta_min (d switches.(i) switches.(j))
-    done
-  done;
-  let delta_min = if k > 1 then !delta_min else 0.0 in
-  let min_a_out =
-    Array.fold_left (fun acc s -> Float.min acc att.a_out.(s)) infinity switches
-  in
-  let total_of m = Cost.total_cost problem ~rates ~mu ~src:current ~dst:m in
   let seed =
     match incumbent with
     | Some m -> m
     | None -> (Mpareto.migrate problem ~rates ~mu ~current ()).migration
   in
-  let best_cost = ref (total_of seed) in
-  let best = ref (Array.copy seed) in
-  let used = Hashtbl.create n in
-  let chosen = Array.make n (-1) in
-  let explored = ref 0 in
-  let exhausted = ref false in
-  (* Child key at position [j] (0-based): the full marginal cost of
-     resting f_{j+1} on x, including its migration leg. *)
-  let child_key depth x =
-    let migration_leg = mu *. d current.(depth) x in
-    if depth = 0 then att.a_in.(x) +. migration_leg
-    else (lambda *. d chosen.(depth - 1) x) +. migration_leg
+  let r =
+    Exact_search.run
+      {
+        cm = Problem.cm problem;
+        candidates = switches;
+        n = Problem.n problem;
+        lambda = att.total_rate;
+        a_in = Array.map (fun s -> att.a_in.(s)) switches;
+        a_out = Array.map (fun s -> att.a_out.(s)) switches;
+        moves = Some (mu, current);
+        bound = Chain;
+        fan_out = false;
+        budget;
+      }
+      ~cost:(Cost.total_cost problem ~rates ~mu ~src:current ~dst:seed)
+      ~incumbent:seed
   in
-  let rec dfs depth partial =
-    if !explored >= budget then exhausted := true
-    else begin
-      incr explored;
-      if depth = n then begin
-        let total = partial +. att.a_out.(chosen.(n - 1)) in
-        if total < !best_cost then begin
-          best_cost := total;
-          best := Array.copy chosen
-        end
-      end
-      else begin
-        (* Sort children by their marginal key at this node. The key mixes
-           two metrics, so it must be recomputed per node (no cache). *)
-        let order = Array.copy switches in
-        Array.sort
-          (fun a b ->
-            match Float.compare (child_key depth a) (child_key depth b) with
-            | 0 -> Int.compare a b
-            | c -> c)
-          order;
-        let remaining_after = n - depth - 1 in
-        let i = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !i < k do
-          let x = order.(!i) in
-          incr i;
-          if not (Hashtbl.mem used x) then begin
-            let partial' = partial +. child_key depth x in
-            let tail_bound =
-              if remaining_after = 0 then att.a_out.(x)
-              else
-                (lambda *. float_of_int remaining_after *. delta_min)
-                +. min_a_out
-            in
-            let sibling_cutoff =
-              if remaining_after = 0 then partial' +. min_a_out
-              else partial' +. tail_bound
-            in
-            if sibling_cutoff >= !best_cost then stop := true
-            else if partial' +. tail_bound < !best_cost then begin
-              Hashtbl.add used x ();
-              chosen.(depth) <- x;
-              dfs (depth + 1) partial';
-              Hashtbl.remove used x
-            end;
-            if !exhausted then stop := true
-          end
-        done
-      end
-    end
-  in
-  dfs 0 0.0;
   {
-    migration = !best;
-    cost = !best_cost;
-    proven_optimal = not !exhausted;
-    explored = !explored;
+    migration = r.best;
+    cost = r.best_cost;
+    proven_optimal = not r.exhausted;
+    explored = r.explored;
   }

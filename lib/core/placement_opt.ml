@@ -1,4 +1,3 @@
-module Parallel = Ppdc_prelude.Parallel
 module Obs = Ppdc_prelude.Obs
 
 type outcome = {
@@ -8,226 +7,38 @@ type outcome = {
   explored : int;
 }
 
-(* Read-only search context, shared by every branch (and every domain in
-   the parallel fan-out). *)
-type context = {
-  att : Cost.attach;
-  switches : int array;
-  n : int;
-  k : int;
-  d : int -> int -> float;
-  lambda : float;
-  delta_min : float;
-  min_a_out : float;
-  first_order : int array;
-}
-
-(* Per-branch mutable search state. The parallel fan-out gives every
-   depth-0 subtree its own state (including its own child-order cache),
-   so branches never share mutable data. *)
-type state = {
-  used : (int, unit) Hashtbl.t;
-  chosen : int array;
-  mutable best_cost : float;
-  mutable best : Placement.t;
-  mutable explored : int;
-  mutable exhausted : bool;
-  budget : int;
-  order_cache : (int, int array) Hashtbl.t;
-}
-
-let make_state ctx ~budget ~seed_cost ~seed =
-  {
-    used = Hashtbl.create ctx.n;
-    chosen = Array.make ctx.n (-1);
-    best_cost = seed_cost;
-    best = Array.copy seed;
-    explored = 0;
-    exhausted = false;
-    budget;
-    order_cache = Hashtbl.create ctx.k;
-  }
-
-let ordered_from ctx st u =
-  match Hashtbl.find_opt st.order_cache u with
-  | Some o -> o
-  | None ->
-      let o = Array.copy ctx.switches in
-      Array.sort
-        (fun a b ->
-          match Float.compare (ctx.d u a) (ctx.d u b) with
-          | 0 -> Int.compare a b
-          | c -> c)
-        o;
-      Hashtbl.add st.order_cache u o;
-      o
-
-(* [partial] = A_in(chosen.(0)) + Λ · chain cost so far. *)
-let rec dfs ctx st depth partial =
-  if st.explored >= st.budget then st.exhausted <- true
-  else begin
-    st.explored <- st.explored + 1;
-    if depth = ctx.n then begin
-      let total = partial +. ctx.att.a_out.(st.chosen.(ctx.n - 1)) in
-      if total < st.best_cost then begin
-        st.best_cost <- total;
-        st.best <- Array.copy st.chosen
-      end
-    end
-    else begin
-      let order =
-        if depth = 0 then ctx.first_order
-        else ordered_from ctx st st.chosen.(depth - 1)
-      in
-      let remaining_after = ctx.n - depth - 1 in
-      let i = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !i < ctx.k do
-        let x = order.(!i) in
-        incr i;
-        if not (Hashtbl.mem st.used x) then begin
-          let partial' =
-            if depth = 0 then ctx.att.a_in.(x)
-            else partial +. (ctx.lambda *. ctx.d st.chosen.(depth - 1) x)
-          in
-          let tail_bound =
-            if remaining_after = 0 then ctx.att.a_out.(x)
-            else
-              (ctx.lambda *. float_of_int remaining_after *. ctx.delta_min)
-              +. ctx.min_a_out
-          in
-          (* Children are sorted by exactly the term in [partial'] that
-             grows, so once even [min_a_out] cannot rescue a sibling,
-             none that follow can do better. [tail_bound] itself uses
-             the child's own A_out at the last level, which is not
-             monotone in the sort key — it only prunes the child. *)
-          let sibling_cutoff =
-            if remaining_after = 0 then partial' +. ctx.min_a_out
-            else partial' +. tail_bound
-          in
-          if sibling_cutoff >= st.best_cost then begin
-            stop := true;
-            if depth = 0 then Obs.incr "placement_opt.subtrees_pruned"
-          end
-          else if partial' +. tail_bound < st.best_cost then begin
-            Hashtbl.add st.used x ();
-            st.chosen.(depth) <- x;
-            dfs ctx st (depth + 1) partial';
-            Hashtbl.remove st.used x
-          end
-          else if depth = 0 then Obs.incr "placement_opt.subtrees_pruned";
-          if st.exhausted then stop := true
-        end
-      done
-    end
-  end
-
-(* One depth-0 subtree, searched in isolation with the shared seed as its
-   only incumbent: the pruning is weaker than the sequential scan's
-   (which threads the evolving incumbent through later subtrees), so
-   [explored] grows, but any strictly improving leaf survives both, and
-   the subtree minimum is unchanged. *)
-let subtree ctx ~budget ~seed_cost ~seed x =
-  let st = make_state ctx ~budget ~seed_cost ~seed in
-  st.explored <- 1 (* the shared depth-0 node, counted once per task *);
-  let partial' = ctx.att.a_in.(x) in
-  let tail_bound =
-    if ctx.n = 1 then ctx.att.a_out.(x)
-    else
-      (ctx.lambda *. float_of_int (ctx.n - 1) *. ctx.delta_min)
-      +. ctx.min_a_out
-  in
-  if partial' +. tail_bound < st.best_cost then begin
-    Hashtbl.add st.used x ();
-    st.chosen.(0) <- x;
-    dfs ctx st 1 partial'
-  end
-  else Obs.incr "placement_opt.subtrees_pruned";
-  st
-
 let solve problem ~rates ?(budget = 20_000_000) ?incumbent () =
   Obs.time "placement_opt.solve" @@ fun () ->
   let att = Cost.attach problem ~rates in
   let switches = Problem.switches problem in
-  let n = Problem.n problem in
-  let k = Array.length switches in
-  let d u v = Problem.cost problem u v in
-  let lambda = att.total_rate in
-  (* Bound ingredients. *)
-  let delta_min = ref infinity in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      if i <> j then
-        delta_min := Float.min !delta_min (d switches.(i) switches.(j))
-    done
-  done;
-  let delta_min = if k > 1 then !delta_min else 0.0 in
-  let min_a_out =
-    Array.fold_left (fun acc s -> Float.min acc att.a_out.(s)) infinity switches
-  in
-  (* Incumbent. *)
   let seed =
     match incumbent with
     | Some p -> p
     | None -> (Placement_dp.solve problem ~rates ()).placement
   in
-  let seed_cost = Cost.comm_cost_with_attach problem att seed in
-  (* Child orders are cached per state: depth 0 sorts by A_in, deeper
-     levels by distance from the previously placed switch. *)
-  let first_order =
-    let o = Array.copy switches in
-    Array.sort
-      (fun a b ->
-        match Float.compare att.a_in.(a) att.a_in.(b) with
-        | 0 -> Int.compare a b
-        | c -> c)
-      o;
-    o
+  let r =
+    Exact_search.run
+      {
+        cm = Problem.cm problem;
+        candidates = switches;
+        n = Problem.n problem;
+        lambda = att.total_rate;
+        a_in = Array.map (fun s -> att.a_in.(s)) switches;
+        a_out = Array.map (fun s -> att.a_out.(s)) switches;
+        moves = None;
+        bound = Chain;
+        fan_out = true;
+        budget;
+      }
+      ~cost:(Cost.comm_cost_with_attach problem att seed)
+      ~incumbent:seed
   in
-  let ctx =
-    { att; switches; n; k; d; lambda; delta_min; min_a_out; first_order }
-  in
-  if Parallel.domain_count () = 1 then begin
-    let st = make_state ctx ~budget ~seed_cost ~seed in
-    dfs ctx st 0 0.0;
-    Obs.incr ~by:st.explored "placement_opt.explored";
-    {
-      placement = st.best;
-      cost = st.best_cost;
-      proven_optimal = not st.exhausted;
-      explored = st.explored;
-    }
-  end
-  else begin
-    (* Deterministic parallel fan-out: one task per depth-0 candidate in
-       [first_order] order, each with an equal budget share, reduced in
-       index order with the same strict [<] as the sequential scan — so
-       placement and cost match the sequential search whenever neither
-       run exhausts its budget (exploration counts differ, since each
-       subtree prunes only against the seed incumbent). *)
-    let share = max 1 ((budget + k - 1) / k) in
-    let states =
-      Parallel.init k (fun i ->
-          subtree ctx ~budget:share ~seed_cost ~seed ctx.first_order.(i))
-    in
-    let best_cost = ref seed_cost in
-    let best = ref (Array.copy seed) in
-    let explored = ref 0 in
-    let exhausted = ref false in
-    Array.iter
-      (fun st ->
-        explored := !explored + st.explored;
-        if st.exhausted then exhausted := true;
-        if st.best_cost < !best_cost then begin
-          best_cost := st.best_cost;
-          best := st.best
-        end)
-      states;
-    Obs.incr ~by:!explored "placement_opt.explored";
-    {
-      placement = !best;
-      cost = !best_cost;
-      proven_optimal = not !exhausted;
-      explored = !explored;
-    }
-  end
+  Obs.incr ~by:r.explored "placement_opt.explored";
+  if r.pruned_at_root > 0 then
+    Obs.incr ~by:r.pruned_at_root "placement_opt.subtrees_pruned";
+  {
+    placement = r.best;
+    cost = r.best_cost;
+    proven_optimal = not r.exhausted;
+    explored = r.explored;
+  }

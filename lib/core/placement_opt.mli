@@ -2,15 +2,14 @@
 
     Enumerating all [|V_s|·(|V_s|−1)···(|V_s|−n+1)] placements, as the
     paper's Algo. 4 states, is hopeless beyond toy sizes; this module
-    searches the same space with depth-first branch-and-bound over
-    ordered distinct switch sequences:
+    searches the same space with {!Exact_search}, the branch-and-bound
+    shared with Algo. 6 and the exact n-stroll. Its specification:
 
-    - the value of a partial sequence is
-      [A_in(p(1)) + Λ·chain-so-far], and the admissible completion bound
-      adds [Λ·(n−k)·δ_min + min_s A_out(s)];
-    - children are expanded cheapest-first, allowing sibling cutoff;
-    - the incumbent is seeded with the Algo. 3 (DP) solution, which makes
-      the bound bite immediately.
+    - a placement costs [A_in(p(1)) + Λ·chain + A_out(p(n))] over the
+      candidate switches, with [A_in]/[A_out] from {!Cost.attach};
+    - the [Chain] completion bound [Λ·(n−k)·δ_min + min_s A_out(s)];
+    - the incumbent is the Algo. 3 (DP) solution, which makes the bound
+      bite immediately.
 
     Within the node [budget] the result is provably optimal
     ([proven_optimal = true]); if the budget is exhausted the best

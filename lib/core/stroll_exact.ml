@@ -11,15 +11,13 @@ type outcome = {
 let solve ~cm ~src ~dst ~n ?candidates ?(budget = 20_000_000) ?incumbent () =
   if n < 0 then invalid_arg "Stroll_exact.solve: negative n";
   let candidates =
-    match candidates with
-    | Some c -> Array.of_list (List.filter (fun v -> v <> src && v <> dst) (Array.to_list c))
-    | None ->
-        let all = Graph.switches (Cost_matrix.graph cm) in
-        Array.of_list
-          (List.filter (fun v -> v <> src && v <> dst) (Array.to_list all))
+    Option.value candidates ~default:(Graph.switches (Cost_matrix.graph cm))
+    |> Array.to_list
+    |> List.filter (fun v -> v <> src && v <> dst)
+    |> Array.of_list
   in
-  let k = Array.length candidates in
-  if k < n then invalid_arg "Stroll_exact.solve: not enough candidates";
+  if Array.length candidates < n then
+    invalid_arg "Stroll_exact.solve: not enough candidates";
   if n = 0 then
     {
       cost = Cost_matrix.cost cm src dst;
@@ -28,102 +26,38 @@ let solve ~cm ~src ~dst ~n ?candidates ?(budget = 20_000_000) ?incumbent () =
       explored = 0;
     }
   else begin
-    let d u v = Cost_matrix.cost cm u v in
-    (* Admissible bound ingredients. *)
-    let delta_min = ref infinity in
-    for i = 0 to k - 1 do
-      for j = 0 to k - 1 do
-        if i <> j then delta_min := Float.min !delta_min (d candidates.(i) candidates.(j))
-      done
-    done;
-    let min_to_dst =
-      Array.fold_left (fun acc x -> Float.min acc (d x dst)) infinity candidates
+    let cost, incumbent =
+      match incumbent with
+      | Some (c, seq) when Array.length seq = n -> (c, seq)
+      | Some _ | None -> (infinity, [||])
     in
-    let delta_min = if k > 1 then !delta_min else 0.0 in
-    (* Children of a node, nearest first, cached per "from" node. *)
-    let order_cache = Hashtbl.create (k + 2) in
-    let ordered_from u =
-      match Hashtbl.find_opt order_cache u with
-      | Some o -> o
-      | None ->
-          let o = Array.copy candidates in
-          Array.sort
-            (fun a b ->
-              match Float.compare (d u a) (d u b) with
-              | 0 -> Int.compare a b
-              | c -> c)
-            o;
-          Hashtbl.add order_cache u o;
-          o
+    let r =
+      Exact_search.run
+        {
+          cm;
+          candidates;
+          n;
+          lambda = 1.0;
+          a_in = Array.map (fun x -> Cost_matrix.cost cm src x) candidates;
+          a_out = Array.map (fun x -> Cost_matrix.cost cm x dst) candidates;
+          moves = None;
+          bound = Stroll;
+          fan_out = false;
+          budget;
+        }
+        ~cost ~incumbent
     in
-    let best_cost = ref infinity in
-    let best_seq = ref [||] in
-    (match incumbent with
-    | Some (c, seq) when Array.length seq = n ->
-        best_cost := c;
-        best_seq := Array.copy seq
-    | Some _ | None -> ());
-    let used = Hashtbl.create n in
-    let chosen = Array.make n (-1) in
-    let explored = ref 0 in
-    let exhausted = ref false in
-    let rec dfs depth current partial =
-      if !explored >= budget then exhausted := true
+    let cost, switches =
+      if Array.length r.best = n then (r.best_cost, r.best)
       else begin
-        incr explored;
-        if depth = n then begin
-          let total = partial +. d current dst in
-          if total < !best_cost then begin
-            best_cost := total;
-            best_seq := Array.copy chosen
-          end
-        end
-        else begin
-          let remaining_after_pick = n - depth - 1 in
-          let order = ordered_from current in
-          let i = ref 0 in
-          let stop = ref false in
-          while (not !stop) && !i < k do
-            let x = order.(!i) in
-            incr i;
-            if not (Hashtbl.mem used x) then begin
-              let partial' = partial +. d current x in
-              let bound =
-                partial'
-                +. (float_of_int remaining_after_pick *. delta_min)
-                +. min_to_dst
-              in
-              (* Children are nearest-first, so once even the cheapest
-                 extension cannot beat the incumbent, no later sibling
-                 can either. *)
-              if bound >= !best_cost then stop := true
-              else begin
-                Hashtbl.add used x ();
-                chosen.(depth) <- x;
-                dfs (depth + 1) x partial';
-                Hashtbl.remove used x
-              end;
-              if !exhausted then stop := true
-            end
-          done
-        end
-      end
-    in
-    dfs 0 src 0.0;
-    if Array.length !best_seq <> n then
-      (* Budget exhausted before any complete solution and no incumbent:
-         fall back to the greedy sequence so the result is well-formed. *)
-      begin
-        let greedy =
+        (* Budget exhausted before any complete solution and no
+           incumbent: fall back to the greedy sequence so the result is
+           well-formed. *)
+        let g =
           Stroll_dp.nearest_neighbour ~cm ~src ~dst ~n ~eligible:candidates
         in
-        best_cost := greedy.Stroll_dp.cost;
-        best_seq := greedy.Stroll_dp.switches
-      end;
-    {
-      cost = !best_cost;
-      switches = !best_seq;
-      proven_optimal = not !exhausted;
-      explored = !explored;
-    }
+        (g.cost, g.switches)
+      end
+    in
+    { cost; switches; proven_optimal = not r.exhausted; explored = r.explored }
   end

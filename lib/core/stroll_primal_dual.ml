@@ -190,7 +190,7 @@ type outcome = {
   iterations : int;
 }
 
-let solve ~cm ~src ~dst ~n ?candidates ?(iterations = 40) () =
+let solve ~cm ~src ~dst ~n ?candidates () =
   let candidates =
     match candidates with
     | Some c -> Array.of_list (List.filter (fun v -> v <> src && v <> dst) (Array.to_list c))
@@ -251,7 +251,7 @@ let solve ~cm ~src ~dst ~n ?candidates ?(iterations = 40) () =
     let best_tree = ref (run !hi) in
     let best_prize = ref !hi in
     let iters = ref 0 in
-    for _ = 1 to iterations do
+    for _ = 1 to 40 do
       incr iters;
       let mid = 0.5 *. (!lo +. !hi) in
       let tree = run mid in

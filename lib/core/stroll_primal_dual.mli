@@ -38,10 +38,9 @@ val solve :
   dst:int ->
   n:int ->
   ?candidates:int array ->
-  ?iterations:int ->
   unit ->
   outcome
 (** [solve ~cm ~src ~dst ~n ()] returns a stroll visiting [n] distinct
     switches. [candidates] defaults to all switches except [src]/[dst];
-    [iterations] bounds the binary search (default 40). Raises
+    the binary search on π runs at most 40 iterations. Raises
     [Invalid_argument] if fewer than [n] candidates exist. *)

@@ -6,15 +6,15 @@ module Stats = Ppdc_prelude.Stats
 open Ppdc_core
 
 (* The unweighted fat-tree and its all-pairs matrix depend only on k;
-   cache them across trials (the k=16 matrix costs ~45M operations and
-   30 MB, and Fig. 11 uses it hundreds of times). The cache is an LRU
-   bounded at [cost_matrix_cache_capacity] entries — an experiment
-   sweeping many fabric sizes no longer accumulates one 30 MB matrix
-   per k forever; any single experiment touches at most two or three
-   ks, so trials still hit. Trials may run on several domains, so the
-   cache is mutex-protected; the build happens under the lock on
-   purpose — concurrent misses for the same k should wait for one
-   build rather than redo it. *)
+   cache them across trials (the k=16 matrix holds 448 stored rows ×
+   320 columns, about 2.3 MB, and Fig. 11 uses it hundreds of times).
+   The cache is an LRU bounded at [cost_matrix_cache_capacity] entries
+   — an experiment sweeping many fabric sizes no longer accumulates one
+   matrix per k forever (k=32 is about 37 MB); any single experiment
+   touches at most two or three ks, so trials still hit. Trials may run
+   on several domains, so the cache is mutex-protected; the build
+   happens under the lock on purpose — concurrent misses for the same k
+   should wait for one build rather than redo it. *)
 let cost_matrix_cache_capacity = 4
 
 let unweighted_cache : (int, Fat_tree.t * Cost_matrix.t) Ppdc_prelude.Lru.t =
@@ -48,8 +48,7 @@ let cost_matrix_cache_stats () =
           hits unweighted_cache,
           misses unweighted_cache ))
 
-let fat_tree_problem ?(weighted = false) ?(rack_locality = 0.8) ~k ~l ~n ~seed
-    () =
+let fat_tree_problem ?(weighted = false) ~k ~l ~n ~seed () =
   let rng = Rng.create seed in
   let ft, cm =
     if weighted then begin
@@ -67,7 +66,7 @@ let fat_tree_problem ?(weighted = false) ?(rack_locality = 0.8) ~k ~l ~n ~seed
     end
     else unweighted_fat_tree k
   in
-  let flows = Workload.generate_on_fat_tree ~rack_locality ~rng ~l ft in
+  let flows = Workload.generate_on_fat_tree ~rng ~l ft in
   Problem.make ~cm ~flows ~n ()
 
 (* Seeded trials are independent; spread them over the domain pool.

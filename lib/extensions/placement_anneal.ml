@@ -1,22 +1,13 @@
 open Ppdc_core
 module Rng = Ppdc_prelude.Rng
 
-type config = {
-  iterations : int;
-  initial_temperature : float;
-  cooling : float;
-}
-
-let default_config =
-  { iterations = 20_000; initial_temperature = 0.1; cooling = 0.9995 }
-
 type outcome = {
   placement : Placement.t;
   cost : float;
   accepted : int;
 }
 
-let solve ?(config = default_config) ~rng problem ~rates =
+let solve ~rng problem ~rates =
   let att = Cost.attach problem ~rates in
   let switches = Problem.switches problem in
   let n = Problem.n problem in
@@ -27,9 +18,9 @@ let solve ?(config = default_config) ~rng problem ~rates =
   let best_cost = ref !current_cost in
   let in_use = Hashtbl.create n in
   Array.iter (fun s -> Hashtbl.replace in_use s ()) current;
-  let temperature = ref (config.initial_temperature *. !current_cost) in
+  let temperature = ref (0.1 *. !current_cost) in
   let accepted = ref 0 in
-  for _ = 1 to config.iterations do
+  for _ = 1 to 20_000 do
     (* Proposal: relocate one VNF to a free switch, or swap two chain
        positions. *)
     let j = Rng.int rng n in
@@ -80,6 +71,6 @@ let solve ?(config = default_config) ~rng problem ~rates =
             best := Array.copy p
           end
         end);
-    temperature := !temperature *. config.cooling
+    temperature := !temperature *. 0.9995
   done;
   { placement = !best; cost = !best_cost; accepted = !accepted }

@@ -4,20 +4,12 @@
     Not part of the paper's Table II, but the comparator a practitioner
     would reach for first: start from a random valid placement, propose
     single-VNF relocations and position swaps, accept worsening moves
-    with probability [exp(-Δ/T)] under a geometric cooling schedule, and
-    keep the best placement seen. Useful both as a sanity bound in tests
-    (annealing should land between Optimal and random) and as a
-    reference for how much the problem structure the DP exploits is
-    actually worth. *)
-
-type config = {
-  iterations : int;  (** proposal count (default 20_000) *)
-  initial_temperature : float;
-      (** as a fraction of the initial cost (default 0.1) *)
-  cooling : float;  (** geometric factor per iteration (default 0.9995) *)
-}
-
-val default_config : config
+    with probability [exp(-Δ/T)] under a geometric cooling schedule
+    (20,000 proposals; [T] starts at 0.1 × the initial cost and shrinks
+    by 0.9995 per proposal), and keep the best placement seen. Useful
+    both as a sanity bound in tests (annealing should land between
+    Optimal and random) and as a reference for how much the problem
+    structure the DP exploits is actually worth. *)
 
 type outcome = {
   placement : Ppdc_core.Placement.t;
@@ -26,7 +18,6 @@ type outcome = {
 }
 
 val solve :
-  ?config:config ->
   rng:Ppdc_prelude.Rng.t ->
   Ppdc_core.Problem.t ->
   rates:float array ->

@@ -5,7 +5,8 @@
     entry that has gone longest without being touched is evicted. Built
     for the repo's two expensive-value caches — the cost-matrix caches
     in [Ppdc_experiments.Runner] and [Ppdc_server] — where values are
-    tens of megabytes and an unbounded table is a slow leak.
+    megabytes (a unit k=16 cost matrix is about 2.3 MB, k=32 about
+    37 MB) and an unbounded table is a slow leak.
 
     Not thread-safe: callers that share a cache across domains guard it
     with their own mutex (both in-tree users do), which also lets them

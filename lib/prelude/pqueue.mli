@@ -1,7 +1,8 @@
 (** Binary min-heaps with [float] priorities.
 
     {!Stable} orders the discrete-event simulator's timeline; {!Int_heap}
-    serves the Dijkstra runs in shortest paths and min-cost flow. All
+    serves min-cost flow's Dijkstra (the shortest-path kernel keeps its
+    own indexed heap). All
     operations are O(log n) except [is_empty], [length] and [create],
     which are O(1). *)
 
@@ -43,7 +44,7 @@ end
 (** Monomorphic min-heap with [float] priorities and [int] payloads.
 
     Both backing arrays are unboxed so [push]/[pop] never allocate —
-    this is the queue the Dijkstra hot paths use. Ties between equal
+    this is the queue of min-cost flow's Dijkstra. Ties between equal
     priorities are broken by heap position. To drain without
     allocating, pair {!Int_heap.min_prio} with {!Int_heap.pop}. *)
 module Int_heap : sig

@@ -13,10 +13,9 @@ val add_row : t -> string list -> unit
 (** Append a row. Raises [Invalid_argument] if the number of cells differs
     from the number of columns. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> string -> float list -> t
+val add_float_row : t -> string -> float list -> t
 (** [add_float_row t label values] appends [label :: formatted values] and
-    returns [t] for chaining. Default format is [%.2f] with thousands kept
-    plain. *)
+    returns [t] for chaining. Values print as [%.2f], integers plainly. *)
 
 val title : t -> string
 

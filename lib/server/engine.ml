@@ -129,6 +129,14 @@ let num i = Json.Num (float_of_int i)
 let fnum x = Json.Num x
 let placement_json (p : Placement.t) = Json.List (Array.to_list (Array.map num p))
 
+(* A non-finite μ makes every cost non-finite, and Algo. 6's bound is
+   admissible only for μ ≥ 0. *)
+let mu_param params =
+  let mu = Option.value ~default:1e4 (Protocol.float_param params "mu") in
+  if (not (Float.is_finite mu)) || Float.compare mu 0.0 < 0 then
+    reject Invalid_params "mu must be finite and non-negative";
+  mu
+
 (* --- session helpers ---------------------------------------------------- *)
 
 (* Look the session up in the sharded registry (which locks only the
@@ -380,7 +388,7 @@ let migrate t params =
   let algo =
     Option.value ~default:"mpareto" (Protocol.str_param params "algo")
   in
-  let mu = Option.value ~default:1e4 (Protocol.float_param params "mu") in
+  let mu = mu_param params in
   let budget = Protocol.int_param params "budget" in
   let current =
     match s.placement with
@@ -567,7 +575,7 @@ let fail_links t params =
    live session. *)
 let simulate_events t params =
   with_session t params @@ fun s ->
-  let mu = Option.value ~default:1e4 (Protocol.float_param params "mu") in
+  let mu = mu_param params in
   let trigger =
     let spec =
       Option.value ~default:"periodic:1" (Protocol.str_param params "trigger")

@@ -45,9 +45,9 @@
     skips the Θ(|V|²·log|V|) Dijkstra sweep entirely. [fail_links]
     additionally derives the degraded fabric's matrix {e incrementally}
     from the cached parent matrix
-    ({!Ppdc_topology.Cost_matrix.repair_to}: copy the flat matrices,
-    re-run Dijkstra only for sources whose shortest-path trees used a
-    failed link) and installs it under the new digest, so the first
+    ({!Ppdc_topology.Cost_matrix.repair_to}: keep the parent's stored
+    rows and re-run Dijkstra only for the rows whose shortest-path trees
+    used a failed link) and installs it under the new digest, so the first
     [place] after a failure is already a warm hit. The [stats] result
     reports [cache.repairs] vs [cache.rebuilds] so a regression in the
     fast path is observable in production.

@@ -322,7 +322,7 @@ let run (cfg : config) : outcome =
    latency/throughput statistics land in [seconds] slots of named
    entries, which is exactly how deterministic stats are gated by
    `make bench-check` (normalized against the in-run reference). *)
-let outcome_to_bench_json ?(extra = []) o =
+let outcome_to_bench_json o =
   let entry name v =
     Json.Obj
       [ ("name", Json.Str name); ("seconds", Json.Num v); ("reps", Json.Num 1.) ]
@@ -336,17 +336,16 @@ let outcome_to_bench_json ?(extra = []) o =
       ("reference", Json.Str "loadgen_throughput");
       ( "entries",
         Json.List
-          ([
-             entry "loadgen_throughput" o.throughput;
-             entry "loadgen_p50_ms" o.p50_ms;
-             entry "loadgen_p95_ms" o.p95_ms;
-             entry "loadgen_p99_ms" o.p99_ms;
-             entry "loadgen_ok" (float_of_int o.ok);
-             entry "loadgen_evicted" (float_of_int o.evicted);
-             entry "loadgen_overloaded" (float_of_int o.overloaded);
-             entry "loadgen_errors" (float_of_int o.other_errors);
-           ]
-          @ extra) );
+          [
+            entry "loadgen_throughput" o.throughput;
+            entry "loadgen_p50_ms" o.p50_ms;
+            entry "loadgen_p95_ms" o.p95_ms;
+            entry "loadgen_p99_ms" o.p99_ms;
+            entry "loadgen_ok" (float_of_int o.ok);
+            entry "loadgen_evicted" (float_of_int o.evicted);
+            entry "loadgen_overloaded" (float_of_int o.overloaded);
+            entry "loadgen_errors" (float_of_int o.other_errors);
+          ] );
     ]
 
 let pp_outcome ppf o =

@@ -52,10 +52,9 @@ val run : config -> outcome
     Raises [Unix.Unix_error] when the daemon is unreachable and
     [Failure] when a connection is closed mid-run. *)
 
-val outcome_to_bench_json : ?extra:Ppdc_prelude.Json.t list -> outcome -> Ppdc_prelude.Json.t
+val outcome_to_bench_json : outcome -> Ppdc_prelude.Json.t
 (** Render as a [ppdc.bench/1] document (reference entry
-    [loadgen_throughput]), the same schema `make bench-check` gates.
-    [extra] appends caller-provided entry objects. *)
+    [loadgen_throughput]), the same schema `make bench-check` gates. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Two-line human summary. *)

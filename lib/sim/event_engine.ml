@@ -111,11 +111,8 @@ let first_rates_of events ~l =
         all;
       rates
 
-let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
-    ~events () =
+let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
   validate_trigger trigger;
-  if not (Float.is_finite lookahead) || lookahead < 0.0 then
-    invalid_arg "Event_engine.run: lookahead must be finite >= 0";
   if not (Float.is_finite migration_delay) || migration_delay < 0.0 then
     invalid_arg "Event_engine.run: migration_delay must be finite >= 0";
   let problem0 = scenario.Scenario.problem in
@@ -178,7 +175,7 @@ let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
     | Events.Probe -> ()
   in
   (* Perfect short-range forecast: the rate vector after every pending
-     event within [t, t + lookahead], applied in replay order. An
+     event within [t, t + 1], applied in replay order. An
      [of_trace] stream carries its all-zero vector *at* the horizon
      precisely so this scan reproduces the hour engine's zero-forecast
      end-of-day contract. *)
@@ -186,7 +183,7 @@ let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
     let next = Array.copy rates in
     List.iter
       (fun ((_ : float), (e : Events.event)) ->
-        if Float.compare e.time (t +. lookahead) <= 0 then
+        if Float.compare e.time (t +. 1.0) <= 0 then
           match e.kind with
           | Events.Flow_arrival { flow; rate } ->
               if flow >= 0 && flow < l then next.(flow) <- rate

@@ -80,7 +80,6 @@ type run = {
 }
 
 val run :
-  ?lookahead:float ->
   ?migration_delay:float ->
   Scenario.t ->
   policy:Engine.policy ->
@@ -96,9 +95,8 @@ val run :
     the problem's cost matrix incrementally
     ({!Ppdc_topology.Cost_matrix.delete_edge} / [restore_edge]).
 
-    [lookahead] (default 1.0): the [Mpareto_lookahead] forecast is the
-    rate vector after every pending event within
-    [t, t + lookahead] — perfect short-range prediction, the
+    The [Mpareto_lookahead] forecast is the rate vector after every
+    pending event within [t, t + 1] — perfect one-hour prediction, the
     continuous generalization of the hour engine's next-hour vector.
 
     [migration_delay] (default 0 = instantaneous): when positive, each
@@ -107,7 +105,7 @@ val run :
     further firings are suppressed until it lands) — migrations take
     time, and a policy should not be re-invoked mid-move.
 
-    Raises [Invalid_argument] on negative/non-finite [lookahead] or
+    Raises [Invalid_argument] on a negative/non-finite
     [migration_delay], an out-of-range flow id or link endpoint in the
     stream, a [Link_failure] naming an absent edge or one whose
     removal disconnects the fabric, or a [Link_repair] of a present

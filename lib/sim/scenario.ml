@@ -10,11 +10,11 @@ type t = {
   initial : initial;
 }
 
-let make ?(diurnal = Ppdc_traffic.Diurnal.default) ?(mu = 1e4) ?mu_vm
-    ?pair_limit ?(opt_budget = 2_000_000) ?(initial = Uninformed 0) problem =
+let make ?(mu = 1e4) ?mu_vm ?pair_limit ?(opt_budget = 2_000_000)
+    ?(initial = Uninformed 0) problem =
   {
     problem;
-    diurnal;
+    diurnal = Ppdc_traffic.Diurnal.default;
     mu;
     mu_vm = Option.value mu_vm ~default:mu;
     pair_limit;

@@ -33,7 +33,6 @@ type t = {
 }
 
 val make :
-  ?diurnal:Ppdc_traffic.Diurnal.t ->
   ?mu:float ->
   ?mu_vm:float ->
   ?pair_limit:int ->
@@ -41,7 +40,7 @@ val make :
   ?initial:initial ->
   Ppdc_core.Problem.t ->
   t
-(** Defaults: the paper's 12-hour diurnal model, [mu = 1e4],
+(** The diurnal model is the paper's 12-hour one. Defaults: [mu = 1e4],
     [mu_vm = mu], no pair limit, 2-million-node optimal budget,
     [Uninformed 0] deployment. *)
 

@@ -1,4 +1,4 @@
-let of_graph ?(highlight = []) ?(labels = fun _ -> None) g =
+let of_graph ?(highlight = []) g =
   let buffer = Buffer.create 1024 in
   let highlighted = Hashtbl.create (List.length highlight) in
   List.iter (fun v -> Hashtbl.replace highlighted v ()) highlight;
@@ -8,7 +8,7 @@ let of_graph ?(highlight = []) ?(labels = fun _ -> None) g =
   let switch_index = Hashtbl.create 16 and host_index = Hashtbl.create 16 in
   Array.iteri (fun i s -> Hashtbl.replace switch_index s i) (Graph.switches g);
   Array.iteri (fun i h -> Hashtbl.replace host_index h i) (Graph.hosts g);
-  let default_label v =
+  let label v =
     match Graph.kind g v with
     | Graph.Switch -> Printf.sprintf "s%d" (Hashtbl.find switch_index v)
     | Graph.Host -> Printf.sprintf "h%d" (Hashtbl.find host_index v)
@@ -21,9 +21,9 @@ let of_graph ?(highlight = []) ?(labels = fun _ -> None) g =
       if Hashtbl.mem highlighted v then ", style=filled, fillcolor=\"#ffd27f\""
       else ""
     in
-    let label = Option.value (labels v) ~default:(default_label v) in
     Buffer.add_string buffer
-      (Printf.sprintf "  n%d [label=\"%s\", shape=%s%s];\n" v label shape fill)
+      (Printf.sprintf "  n%d [label=\"%s\", shape=%s%s];\n" v (label v)
+         shape fill)
   done;
   List.iter
     (fun (u, v, w) ->

@@ -7,10 +7,9 @@
 
 val of_graph :
   ?highlight:int list ->
-  ?labels:(int -> string option) ->
   Graph.t ->
   string
 (** [of_graph g] is a complete [graph { ... }] document. [highlight]
-    fills the listed nodes; [labels] overrides a node's label (default:
-    [sN] for switches, [hN] for hosts, numbered within their kind). Edge
-    labels show non-unit weights. *)
+    fills the listed nodes. Nodes are labelled [sN] for switches and
+    [hN] for hosts, numbered within their kind; edge labels show
+    non-unit weights. *)

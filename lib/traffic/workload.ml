@@ -57,11 +57,8 @@ let rack_sampler rng ~skew ~num_racks =
       order.(!lo)
   end
 
-let generate_on_fat_tree ?(rack_locality = 0.8) ?(rack_skew = 0.0)
-    ?(mix = facebook_mix) ~rng ~l ft =
+let generate_on_fat_tree ?(rack_skew = 0.0) ~rng ~l ft =
   if l < 0 then invalid_arg "Workload.generate_on_fat_tree: negative l";
-  if rack_locality < 0.0 || rack_locality > 1.0 then
-    invalid_arg "Workload.generate_on_fat_tree: rack_locality outside [0,1]";
   if rack_skew < 0.0 then
     invalid_arg "Workload.generate_on_fat_tree: negative rack_skew";
   let num_racks = Fat_tree.num_racks ft in
@@ -75,7 +72,7 @@ let generate_on_fat_tree ?(rack_locality = 0.8) ?(rack_skew = 0.0)
       let src_rack = sample_rack () in
       let src_host = Rng.pick rng (Fat_tree.hosts_of_rack ft src_rack) in
       let dst_rack =
-        if Rng.float rng 1.0 < rack_locality || num_racks = 1 then src_rack
+        if Rng.float rng 1.0 < 0.8 || num_racks = 1 then src_rack
         else begin
           (* A fresh popularity draw, rejecting the source rack. *)
           let rec other () =
@@ -90,17 +87,17 @@ let generate_on_fat_tree ?(rack_locality = 0.8) ?(rack_skew = 0.0)
         if Fat_tree.pod_of_host ft src_host < west_from_pod then Flow.East
         else Flow.West
       in
-      Flow.make ~id:i ~src_host ~dst_host ~base_rate:(sample_rate rng mix)
-        ~coast)
+      Flow.make ~id:i ~src_host ~dst_host
+        ~base_rate:(sample_rate rng facebook_mix) ~coast)
 
-let generate_on_hosts ?(mix = facebook_mix) ~rng ~l ~hosts () =
+let generate_on_hosts ~rng ~l ~hosts () =
   if l < 0 then invalid_arg "Workload.generate_on_hosts: negative l";
   if Array.length hosts = 0 then
     invalid_arg "Workload.generate_on_hosts: no hosts";
   Array.init l (fun i ->
       Flow.make ~id:i ~src_host:(Rng.pick rng hosts)
-        ~dst_host:(Rng.pick rng hosts) ~base_rate:(sample_rate rng mix)
-        ~coast:(coast_of_index i))
+        ~dst_host:(Rng.pick rng hosts)
+        ~base_rate:(sample_rate rng facebook_mix) ~coast:(coast_of_index i))
 
-let redraw_rates ?(mix = facebook_mix) ~rng flows =
-  Array.map (fun (_ : Flow.t) -> sample_rate rng mix) flows
+let redraw_rates ~rng flows =
+  Array.map (fun (_ : Flow.t) -> sample_rate rng facebook_mix) flows

@@ -28,19 +28,17 @@ val sample_rate : Ppdc_prelude.Rng.t -> rate_mix -> float
 (** One rate draw from the mix. *)
 
 val generate_on_fat_tree :
-  ?rack_locality:float ->
   ?rack_skew:float ->
-  ?mix:rate_mix ->
   rng:Ppdc_prelude.Rng.t ->
   l:int ->
   Ppdc_topology.Fat_tree.t ->
   Flow.t array
 (** [generate_on_fat_tree ~rng ~l ft] draws [l] flows on the fat-tree's
-    hosts with the given rack locality (default 0.8) and rate mix
-    (default {!facebook_mix}). A flow's coast follows its source pod —
-    pods in the first half of the fabric are "east", the rest "west" —
-    so the diurnal time-zone offset physically moves the traffic hotspot
-    across the data center over the day, as the paper's model intends
+    hosts with 80 % rack locality and {!facebook_mix} rates. A flow's
+    coast follows its source pod — pods in the first half of the fabric
+    are "east", the rest "west" — so the diurnal time-zone offset
+    physically moves the traffic hotspot across the data center over
+    the day, as the paper's model intends
     (with a uniform rack draw roughly half the flows are on each coast).
 
     [rack_skew] (default 0 = uniform racks) draws rack popularity from a
@@ -49,11 +47,9 @@ val generate_on_fat_tree :
     skew concentrates traffic in fewer racks and makes placement more
     location-sensitive.
 
-    Raises [Invalid_argument] if [l < 0], [rack_locality] is outside
-    [0, 1], or [rack_skew < 0]. *)
+    Raises [Invalid_argument] if [l < 0] or [rack_skew < 0]. *)
 
 val generate_on_hosts :
-  ?mix:rate_mix ->
   rng:Ppdc_prelude.Rng.t ->
   l:int ->
   hosts:int array ->
@@ -61,9 +57,9 @@ val generate_on_hosts :
   Flow.t array
 (** Generator for arbitrary topologies: both endpoints uniform over
     [hosts] (they may coincide — VMs of a pair can share a host, as in
-    Fig. 3). Raises [Invalid_argument] if [hosts] is empty or [l < 0]. *)
+    Fig. 3), rates from {!facebook_mix}. Raises [Invalid_argument] if
+    [hosts] is empty or [l < 0]. *)
 
-val redraw_rates :
-  ?mix:rate_mix -> rng:Ppdc_prelude.Rng.t -> Flow.t array -> float array
+val redraw_rates : rng:Ppdc_prelude.Rng.t -> Flow.t array -> float array
 (** Fresh independent rate vector for the same flows — the "traffic
     changed" event that motivates TOM in the single-step experiments. *)

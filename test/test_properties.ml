@@ -432,6 +432,11 @@ let prop_engine_matches_library =
           {|{"id":5,"method":"migrate","params":{"session":"d","algo":"mpareto","mu":%g}}|}
           mu
       in
+      let e_mig_opt =
+        req
+          {|{"id":6,"method":"migrate","params":{"session":"d","algo":"optimal","mu":%g}}|}
+          mu
+      in
       (* Library side: the same instance built the way the engine
          documents building it. *)
       let rng = Rng.create seed in
@@ -449,8 +454,15 @@ let prop_engine_matches_library =
       let mp =
         Mpareto.migrate problem ~rates:rates' ~mu ~current:dp.placement ()
       in
+      (* ... and mPareto's answer is where the optimal migration starts. *)
+      let mo =
+        Migration_opt.solve problem ~rates:rates' ~mu ~current:mp.migration ()
+      in
+      let jbool field j = Json.member field j = Some (Json.Bool true) in
       jplacement e_opt = opt.placement
       && same_float (jnum "cost" e_opt) opt.cost
+      && jnum "explored" e_opt = float_of_int opt.explored
+      && jbool "proven_optimal" e_opt = opt.proven_optimal
       && jplacement e_dp = dp.placement
       && same_float (jnum "cost" e_dp) dp.cost
       && jplacement e_mig = mp.migration
@@ -458,7 +470,90 @@ let prop_engine_matches_library =
       && same_float (jnum "comm_cost" e_mig) mp.comm_cost
       && same_float (jnum "total_cost" e_mig) mp.total_cost
       && jnum "moved" e_mig
-         = float_of_int (Cost.moved ~src:dp.placement ~dst:mp.migration))
+         = float_of_int (Cost.moved ~src:dp.placement ~dst:mp.migration)
+      && jplacement e_mig_opt = mo.migration
+      && same_float (jnum "total_cost" e_mig_opt) mo.cost
+      && same_float
+           (jnum "migration_cost" e_mig_opt)
+           (Cost.migration_cost problem ~mu ~src:mp.migration ~dst:mo.migration)
+      && same_float
+           (jnum "comm_cost" e_mig_opt)
+           (Cost.comm_cost problem ~rates:rates' mo.migration)
+      && jnum "explored" e_mig_opt = float_of_int mo.explored
+      && jbool "proven_optimal" e_mig_opt = mo.proven_optimal)
+
+(* An oracle independent of the shared branch-and-bound: enumerate every
+   ordered sequence of n <= 3 distinct switches and take the minimum
+   cost, for Algo. 4, Algo. 6 (mu in {0, 10, 1000}) and the exact
+   n-stroll. Each solver must match it whenever it claims a proof. *)
+let prop_exact_matches_enumeration =
+  let rec sequences k n =
+    if n = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun rest ->
+          List.filter_map
+            (fun x -> if List.mem x rest then None else Some (x :: rest))
+            (List.init k Fun.id))
+        (sequences k (n - 1))
+  in
+  let minimum switches n cost =
+    List.fold_left
+      (fun acc s ->
+        Float.min acc (cost (Array.of_list (List.map (Array.get switches) s))))
+      infinity
+      (sequences (Array.length switches) n)
+  in
+  property "exact searches = enumeration (n <= 3)" (fun seed ->
+      let rng = Rng.create seed in
+      let cm, hosts =
+        if seed mod 2 = 0 then begin
+          let ft = Fat_tree.build 4 in
+          (Cost_matrix.compute ft.graph, ft.hosts)
+        end
+        else begin
+          let rt =
+            Random_topology.build
+              ~weight:(fun () -> Rng.uniform rng ~lo:0.5 ~hi:3.0)
+              ~rng
+              ~num_switches:(6 + Rng.int rng 6)
+              ~extra_edges:(Rng.int rng 8) ~hosts_per_switch:1 ()
+          in
+          (Cost_matrix.compute rt.graph, rt.hosts)
+        end
+      in
+      let flows =
+        Workload.generate_on_hosts ~rng ~l:(3 + Rng.int rng 6) ~hosts ()
+      in
+      let n = 1 + Rng.int rng 3 in
+      let problem = Problem.make ~cm ~flows ~n () in
+      let rates = Flow.base_rates flows in
+      let switches = Problem.switches problem in
+      let agrees ~proven cost best =
+        (not proven) || Float.abs (cost -. best) <= 1e-9 *. Float.max 1.0 best
+      in
+      let top = Placement_opt.solve problem ~rates () in
+      let current = Placement.random ~rng problem in
+      let tom mu =
+        let o = Migration_opt.solve problem ~rates ~mu ~current () in
+        agrees ~proven:o.proven_optimal o.cost
+          (minimum switches n (fun m ->
+               Cost.total_cost problem ~rates ~mu ~src:current ~dst:m))
+      in
+      let src = Rng.pick rng hosts and dst = Rng.pick rng hosts in
+      let stroll = Stroll_exact.solve ~cm ~src ~dst ~n () in
+      let stroll_cost xs =
+        let c = ref (Cost_matrix.cost cm src xs.(0)) in
+        for j = 1 to n - 1 do
+          c := !c +. Cost_matrix.cost cm xs.(j - 1) xs.(j)
+        done;
+        !c +. Cost_matrix.cost cm xs.(n - 1) dst
+      in
+      agrees ~proven:top.proven_optimal top.cost
+        (minimum switches n (Cost.comm_cost problem ~rates))
+      && List.for_all tom [ 0.0; 10.0; 1000.0 ]
+      && agrees ~proven:stroll.proven_optimal stroll.cost
+           (minimum switches n stroll_cost))
 
 let qsuite name tests = (name, List.map (fun t -> QCheck_alcotest.to_alcotest t) tests)
 
@@ -498,5 +593,6 @@ let () =
           prop_dp_paper_factor_two;
           prop_mpareto_bounded_below_by_tom;
           prop_engine_matches_library;
+          prop_exact_matches_enumeration;
         ];
     ]

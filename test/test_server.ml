@@ -315,6 +315,42 @@ let test_engine_pair_limit () =
        (Engine.handle_line e
           {|{"id":2,"method":"place","params":{"session":"s","algo":"dp","pair_limit":2}}|}))
 
+(* A non-finite or negative mu is refused by every migrate algorithm and
+   by simulate_events; mu = 0 (Theorem 4) stays valid. *)
+let test_engine_bad_mu () =
+  let e = eng () in
+  ignore (load e ());
+  ignore
+    (expect_ok
+       (Engine.handle_line e
+          {|{"id":1,"method":"place","params":{"session":"s"}}|}));
+  List.iter
+    (fun mu ->
+      List.iter
+        (fun algo ->
+          Alcotest.(check string)
+            (Printf.sprintf "migrate %s mu=%s" algo mu)
+            "invalid_params"
+            (expect_error
+               (Engine.handle_line e
+                  (Printf.sprintf
+                     {|{"id":2,"method":"migrate","params":{"session":"s","algo":"%s","mu":%s}}|}
+                     algo mu))))
+        [ "mpareto"; "optimal"; "plan"; "mcf"; "none" ];
+      Alcotest.(check string)
+        (Printf.sprintf "simulate_events mu=%s" mu)
+        "invalid_params"
+        (expect_error
+           (Engine.handle_line e
+              (Printf.sprintf
+                 {|{"id":3,"method":"simulate_events","params":{"session":"s","mu":%s}}|}
+                 mu))))
+    [ "1e999"; "-1" ];
+  ignore
+    (expect_ok
+       (Engine.handle_line e
+          {|{"id":4,"method":"migrate","params":{"session":"s","algo":"optimal","mu":0}}|}))
+
 let test_engine_shutdown () =
   let e = eng () in
   ignore (expect_ok (Engine.handle_line e {|{"id":1,"method":"shutdown"}|}));
@@ -624,6 +660,8 @@ let () =
             test_engine_deadline;
           Alcotest.test_case "canned overloaded response" `Quick
             test_engine_overloaded_response;
+          Alcotest.test_case "bad mu is invalid_params" `Quick
+            test_engine_bad_mu;
         ] );
       ( "fuzz",
         [
