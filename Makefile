@@ -32,15 +32,16 @@ bench:
 
 # Gate the flat-graph and dynamic-repair hot paths, and the
 # event-simulator cost trajectory, against the committed baselines.
-# Entries are compared after normalizing by each bench's in-run
+# Timed entries are compared after normalizing by each bench's in-run
 # reference entry, so the check is meaningful on hardware other than
-# the one that recorded the baseline; the dynamic bench additionally
+# the one that recorded the baseline; deterministic entries (costs and
+# counts) must match bit for bit. The dynamic bench additionally
 # enforces its in-run repair-vs-rebuild speedup floor, and the events
-# bench (deterministic costs, not times) its mu trade-off and trigger
-# dominance invariants. The serve bench gates the loadgen request and
-# error counts, asserts a clean end-to-end daemon run, and — on hosts
-# with ≥2 cores — a ≥2x sharded-over-single-lock registry throughput
-# floor. Tolerance: PPDC_BENCH_TOLERANCE (default 0.10).
+# bench its mu trade-off and trigger dominance invariants. The serve
+# bench gates the loadgen request and error counts, asserts a clean
+# end-to-end daemon run, and — on hosts with ≥2 cores — a ≥2x
+# sharded-over-single-lock registry throughput floor. Tolerance for
+# timed entries: PPDC_BENCH_TOLERANCE (default 0.10).
 bench-check: build
 	dune exec bench/flatgraph.exe -- --check BENCH_flatgraph.json
 	dune exec bench/dynamic.exe -- --check BENCH_dynamic.json

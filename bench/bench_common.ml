@@ -11,19 +11,27 @@
    every bench gates the same way in CI.
 
    Raw seconds are not comparable across machines, so `--check`
-   normalizes every entry by the benchmark's reference entry measured
-   in the same run: an entry regresses when its normalized time
-   exceeds the baseline's normalized time by more than the tolerance
-   (default 10%). A uniform machine-wide slowdown cancels out; a
-   change that slows one path relative to the others fails the gate.
-   Pass `--absolute` on the machine that recorded the baseline to gate
-   on raw seconds as well. *)
+   normalizes every timed entry by the benchmark's reference entry
+   measured in the same run: an entry regresses when its normalized
+   time exceeds the baseline's normalized time by more than the
+   tolerance (default 10%). A uniform machine-wide slowdown cancels
+   out; a change that slows one path relative to the others fails the
+   gate. Pass `--absolute` on the machine that recorded the baseline
+   to gate on raw seconds as well. A deterministic entry (a cost or a
+   count, from [record_value]) is compared bit for bit instead: it
+   reproduces exactly on any machine, so any difference, in either
+   direction, is a behaviour change. *)
 
 module Json = Ppdc_prelude.Json
 module Clock = Ppdc_prelude.Clock
 module Parallel = Ppdc_prelude.Parallel
 
-type entry = { name : string; seconds : float; reps : int }
+type entry = {
+  name : string;
+  seconds : float;
+  reps : int;
+  exact : bool;  (* a deterministic value, gated bit for bit *)
+}
 
 let time f =
   let t0 = Clock.now () in
@@ -44,17 +52,16 @@ type recorder = { mutable entries : entry list (* newest first *) }
 let record t name ~reps f =
   let seconds = min_time ~reps f in
   Printf.eprintf "  %-22s %8.3fs (min of %d)\n%!" name seconds reps;
-  t.entries <- { name; seconds; reps } :: t.entries
+  t.entries <- { name; seconds; reps; exact = false } :: t.entries
 
 (* Record a deterministic statistic (a cost, a move count) instead of
-   a wall time. The artifact reuses the [seconds] slot, so the
-   normalized `--check` gate compares exact in-run ratios — for a
-   deterministic bench the committed trajectory reproduces bit-for-bit
-   on any machine, and any drift is a real behavior change, not
-   noise. *)
+   a wall time. The artifact reuses the [seconds] slot, and `--check`
+   compares it with the baseline bit for bit. A bench that records a
+   machine-dependent value this way keeps it out of the baseline
+   ([baseline_filter]). *)
 let record_value t name value =
   Printf.eprintf "  %-22s %14.4f\n%!" name value;
-  t.entries <- { name; seconds = value; reps = 1 } :: t.entries
+  t.entries <- { name; seconds = value; reps = 1; exact = true } :: t.entries
 
 let to_json ~quick ~reference entries =
   Json.Obj
@@ -87,7 +94,7 @@ let entries_of_json j =
         (fun e ->
           match (Json.member "name" e, Json.member "seconds" e) with
           | Some (Json.Str name), Some (Json.Num seconds) ->
-              { name; seconds; reps = 0 }
+              { name; seconds; reps = 0; exact = false }
           | _ -> fail "entry missing name/seconds")
         l
   | _ -> fail "no entries array"
@@ -110,6 +117,17 @@ let check ~reference ~tolerance ~absolute ~baseline entries =
           (* Quick mode omits the large entries; absence narrows the
              gate, it is not a regression. *)
           Printf.printf "SKIP %-22s (not measured in this run)\n" base.name
+      | Some cur when cur.exact ->
+          incr compared;
+          let same =
+            Int64.equal
+              (Int64.bits_of_float base.seconds)
+              (Int64.bits_of_float cur.seconds)
+          in
+          if not same then incr failures;
+          Printf.printf "%-4s %-22s %-10s base %.17g  now %.17g\n"
+            (if same then "ok" else "FAIL")
+            base.name "exact" base.seconds cur.seconds
       | Some cur ->
           incr compared;
           let judge label base_v cur_v =
@@ -125,13 +143,17 @@ let check ~reference ~tolerance ~absolute ~baseline entries =
     baseline;
   if !compared = 0 then failwith "baseline and run share no entries";
   if !failures > 0 then begin
-    Printf.printf "bench-check: %d regression(s) beyond %.0f%% tolerance\n"
+    Printf.printf
+      "bench-check: %d regression(s): an exact entry changed or a timed one \
+       went beyond %.0f%% tolerance\n"
       !failures (100.0 *. tolerance);
     exit 1
   end
   else
-    Printf.printf "bench-check: ok (%d entries within %.0f%%)\n" !compared
-      (100.0 *. tolerance)
+    Printf.printf
+      "bench-check: ok (%d entries: exact ones identical, timed ones within \
+       %.0f%%)\n"
+      !compared (100.0 *. tolerance)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -5,7 +5,8 @@
    times: every entry is a deterministic statistic of one seeded
    replay (communication cost, VNF moves, reconfiguration count), so
    the committed artifact reproduces bit-for-bit on any machine and
-   the normalized `--check` gate detects behavior drift, not slowdown.
+   `--check` compares every entry exactly: it detects behavior drift,
+   not slowdown.
 
    Two in-run invariants back the eta-sweep experiment's claims and
    fail the bench if a change breaks them:
@@ -19,10 +20,6 @@
      [dominance_slack] of it. *)
 
 module Bench = Bench_common
-module Rng = Ppdc_prelude.Rng
-module Events = Ppdc_traffic.Events
-module Scenario = Ppdc_sim.Scenario
-module Engine = Ppdc_sim.Engine
 module Event_engine = Ppdc_sim.Event_engine
 
 let reference_entry = "comm_mu1e2"
@@ -31,27 +28,9 @@ let mu_sweep = [ (1e2, "1e2"); (1e3, "1e3"); (1e4, "1e4"); (1e5, "1e5") ]
 let trigger_mu = 1e4
 let dominance_slack = 1.005
 
-let scenario ~mu =
-  let problem =
-    Ppdc_experiments.Runner.fat_tree_problem ~k:4 ~l:10 ~n:4 ~seed ()
-  in
-  Scenario.make ~mu ~initial:(Scenario.Uninformed seed) problem
-
-(* Same composite day as the eta_sweep experiment: diurnal hours,
-   quarter-hour probes, one mid-day failure episode. *)
-let stream sc =
-  let base = Scenario.events_of_diurnal sc in
-  let probes = Events.probes ~every:0.25 ~horizon:(Events.horizon base) in
-  let episode =
-    Scenario.failure_episode
-      ~rng:(Rng.create (seed + 0xfa11))
-      ~at:5.25 ~duration:1.5 ~fraction:0.05 sc
-  in
-  Events.merge (Events.merge base probes) episode
-
+(* One eta_sweep trial: its composite day on its k=4 instance. *)
 let replay ~mu ~trigger =
-  let sc = scenario ~mu in
-  Event_engine.run sc ~policy:Engine.Mpareto ~trigger ~events:(stream sc) ()
+  Ppdc_experiments.Eta_sweep.replay ~mu ~trigger ~seed ~k:4 ~l:10 ~n:4
 
 let triggers =
   [

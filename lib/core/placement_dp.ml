@@ -74,14 +74,13 @@ let solve_n2 problem att ingresses egresses =
 (* --- per-fabric pair table ---------------------------------------------- *)
 
 (* Algo. 2's answer for one (egress, ingress) pair depends on the cost
-   matrix, the candidate switches, n and the edge budget — never on the
-   rates. A [pairs] value stores those answers for one such variant:
-   the stroll cost and the n−2 middles (as candidate indices) of every
-   pair, egress-major, in off-heap rows filled one egress at a time. *)
+   matrix, the candidate switches and n — never on the rates. A [pairs]
+   value stores those answers for one such variant: the stroll cost and
+   the n−2 middles (as candidate indices) of every pair, egress-major,
+   in off-heap rows filled one egress at a time. *)
 type pairs = {
   candidates : int array;  (* the instance's switches, in instance order *)
   n : int;
-  max_edges : int option;  (* handed to [Stroll_dp.query] *)
   slot : int array;  (* node -> candidate index, -1 off the candidates *)
   (* Per candidate: its row offset, column and leaf weight in the
      matrix's stored rows ([Cost_matrix.rows]), for [scan]'s rescore. *)
@@ -99,7 +98,7 @@ type pairs = {
   fill : Mutex.t; [@ppdc.guards "placement_dp.fill"]
 }
 
-let create_pairs cm ~candidates ~n ~max_edges =
+let create_pairs cm ~candidates ~n =
   let m = Array.length candidates and k = n - 2 in
   if m > 65536 then
     invalid_arg
@@ -116,7 +115,6 @@ let create_pairs cm ~candidates ~n ~max_edges =
   {
     candidates;
     n;
-    max_edges;
     slot;
     base = Array.map (fun s -> r.base.(s)) candidates;
     col = Array.map (fun s -> r.col.(s)) candidates;
@@ -144,21 +142,18 @@ let memo_mutex = Mutex.create () [@@ppdc.guards "placement_dp.memo"]
 (* Variants kept per matrix, most recently used first. *)
 let variants_per_matrix = 4
 
-let pairs_for cm ~candidates ~n ~max_edges =
+let pairs_for cm ~candidates ~n =
   Mutexes.with_lock memo_mutex (fun () ->
       let variants = Option.value (Memo.find_opt memo cm) ~default:[] in
       match
-        List.find_opt
-          (fun p ->
-            p.n = n && p.max_edges = max_edges && p.candidates = candidates)
-          variants
+        List.find_opt (fun p -> p.n = n && p.candidates = candidates) variants
       with
       | Some p ->
           if not (p == List.hd variants) then
             Memo.replace memo cm (p :: List.filter (fun q -> q != p) variants);
           p
       | None ->
-          let p = create_pairs cm ~candidates ~n ~max_edges in
+          let p = create_pairs cm ~candidates ~n in
           let kept = List.filteri (fun i _ -> i < variants_per_matrix - 1) in
           Memo.replace memo cm (p :: kept variants);
           p)
@@ -184,9 +179,7 @@ let fill_rows p ~cm missing =
         if i <> e then begin
           let ingress = p.candidates.(i) in
           let (r : Stroll_dp.result) =
-            match
-              Stroll_dp.query table ~src:ingress ~n:k ?max_edges:p.max_edges ()
-            with
+            match Stroll_dp.query table ~src:ingress ~n:k () with
             | Some r -> r
             | None ->
                 (* Edge budget exhausted for this pair: greedy filler so
@@ -310,7 +303,7 @@ let scan problem (att : Cost.attach) p ~rescore ~ingresses ~egresses =
     objective = !best_objective;
   }
 
-let solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges () =
+let solve problem ~rates ?(rescore = false) ?pair_limit () =
   (match pair_limit with
   | Some k when k < 1 ->
       invalid_arg
@@ -336,7 +329,7 @@ let solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges () =
            "Placement_dp.solve: chain of %d VNFs needs %d candidate \
             switches, have %d"
            n n (Array.length switches));
-    let p = pairs_for cm ~candidates:switches ~n ~max_edges in
+    let p = pairs_for cm ~candidates:switches ~n in
     let slots nodes = Array.map (fun s -> p.slot.(s)) nodes in
     let ingresses = slots ingresses and egresses = slots egresses in
     ensure_rows p ~cm egresses;

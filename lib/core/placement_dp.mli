@@ -6,11 +6,11 @@
     [A_in(p(1)) + Λ · stroll + A_out(p(n))] wins. One DP table per egress
     switch answers *all* ingress queries.
 
-    The strolls depend on the cost matrix, the candidate switches, [n]
-    and the edge budget, never on the rates, so they are kept per
-    matrix (DESIGN.md §4k): the first solve per (matrix, candidates, n,
-    max_edges) costs O(|V_s| · (table + |V_s| · extraction)), and every
-    later one — any rates, any flows — costs O(|V_s|² + |V_s| · l): the
+    The strolls depend on the cost matrix, the candidate switches and
+    [n], never on the rates, so they are kept per matrix (DESIGN.md
+    §4k): the first solve per (matrix, candidates, n) costs
+    O(|V_s| · (table + |V_s| · extraction)), and every later one — any
+    rates, any flows — costs O(|V_s|² + |V_s| · l): the
     attachment sums plus a scan over the stored pairs. The table is
     keyed by the matrix's identity and released with it; answers are
     bit-identical either way. A solve needing only some egress rows
@@ -32,7 +32,6 @@ val solve :
   rates:float array ->
   ?rescore:bool ->
   ?pair_limit:int ->
-  ?max_edges:int ->
   unit ->
   outcome
 (** [solve problem ~rates ()] computes a placement for the current rate
@@ -48,8 +47,6 @@ val solve :
     scalability knob for very large PPDCs (used by the k=16 simulation);
     omit for the paper-faithful full scan. Raises [Invalid_argument]
     naming [pair_limit] when [k < 1].
-
-    [max_edges] is passed through to {!Stroll_dp.query}.
 
     Raises [Invalid_argument] if the rates are invalid (see
     {!Cost.attach}), if no ingress/egress pair is feasible, or, for

@@ -15,4 +15,16 @@
       hysteresis) at equal migration coefficient — the adaptive
       triggers match periodic cost with fewer reconfigurations. *)
 
+val replay :
+  mu:float ->
+  trigger:Ppdc_sim.Event_engine.trigger ->
+  seed:int ->
+  k:int ->
+  l:int ->
+  n:int ->
+  Ppdc_sim.Event_engine.run
+(** One trial: the mPareto replay of the composite day on the seeded
+    instance {!Runner.fat_tree_problem} builds, deployed
+    [Uninformed seed]. [BENCH_events.json] records these runs. *)
+
 val run : Mode.t -> Ppdc_prelude.Table.t list

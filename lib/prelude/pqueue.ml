@@ -1,136 +1,3 @@
-(* Deterministic heap for the discrete-event simulator: the effective
-   key is the pair (priority, insertion sequence number), compared
-   lexicographically, so equal-priority elements pop in push order.
-   The plain heap below breaks ties by heap position — fine for
-   Dijkstra, where ties are resolved downstream by the canonical-tree
-   rule, but fatal for an event timeline whose replay order must be a
-   pure function of the push history. *)
-module Stable = struct
-  type 'a t = {
-    mutable prio : float array;
-    mutable seq : int array;
-    mutable data : 'a option array;
-    mutable size : int;
-    mutable next_seq : int;
-  }
-
-  let create () =
-    {
-      prio = Array.make 16 0.0;
-      seq = Array.make 16 0;
-      data = Array.make 16 None;
-      size = 0;
-      next_seq = 0;
-    }
-
-  let length q = q.size
-  let is_empty q = q.size = 0
-
-  let grow q =
-    let capacity = Array.length q.prio in
-    let prio = Array.make (2 * capacity) 0.0 in
-    let seq = Array.make (2 * capacity) 0 in
-    let data = Array.make (2 * capacity) None in
-    Array.blit q.prio 0 prio 0 q.size;
-    Array.blit q.seq 0 seq 0 q.size;
-    Array.blit q.data 0 data 0 q.size;
-    q.prio <- prio;
-    q.seq <- seq;
-    q.data <- data
-
-  (* (prio, seq) lexicographic order. [Float.compare] keeps the float
-     comparison explicit; NaN priorities are rejected at [push]. *)
-  let lt q i j =
-    match Float.compare q.prio.(i) q.prio.(j) with
-    | 0 -> q.seq.(i) < q.seq.(j)
-    | c -> c < 0
-
-  let swap q i j =
-    let p = q.prio.(i) and s = q.seq.(i) and d = q.data.(i) in
-    q.prio.(i) <- q.prio.(j);
-    q.seq.(i) <- q.seq.(j);
-    q.data.(i) <- q.data.(j);
-    q.prio.(j) <- p;
-    q.seq.(j) <- s;
-    q.data.(j) <- d
-
-  let rec sift_up q i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if lt q i parent then begin
-        swap q i parent;
-        sift_up q parent
-      end
-    end
-
-  let rec sift_down q i =
-    let left = (2 * i) + 1 and right = (2 * i) + 2 in
-    let smallest = ref i in
-    if left < q.size && lt q left !smallest then smallest := left;
-    if right < q.size && lt q right !smallest then smallest := right;
-    if !smallest <> i then begin
-      swap q i !smallest;
-      sift_down q !smallest
-    end
-
-  let push q prio x =
-    if Float.is_nan prio then invalid_arg "Pqueue.Stable.push: NaN priority";
-    if q.size = Array.length q.prio then grow q;
-    q.prio.(q.size) <- prio;
-    q.seq.(q.size) <- q.next_seq;
-    q.data.(q.size) <- Some x;
-    q.next_seq <- q.next_seq + 1;
-    q.size <- q.size + 1;
-    sift_up q (q.size - 1)
-
-  let pop_min q =
-    if q.size = 0 then None
-    else begin
-      let prio = q.prio.(0) in
-      let x =
-        match q.data.(0) with Some x -> x | None -> assert false
-      in
-      q.size <- q.size - 1;
-      q.prio.(0) <- q.prio.(q.size);
-      q.seq.(0) <- q.seq.(q.size);
-      q.data.(0) <- q.data.(q.size);
-      q.data.(q.size) <- None;
-      if q.size > 0 then sift_down q 0;
-      Some (prio, x)
-    end
-
-  let peek_min q =
-    if q.size = 0 then None
-    else
-      match q.data.(0) with
-      | Some x -> Some (q.prio.(0), x)
-      | None -> assert false
-
-  let clear q =
-    Array.fill q.data 0 q.size None;
-    q.size <- 0
-
-  (* Non-destructive snapshot in pop order: clone the backing arrays
-     and drain the clone. O(n log n); the simulator's forecast scan is
-     the only caller and queues are small. *)
-  let to_sorted_list q =
-    let c =
-      {
-        prio = Array.copy q.prio;
-        seq = Array.copy q.seq;
-        data = Array.copy q.data;
-        size = q.size;
-        next_seq = q.next_seq;
-      }
-    in
-    let rec drain acc =
-      match pop_min c with
-      | None -> List.rev acc
-      | Some pair -> drain (pair :: acc)
-    in
-    drain []
-end
-
 (* Monomorphic (float priority, int payload) heap for solver hot loops:
    both backing arrays are unboxed, so push/pop allocate nothing — a
    polymorphic heap would wrap every payload in [Some]. *)

@@ -800,27 +800,35 @@ let shutdown t _params =
 
 (* --- dispatch ----------------------------------------------------------- *)
 
+let handlers =
+  [
+    ("health", health);
+    ("load_topology", load_topology);
+    ("place", place);
+    ("migrate", migrate);
+    ("rates_update", rates_update);
+    ("fail_links", fail_links);
+    ("simulate_events", simulate_events);
+    ("stats", stats);
+    ("shutdown", shutdown);
+  ]
+
 let dispatch t (req : Protocol.request) =
-  let handler =
-    match req.meth with
-    | "health" -> health
-    | "load_topology" -> load_topology
-    | "place" -> place
-    | "migrate" -> migrate
-    | "rates_update" -> rates_update
-    | "fail_links" -> fail_links
-    | "simulate_events" -> simulate_events
-    | "stats" -> stats
-    | "shutdown" -> shutdown
-    | other -> reject Unknown_method "unknown method %S" other
-  in
-  Obs.time ("rpc." ^ req.meth) (fun () -> handler t req.params)
+  match List.assoc_opt req.meth handlers with
+  | Some handler ->
+      Obs.time ("rpc." ^ req.meth) (fun () -> handler t req.params)
+  | None -> reject Unknown_method "unknown method %S" req.meth
 
 let note_error t =
   Atomic.incr t.errors;
   Obs.incr "rpc.errors"
 
+(* One entry per served method, and one shared by every other name: a
+   client choosing method names must not grow the table. *)
 let record_latency t meth elapsed =
+  let meth =
+    if List.mem_assoc meth handlers then meth else "unknown_method"
+  in
   Mutexes.with_lock t.stats_mutex (fun () ->
       let st =
         match Hashtbl.find_opt t.by_method meth with

@@ -52,10 +52,13 @@
     reports [cache.repairs] vs [cache.rebuilds] so a regression in the
     fast path is observable in production.
 
-    Every request is counted and timed under an [Obs] span
-    ([rpc.<method>]); cache traffic shows up as
-    [server.cache.hits]/[server.cache.misses], and per-method latency
-    is also aggregated into the [stats] result ([requests.latency_ms]).
+    Every request is counted, and a request for a served method is
+    timed under an [Obs] span ([rpc.<method>]); cache traffic shows up
+    as [server.cache.hits]/[server.cache.misses], and per-method
+    latency is also aggregated into the [stats] result
+    ([requests.by_method], [requests.latency_ms]). Requests naming a
+    method the engine does not serve share one [unknown_method] entry
+    there, so clients cannot grow those tables.
     A malformed or failing request produces a structured error
     response and leaves the engine serving — no handler exception
     escapes {!handle_line}.

@@ -2,7 +2,6 @@ open Ppdc_core
 module Events = Ppdc_traffic.Events
 module Cost_matrix = Ppdc_topology.Cost_matrix
 module Graph = Ppdc_topology.Graph
-module Pqueue = Ppdc_prelude.Pqueue
 module Obs = Ppdc_prelude.Obs
 
 type trigger =
@@ -90,26 +89,37 @@ type run = {
   reconfigurations : int;
 }
 
-(* The rate vector the stream leaves in place after every event at the
-   earliest timestamp — what an [Hour1] deployment gets to see. *)
-let first_rates_of events ~l =
-  match Events.events events with
-  | [] -> Array.make l 0.0
-  | first :: _ as all ->
-      let rates = Array.make l 0.0 in
-      List.iter
-        (fun (e : Events.event) ->
-          if Float.compare e.time first.time = 0 then
-            match e.kind with
-            | Events.Flow_arrival { flow; rate } ->
-                if flow < l then rates.(flow) <- rate
-            | Events.Flow_departure { flow } ->
-                if flow < l then rates.(flow) <- 0.0
-            | Events.Rate_update updates ->
-                List.iter (fun (f, r) -> if f < l then rates.(f) <- r) updates
-            | _ -> ())
-        all;
-      rates
+(* Apply a rate event to [rates]; other kinds carry none. A flow id
+   outside the vector raises on the live vector ([strict]) and is
+   skipped by the look-ahead scans below. *)
+let apply_rates ~strict rates (kind : Events.kind) =
+  let l = Array.length rates in
+  let set flow r =
+    if flow >= 0 && flow < l then rates.(flow) <- r
+    else if strict then
+      invalid_arg
+        (Printf.sprintf
+           "Event_engine.run: flow %d out of range (have %d flows)" flow l)
+  in
+  match kind with
+  | Events.Flow_arrival { flow; rate } -> set flow rate
+  | Events.Flow_departure { flow } -> set flow 0.0
+  | Events.Rate_update updates -> List.iter (fun (f, r) -> set f r) updates
+  | Events.Link_failure _ | Events.Link_repair _ | Events.Migration_complete
+  | Events.Probe ->
+      ()
+
+(* A copy of [rates] after the events at the head of [pending] whose
+   time is at most [until], in stream order. *)
+let rates_until rates pending ~until =
+  let rates = Array.copy rates in
+  let rec go = function
+    | (e : Events.event) :: rest when Float.compare e.time until <= 0 ->
+        apply_rates ~strict:false rates e.kind;
+        go rest
+    | _ -> rates
+  in
+  go pending
 
 let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
   validate_trigger trigger;
@@ -117,18 +127,44 @@ let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
     invalid_arg "Event_engine.run: migration_delay must be finite >= 0";
   let problem0 = scenario.Scenario.problem in
   let l = Problem.num_flows problem0 in
-  let num_nodes = Graph.num_nodes (Problem.graph problem0) in
   let horizon = Events.horizon events in
   let rates = Array.make l 0.0 in
-  let initial_placement =
-    Engine.initial_placement_of scenario
-      ~first_rates:(first_rates_of events ~l)
+  (* The timeline is the sorted stream — [pending] holds the events not
+     yet replayed — merged with the completion times of migrations in
+     flight. Completions are scheduled at [t + migration_delay] with
+     [t] non-decreasing, so the FIFO is in time order; on a tie the
+     stream event goes first. *)
+  let pending = ref (Events.events events) in
+  let completions = Queue.create () in
+  let next () =
+    let completion c =
+      if Float.compare c horizon >= 0 then None
+      else begin
+        ignore (Queue.pop completions);
+        Some { Events.time = c; kind = Events.Migration_complete }
+      end
+    in
+    match (!pending, Queue.peek_opt completions) with
+    | e :: _, Some c when Float.compare c e.time < 0 -> completion c
+    | e :: rest, _ ->
+        if Float.compare e.time horizon >= 0 then None
+        else begin
+          pending := rest;
+          Some e
+        end
+    | [], Some c -> completion c
+    | [], None -> None
   in
+  (* An [Hour1] deployment sees the rates the stream leaves in place
+     after every event at its earliest timestamp. *)
+  let first_rates =
+    let until = match !pending with [] -> 0.0 | e :: _ -> e.time in
+    rates_until rates !pending ~until
+  in
+  let initial_placement = Engine.initial_placement_of scenario ~first_rates in
   let state =
     { Engine.placement = Array.copy initial_placement; problem = problem0 }
   in
-  let q : Events.event Pqueue.Stable.t = Pqueue.Stable.create () in
-  Events.iter (fun e -> Pqueue.Stable.push q e.time e) events;
   (* [comm_rate] is the communication cost per unit of virtual time
      under the current (problem, rates, placement); each segment
      between consecutive events is charged [dt *. comm_rate] — the
@@ -148,66 +184,51 @@ let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
   let total_moves = ref 0 in
   let reconfigs = ref 0 in
   let records = ref [] in
-  let bad fmt = Printf.ksprintf invalid_arg fmt in
-  let set_rate flow r =
-    if flow < 0 || flow >= l then
-      bad "Event_engine.run: flow %d out of range (have %d flows)" flow l;
-    rates.(flow) <- r
+  (* A link event rebuilds the fabric from its edited edge list —
+     [Graph.make] refuses to repair a link that is up or out of range —
+     and [Cost_matrix.repair_to] re-runs only the rows the one changed
+     link can affect. *)
+  let relink edit =
+    let cm = Problem.cm state.problem in
+    let g = Cost_matrix.graph cm in
+    let g' =
+      Graph.make
+        ~kinds:(Array.init (Graph.num_nodes g) (Graph.kind g))
+        ~edges:(edit (Graph.edges g))
+    in
+    (* Same nodes and kinds: [repair_to] never refuses. *)
+    let cm', _rows = Option.get (Cost_matrix.repair_to cm g') in
+    state.problem <- Problem.with_cm state.problem cm'
   in
   let apply_kind = function
-    | Events.Flow_arrival { flow; rate } -> set_rate flow rate
-    | Events.Flow_departure { flow } -> set_rate flow 0.0
-    | Events.Rate_update updates ->
-        List.iter (fun (f, r) -> set_rate f r) updates
     | Events.Link_failure { u; v } ->
-        if u >= num_nodes || v >= num_nodes then
-          bad "Event_engine.run: link (%d, %d) out of range" u v;
-        state.problem <-
-          Problem.with_cm state.problem
-            (Cost_matrix.delete_edge (Problem.cm state.problem) ~u ~v)
+        relink (fun edges ->
+            let kept =
+              List.filter
+                (fun (a, b, _) -> not ((a = u && b = v) || (a = v && b = u)))
+                edges
+            in
+            if List.compare_lengths kept edges = 0 then
+              invalid_arg
+                (Printf.sprintf "Event_engine.run: no link (%d, %d) to fail"
+                   u v);
+            kept)
     | Events.Link_repair { u; v; weight } ->
-        if u >= num_nodes || v >= num_nodes then
-          bad "Event_engine.run: link (%d, %d) out of range" u v;
-        state.problem <-
-          Problem.with_cm state.problem
-            (Cost_matrix.restore_edge (Problem.cm state.problem) ~u ~v ~weight)
+        relink (fun edges -> (min u v, max u v, weight) :: edges)
     | Events.Migration_complete -> in_flight := false
-    | Events.Probe -> ()
+    | kind -> apply_rates ~strict:true rates kind
   in
-  (* Perfect short-range forecast: the rate vector after every pending
-     event within [t, t + 1], applied in replay order. An
-     [of_trace] stream carries its all-zero vector *at* the horizon
-     precisely so this scan reproduces the hour engine's zero-forecast
-     end-of-day contract. *)
-  let forecast t =
-    let next = Array.copy rates in
-    List.iter
-      (fun ((_ : float), (e : Events.event)) ->
-        if Float.compare e.time (t +. 1.0) <= 0 then
-          match e.kind with
-          | Events.Flow_arrival { flow; rate } ->
-              if flow >= 0 && flow < l then next.(flow) <- rate
-          | Events.Flow_departure { flow } ->
-              if flow >= 0 && flow < l then next.(flow) <- 0.0
-          | Events.Rate_update updates ->
-              List.iter
-                (fun (f, r) -> if f >= 0 && f < l then next.(f) <- r)
-                updates
-          | _ -> ())
-      (Pqueue.Stable.to_sorted_list q);
-    next
-  in
-  let continue = ref true in
-  while !continue do
-    match Pqueue.Stable.peek_min q with
-    | None -> continue := false
-    | Some (t, _) when Float.compare t horizon >= 0 -> continue := false
-    | Some _ ->
-        let t, e =
-          match Pqueue.Stable.pop_min q with
-          | Some te -> te
-          | None -> assert false
-        in
+  (* Perfect short-range forecast: the rate vector after every stream
+     event not yet replayed up to [t + 1], in stream order (completions
+     carry no rates). An [of_trace] stream carries its all-zero vector
+     *at* the horizon precisely so this scan reproduces the hour
+     engine's zero-forecast end-of-day contract. *)
+  let forecast t = rates_until rates !pending ~until:(t +. 1.0) in
+  let rec replay () =
+    match next () with
+    | None -> ()
+    | Some e ->
+        let t = e.Events.time in
         let charge = (t -. !t_now) *. !comm_rate in
         total_comm := !total_comm +. charge;
         t_now := t;
@@ -257,10 +278,7 @@ let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
             | Threshold _ | On_event -> ());
             if migration_delay > 0.0 && moved > 0 then begin
               in_flight := true;
-              Pqueue.Stable.push q
-                (t +. migration_delay)
-                { Events.time = t +. migration_delay;
-                  kind = Events.Migration_complete }
+              Queue.push (t +. migration_delay) completions
             end;
             (migration_cost, moved)
           end
@@ -284,8 +302,10 @@ let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
             migration_cost;
             moved;
           }
-          :: !records
-  done;
+          :: !records;
+        replay ()
+  in
+  replay ();
   let final_comm = (horizon -. !t_now) *. !comm_rate in
   total_comm := !total_comm +. final_comm;
   {

@@ -11,10 +11,12 @@
     first-class {!trigger} policy, decoupled from {e how} (the
     {!Engine.policy} invoked when the trigger fires).
 
-    {b Determinism.} Events are drained from a
-    {!Ppdc_prelude.Pqueue.Stable} keyed by [(time, insertion seq)], so
+    {b Determinism.} The engine replays the stream in place, in the
+    order {!Ppdc_traffic.Events.make}'s stable sort gave it, so
     equal-time events replay in stream order on every machine and at
-    every domain count; every policy step is itself deterministic.
+    every domain count. A [Migration_complete] the engine schedules
+    itself replays after every stream event at its time. Every policy
+    step is itself deterministic.
     Replaying an [Events.of_trace] stream with [Periodic 1.0]
     reproduces {!Engine.run_trace} (and hence [run_day] on diurnal
     streams) bit-identically for all six policies — the regression in
@@ -92,12 +94,14 @@ val run :
     (an [Hour1] deployment sees the rate vector left by the events at
     the stream's earliest timestamp). Only events strictly before the
     horizon are processed. [Link_failure]/[Link_repair] events evolve
-    the problem's cost matrix incrementally
-    ({!Ppdc_topology.Cost_matrix.delete_edge} / [restore_edge]).
+    the problem's cost matrix incrementally: the engine removes or adds
+    the link and derives the new matrix with
+    {!Ppdc_topology.Cost_matrix.repair_to}.
 
     The [Mpareto_lookahead] forecast is the rate vector after every
-    pending event within [t, t + 1] — perfect one-hour prediction, the
-    continuous generalization of the hour engine's next-hour vector.
+    pending stream event within [t, t + 1] — perfect one-hour
+    prediction, the continuous generalization of the hour engine's
+    next-hour vector.
 
     [migration_delay] (default 0 = instantaneous): when positive, each
     reconfiguration that moved something holds the trigger {e in

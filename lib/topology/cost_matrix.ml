@@ -450,74 +450,6 @@ let repair_to t g' =
       Some ({ t with id = fresh_id (); graph = g' }, 0)
   | Some changes -> Some (repair t g' changes)
 
-let graph_without_edge g ~u ~v =
-  let found = ref false in
-  let edges =
-    List.filter
-      (fun (a, b, _) ->
-        let hit = (a = u && b = v) || (a = v && b = u) in
-        if hit then found := true;
-        not hit)
-      (Graph.edges g)
-  in
-  if not !found then None
-  else
-    Some
-      (Graph.make
-         ~kinds:(Array.init (Graph.num_nodes g) (Graph.kind g))
-         ~edges)
-
-let delete_edge t ~u ~v =
-  match graph_without_edge t.graph ~u ~v with
-  | None -> invalid_arg "Cost_matrix.delete_edge: no such edge"
-  | Some g' -> fst (repair t g' [ Delete (min u v, max u v) ])
-
-let increase_weight t ~u ~v ~weight =
-  match Graph.edge_weight t.graph u v with
-  | None -> invalid_arg "Cost_matrix.increase_weight: no such edge"
-  | Some w when Float.compare weight w < 0 ->
-      invalid_arg
-        "Cost_matrix.increase_weight: new weight is smaller (use \
-         decrease_weight)"
-  | Some w ->
-      let g' =
-        Graph.map_weights t.graph (fun a b wab ->
-            if (a = u && b = v) || (a = v && b = u) then weight else wab)
-      in
-      if Float.compare weight w = 0 then { t with id = fresh_id (); graph = g' }
-      else fst (repair t g' [ Increase (min u v, max u v) ])
-
-let decrease_weight t ~u ~v ~weight =
-  if not (Float.is_finite weight) || weight <= 0.0 then
-    invalid_arg "Cost_matrix.decrease_weight: weight must be finite positive";
-  match Graph.edge_weight t.graph u v with
-  | None -> invalid_arg "Cost_matrix.decrease_weight: no such edge"
-  | Some w when Float.compare weight w > 0 ->
-      invalid_arg
-        "Cost_matrix.decrease_weight: new weight is larger (use \
-         increase_weight)"
-  | Some w ->
-      let g' =
-        Graph.map_weights t.graph (fun a b wab ->
-            if (a = u && b = v) || (a = v && b = u) then weight else wab)
-      in
-      if Float.compare weight w = 0 then { t with id = fresh_id (); graph = g' }
-      else fst (repair t g' [ Relax (min u v, max u v, weight) ])
-
-let restore_edge t ~u ~v ~weight =
-  if not (Float.is_finite weight) || weight <= 0.0 then
-    invalid_arg "Cost_matrix.restore_edge: weight must be finite positive";
-  (match Graph.edge_weight t.graph u v with
-  | Some _ -> invalid_arg "Cost_matrix.restore_edge: edge already present"
-  | None -> ());
-  let g' =
-    (* [Graph.make] re-validates (self-loop, range, host-host). *)
-    Graph.make
-      ~kinds:(Array.init (Graph.num_nodes t.graph) (Graph.kind t.graph))
-      ~edges:((min u v, max u v, weight) :: Graph.edges t.graph)
-  in
-  fst (repair t g' [ Relax (min u v, max u v, weight) ])
-
 let id t = t.id
 let graph t = t.graph
 let rows t = t.rows

@@ -41,14 +41,18 @@ val id : t -> int
 
     A dynamic fabric changes by link failures, weight drifts, and link
     repairs — all deltas whose effect on all-pairs shortest paths can
-    be localized per stored row. A row is affected by a {e deletion or
-    increase} of core edge [(u, v)] iff its shortest-path tree uses
-    that edge, and because every tree edge appears as exactly one
-    parent link, that test is O(1) per (row, edge) on the predecessor
-    row: [pred(v) = u] or [pred(u) = v]. A {e decrease or restored
-    edge} of new weight [w] is in nobody's tree, but it can only
-    shorten paths that cross it, so a row is affected iff the edge is
-    competitive against the old distances at either endpoint:
+    be localized per stored row. {!repair_to} is the one way to derive
+    a matrix from a changed fabric: the caller builds the new graph (a
+    failure filters the edge list, a repair adds the edge back) and
+    [repair_to] diffs it against [graph t]. A row is affected by a
+    {e deletion or increase} of core edge [(u, v)] iff its
+    shortest-path tree uses that edge, and because every tree edge
+    appears as exactly one parent link, that test is O(1) per
+    (row, edge) on the predecessor row: [pred(v) = u] or
+    [pred(u) = v]. A {e decrease or restored edge} of new weight [w]
+    is in nobody's tree, but it can only shorten paths that cross it,
+    so a row is affected iff the edge is competitive against the old
+    distances at either endpoint:
     [dist(u) + w <= dist(v)] or symmetrically (the [<=] also catches
     equal-cost candidates that would displace the canonical
     predecessor choice). Core rows and class rows take the same tests.
@@ -77,36 +81,6 @@ val repair_to : t -> Graph.t -> (t * int) option
     mismatch, in which case the caller should run a cold {!compute}.
     Raises [Invalid_argument] if [g'] is disconnected (as {!compute}
     would). *)
-
-val delete_edge : t -> u:int -> v:int -> t
-(** [delete_edge t ~u ~v] is the matrix of [graph t] minus the edge
-    [(u, v)], repairing only the rows whose tree used it. Raises
-    [Invalid_argument] if the edge does not exist or its removal
-    disconnects the graph. *)
-
-val increase_weight : t -> u:int -> v:int -> weight:float -> t
-(** [increase_weight t ~u ~v ~weight] is the matrix of [graph t] with
-    edge [(u, v)] reweighted to [weight >=] its current weight.
-    Raises [Invalid_argument] if the edge does not exist or [weight]
-    is smaller than the current weight (use {!decrease_weight}). *)
-
-val decrease_weight : t -> u:int -> v:int -> weight:float -> t
-(** [decrease_weight t ~u ~v ~weight] is the matrix of [graph t] with
-    edge [(u, v)] reweighted to [weight <=] its current weight,
-    repairing only the rows where the cheaper edge is competitive.
-    Raises [Invalid_argument] if the edge does not exist, [weight] is
-    not finite positive, or [weight] exceeds the current weight (use
-    {!increase_weight}). *)
-
-val restore_edge : t -> u:int -> v:int -> weight:float -> t
-(** [restore_edge t ~u ~v ~weight] is the matrix of [graph t] plus the
-    edge [(u, v)] at [weight] — the inverse of {!delete_edge}, used
-    when a failed link comes back. Only rows where the restored edge
-    is competitive are re-run; restoring a just-deleted edge at its
-    old weight yields a matrix bit-identical to the pre-deletion one.
-    Raises [Invalid_argument] if the edge already exists, [weight] is
-    not finite positive, or the edge is invalid for the graph (self
-    loop, host-host, out of range). *)
 
 val cost : t -> int -> int -> float
 (** [cost t u v] is [c(u, v)]; 0 when [u = v]. *)

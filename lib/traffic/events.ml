@@ -54,7 +54,7 @@ let make ~horizon events =
       check_kind e.kind)
     events;
   (* Stable sort on time only: equal-time events keep list order, the
-     same tie-break the simulator's (time, seq) queue then preserves. *)
+     order the simulator then replays them in. *)
   let events =
     List.stable_sort
       (fun (a : event) (b : event) -> Float.compare a.time b.time)

@@ -9,10 +9,10 @@
     episodes) that need topology knowledge.
 
     {b Determinism contract.} [make] stable-sorts events by time, so
-    equal-time events keep the order the caller listed them in; the
-    engine's queue ({!Ppdc_prelude.Pqueue.Stable}) then preserves that
-    order through replay. A stream is therefore replayed identically
-    on every machine and at every domain count. *)
+    equal-time events keep the order the caller listed them in, and the
+    engine replays the sorted stream in that order. A stream is
+    therefore replayed identically on every machine and at every domain
+    count. *)
 
 type kind =
   | Flow_arrival of { flow : int; rate : float }

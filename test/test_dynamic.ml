@@ -1,5 +1,5 @@
-(* Differential suite for dynamic APSP repair (Cost_matrix.repair_to /
-   delete_edge / increase_weight / decrease_weight / restore_edge).
+(* Differential suite for dynamic APSP repair (Cost_matrix.repair_to,
+   the one way to derive a matrix from a changed fabric).
 
    The oracle is the full recompute: after any sequence of edge
    deletions, weight increases, decreases, and edge restores, the
@@ -72,52 +72,67 @@ let random_graph seed =
   in
   rt.graph
 
+(* Single-edge graph edits, on canonical ([u < v]) endpoints. *)
+let without g (u, v) =
+  Graph.make ~kinds:(kinds_of g)
+    ~edges:(List.filter (fun (a, b, _) -> not (a = u && b = v)) (Graph.edges g))
+
+let with_edge g (u, v, w) =
+  Graph.make ~kinds:(kinds_of g) ~edges:((u, v, w) :: Graph.edges g)
+
+let reweight g (u, v) weight =
+  Graph.map_weights g (fun a b w -> if a = u && b = v then weight else w)
+
+let repair cm g' =
+  match Cost_matrix.repair_to cm g' with
+  | Some (cm', _) -> cm'
+  | None -> Alcotest.fail "repair_to refused an edge-level delta"
+
 (* --- the qcheck differential property ---------------------------------- *)
 
-(* Random graph, then a random sequence of deletions, weight
-   increases, weight decreases, and delete-then-restore pairs; at
-   every step the repaired matrix must be bit-equal to a cold compute
-   on the mutated graph. Deletions that would disconnect the graph are
-   skipped (repair would — correctly — raise, as compute does; that
-   contract has its own test below). *)
+(* Random graph, then a random sequence of single-edge edits — a
+   deletion, a weight increase, a weight decrease, or a
+   delete-then-restore pair — each derived by [repair_to] from the
+   previous matrix; at every step the result must be bit-equal to a
+   cold compute on the edited graph. Deletions that would disconnect
+   the graph are skipped (repair would — correctly — raise, as compute
+   does; that contract has its own test below). *)
 let prop_repair_matches_cold_compute =
   QCheck.Test.make ~name:"repaired matrix = cold compute (bit-exact)"
     ~count:40
     QCheck.(int_bound 100_000)
     (fun seed ->
       let rng = Rng.create (seed + 7919) in
-      let g = ref (random_graph seed) in
-      let cm = ref (Cost_matrix.compute !g) in
+      let cm = ref (Cost_matrix.compute (random_graph seed)) in
       let steps = 2 + Rng.int rng 4 in
       let ok = ref true in
-      let apply next =
-        g := Cost_matrix.graph next;
-        cm := next;
-        if not (matrices_bit_equal !cm (Cost_matrix.compute !g)) then
+      let apply g' =
+        cm := repair !cm g';
+        if not (matrices_bit_equal !cm (Cost_matrix.compute g')) then
           ok := false
       in
       for _ = 1 to steps do
-        let edges = Array.of_list (Graph.edges !g) in
+        let g = Cost_matrix.graph !cm in
+        let edges = Array.of_list (Graph.edges g) in
         let u, v, w = edges.(Rng.int rng (Array.length edges)) in
         match Rng.int rng 4 with
-        | 0 when connected_without_edge !g (u, v) ->
-            apply (Cost_matrix.delete_edge !cm ~u ~v)
+        | 0 when connected_without_edge g (u, v) -> apply (without g (u, v))
         | 1 ->
             let weight = w *. (1.0 +. Rng.uniform rng ~lo:0.1 ~hi:1.5) in
-            apply (Cost_matrix.increase_weight !cm ~u ~v ~weight)
+            apply (reweight g (u, v) weight)
         | 2 ->
             let weight = w *. Rng.uniform rng ~lo:0.2 ~hi:0.9 in
-            apply (Cost_matrix.decrease_weight !cm ~u ~v ~weight)
-        | _ when connected_without_edge !g (u, v) ->
+            apply (reweight g (u, v) weight)
+        | _ when connected_without_edge g (u, v) ->
             (* Fail the link, then bring it back at a (possibly new)
                weight: the Link_failure/Link_repair path the event
                simulator drives. *)
-            apply (Cost_matrix.delete_edge !cm ~u ~v);
+            apply (without g (u, v));
             let weight =
               if Rng.int rng 2 = 0 then w
               else w *. Rng.uniform rng ~lo:0.5 ~hi:2.0
             in
-            apply (Cost_matrix.restore_edge !cm ~u ~v ~weight)
+            apply (with_edge (Cost_matrix.graph !cm) (u, v, weight))
         | _ -> ()
       done;
       !ok)
@@ -283,50 +298,16 @@ let test_repair_handles_relaxing_deltas () =
   Alcotest.(check bool) "node-count mismatch refused" true
     (Cost_matrix.repair_to cm other.graph = None)
 
-let test_decrease_weight_contracts () =
+(* A failed link that comes back at its old weight restores the matrix
+   bit for bit: the repair truly undoes the failure. *)
+let test_delete_restore_round_trip () =
   let ft = Fat_tree.build 4 in
   let cm = Cost_matrix.compute ft.graph in
   let u, v, w = List.hd (Graph.edges ft.graph) in
-  (try
-     ignore (Cost_matrix.decrease_weight cm ~u ~v ~weight:(w *. 2.0));
-     Alcotest.fail "increase not rejected"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (Cost_matrix.decrease_weight cm ~u ~v ~weight:0.0);
-     Alcotest.fail "zero weight not rejected"
-   with Invalid_argument _ -> ());
-  Alcotest.check_raises "missing edge"
-    (Invalid_argument "Cost_matrix.decrease_weight: no such edge") (fun () ->
-      ignore (Cost_matrix.decrease_weight cm ~u:0 ~v:1 ~weight:0.5));
-  (* Equal weight: nothing to repair, storage shared. *)
-  let same = Cost_matrix.decrease_weight cm ~u ~v ~weight:w in
-  Alcotest.(check bool) "equal weight shares storage" true
-    ((Cost_matrix.rows same).dist == (Cost_matrix.rows cm).dist);
-  (* Order of endpoints must not matter. *)
-  let a = Cost_matrix.decrease_weight cm ~u ~v ~weight:(w /. 2.0) in
-  let b = Cost_matrix.decrease_weight cm ~u:v ~v:u ~weight:(w /. 2.0) in
-  Alcotest.(check bool) "endpoint order irrelevant" true
-    (matrices_bit_equal a b);
-  Alcotest.(check bool) "bit-equal to cold compute" true
-    (matrices_bit_equal a (Cost_matrix.compute (Cost_matrix.graph a)))
-
-let test_restore_edge_contracts () =
-  let ft = Fat_tree.build 4 in
-  let cm = Cost_matrix.compute ft.graph in
-  let u, v, w = List.hd (Graph.edges ft.graph) in
-  (* Restoring a present edge is an error — that is decrease/increase
-     territory. *)
-  Alcotest.check_raises "edge already present"
-    (Invalid_argument "Cost_matrix.restore_edge: edge already present")
-    (fun () -> ignore (Cost_matrix.restore_edge cm ~u ~v ~weight:w));
-  (try
-     ignore (Cost_matrix.restore_edge cm ~u:0 ~v:1 ~weight:Float.nan);
-     Alcotest.fail "NaN weight not rejected"
-   with Invalid_argument _ -> ());
-  (* Delete then restore at the original weight: bit-identical to the
-     matrix we started from (the repair truly undoes the failure). *)
-  let deleted = Cost_matrix.delete_edge cm ~u ~v in
-  let restored = Cost_matrix.restore_edge deleted ~u ~v ~weight:w in
+  let deleted = repair cm (without ft.graph (u, v)) in
+  let restored =
+    repair deleted (with_edge (Cost_matrix.graph deleted) (u, v, w))
+  in
   Alcotest.(check bool) "delete;restore round-trips bit-exactly" true
     (matrices_bit_equal restored cm);
   (* And the repair is local: restoring the link at a weight longer
@@ -334,12 +315,7 @@ let test_restore_edge_contracts () =
      the endpoint-distance test must skip every row. (At the original
      unit weight nearly every source sees an equal-cost candidate, so
      a unit fat-tree is the wrong fabric for a row-count bound.) *)
-  let relaxed =
-    Graph.make
-      ~kinds:(kinds_of (Cost_matrix.graph deleted))
-      ~edges:
-        ((min u v, max u v, 64.0) :: Graph.edges (Cost_matrix.graph deleted))
-  in
+  let relaxed = with_edge (Cost_matrix.graph deleted) (u, v, 64.0) in
   match Cost_matrix.repair_to deleted relaxed with
   | None -> Alcotest.fail "long restore refused"
   | Some (long, rows) ->
@@ -347,42 +323,19 @@ let test_restore_edge_contracts () =
       Alcotest.(check bool) "bit-equal to cold compute" true
         (matrices_bit_equal long (Cost_matrix.compute relaxed))
 
-let test_delete_edge_contracts () =
+(* Deleting a host's only uplink disconnects it: repair must refuse
+   like compute does. *)
+let test_disconnecting_deletion_refused () =
   let ft = Fat_tree.build 4 in
   let cm = Cost_matrix.compute ft.graph in
-  Alcotest.check_raises "missing edge"
-    (Invalid_argument "Cost_matrix.delete_edge: no such edge") (fun () ->
-      ignore (Cost_matrix.delete_edge cm ~u:0 ~v:1));
-  (* Deleting a host's only uplink disconnects it: repair must refuse
-     like compute does. *)
-  let host = (Graph.hosts ft.graph).(0) in
-  let uplink =
-    match Graph.neighbors ft.graph host with
-    | (sw, _) :: _ -> sw
-    | [] -> Alcotest.fail "host without uplink"
-  in
-  (try
-     ignore (Cost_matrix.delete_edge cm ~u:host ~v:uplink);
-     Alcotest.fail "disconnecting deletion not rejected"
-   with Invalid_argument _ -> ())
-
-let test_increase_weight_contracts () =
-  let ft = Fat_tree.build 4 in
-  let cm = Cost_matrix.compute ft.graph in
-  let u, v, w = List.hd (Graph.edges ft.graph) in
-  (try
-     ignore (Cost_matrix.increase_weight cm ~u ~v ~weight:(w /. 2.0));
-     Alcotest.fail "decrease not rejected"
-   with Invalid_argument _ -> ());
-  (* Equal weight: nothing to repair, storage shared. *)
-  let same = Cost_matrix.increase_weight cm ~u ~v ~weight:w in
-  Alcotest.(check bool) "equal weight shares storage" true
-    ((Cost_matrix.rows same).dist == (Cost_matrix.rows cm).dist);
-  (* Order of endpoints must not matter. *)
-  let a = Cost_matrix.increase_weight cm ~u ~v ~weight:(w +. 2.0) in
-  let b = Cost_matrix.increase_weight cm ~u:v ~v:u ~weight:(w +. 2.0) in
-  Alcotest.(check bool) "endpoint order irrelevant" true
-    (matrices_bit_equal a b)
+  let host = ft.hosts.(0) in
+  let uplink = Fat_tree.edge_switch_of_host ft host in
+  match
+    Cost_matrix.repair_to cm
+      (without ft.graph (min host uplink, max host uplink))
+  with
+  | _ -> Alcotest.fail "disconnecting deletion not rejected"
+  | exception Invalid_argument _ -> ()
 
 let reweight_host g h weight =
   Graph.map_weights g (fun a b w -> if a = h || b = h then weight else w)
@@ -535,14 +488,10 @@ let () =
             test_repair_shares_storage_when_identical;
           Alcotest.test_case "relaxing deltas repaired" `Quick
             test_repair_handles_relaxing_deltas;
-          Alcotest.test_case "delete_edge contracts" `Quick
-            test_delete_edge_contracts;
-          Alcotest.test_case "increase_weight contracts" `Quick
-            test_increase_weight_contracts;
-          Alcotest.test_case "decrease_weight contracts" `Quick
-            test_decrease_weight_contracts;
-          Alcotest.test_case "restore_edge contracts" `Quick
-            test_restore_edge_contracts;
+          Alcotest.test_case "delete then restore round-trips" `Quick
+            test_delete_restore_round_trip;
+          Alcotest.test_case "disconnecting deletion refused" `Quick
+            test_disconnecting_deletion_refused;
           Alcotest.test_case "leaf-weight repair re-runs class rows only"
             `Quick test_leaf_weight_repair;
           Alcotest.test_case "leaf-set change rebuilds cold" `Quick

@@ -227,6 +227,118 @@ let test_migration_delay_suppresses_triggers () =
        (fun (r : Event_engine.event_record) -> r.kind = "migration_complete")
        run.Event_engine.records)
 
+(* --- timeline order ------------------------------------------------------- *)
+
+let kinds_of (run : Event_engine.run) =
+  Array.to_list
+    (Array.map (fun (r : Event_engine.event_record) -> r.kind)
+       run.Event_engine.records)
+
+(* Events at one time replay in the order the stream lists them. *)
+let test_equal_times_keep_stream_order () =
+  let sc = scenario ~seed:3 () in
+  let at kind = { Events.time = 0.5; kind } in
+  let stream =
+    Events.make ~horizon:1.0
+      [
+        at Events.Probe;
+        at (Events.Flow_arrival { flow = 0; rate = 5.0 });
+        at Events.Probe;
+        at (Events.Rate_update [ (1, 2.0) ]);
+        at (Events.Flow_departure { flow = 0 });
+      ]
+  in
+  let run =
+    Event_engine.run sc ~policy:Engine.No_migration
+      ~trigger:Event_engine.On_event ~events:stream ()
+  in
+  Alcotest.(check (list string)) "stream order"
+    [ "probe"; "flow_arrival"; "probe"; "rate_update"; "flow_departure" ]
+    (kinds_of run)
+
+(* A completion scheduled at a probe's time replays after that probe:
+   the stream event was scheduled first. *)
+let test_completion_after_equal_time_probe () =
+  let sc = scenario ~seed:5 () in
+  let base = Scenario.events_of_diurnal sc in
+  let stream =
+    Events.merge base (Events.probes ~every:0.25 ~horizon:(Events.horizon base))
+  in
+  let run =
+    Event_engine.run ~migration_delay:0.25 sc ~policy:Engine.Mpareto
+      ~trigger:Event_engine.On_event ~events:stream ()
+  in
+  let records = run.Event_engine.records in
+  let completions = ref 0 in
+  Array.iteri
+    (fun i (r : Event_engine.event_record) ->
+      if r.kind = "migration_complete" then begin
+        incr completions;
+        let prev = records.(i - 1) in
+        Alcotest.(check string)
+          (Printf.sprintf "probe before the completion at t=%g" r.time)
+          "probe" prev.kind;
+        check_bits "same time" prev.time r.time
+      end)
+    records;
+  Alcotest.(check bool) "completions replayed" true (!completions > 0)
+
+(* A completion due after the stream's last event still replays when it
+   falls before the horizon. *)
+let test_completion_after_last_event () =
+  let sc =
+    Scenario.make ~mu:1.0 ~initial:(Scenario.Uninformed 3) (problem ~seed:3 ())
+  in
+  let rates =
+    Ppdc_traffic.Flow.base_rates (Problem.flows sc.Scenario.problem)
+  in
+  let stream =
+    Events.make ~horizon:2.0
+      [
+        {
+          Events.time = 0.0;
+          kind =
+            Events.Rate_update
+              (List.mapi (fun i r -> (i, r)) (Array.to_list rates));
+        };
+      ]
+  in
+  let run =
+    Event_engine.run ~migration_delay:0.5 sc ~policy:Engine.Mpareto
+      ~trigger:Event_engine.On_event ~events:stream ()
+  in
+  Alcotest.(check bool) "the first firing moved" true
+    (run.Event_engine.records.(0).Event_engine.moved > 0);
+  Alcotest.(check (list string)) "completion replayed"
+    [ "rate_update"; "migration_complete" ] (kinds_of run);
+  check_bits "at t + delay" 0.5 run.Event_engine.records.(1).Event_engine.time
+
+(* A link event the fabric cannot take is refused, not replayed. *)
+let test_link_errors () =
+  let sc = scenario ~seed:1 () in
+  let ft = Fat_tree.build 4 in
+  let u, v, w = List.hd (Ppdc_topology.Graph.edges ft.graph) in
+  let host = ft.hosts.(0) in
+  let refused name kind =
+    Alcotest.(check bool) name true
+      (try
+         ignore
+           (Event_engine.run sc ~policy:Engine.No_migration
+              ~trigger:Event_engine.On_event
+              ~events:(Events.make ~horizon:1.0 [ { Events.time = 0.5; kind } ])
+              ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  refused "failure of an absent link"
+    (Events.Link_failure { u = ft.core.(0); v = ft.core.(1) });
+  let uplink = Fat_tree.edge_switch_of_host ft host in
+  refused "failure of a host's only uplink"
+    (Events.Link_failure { u = host; v = uplink });
+  refused "repair of a present link" (Events.Link_repair { u; v; weight = w });
+  refused "repair out of range"
+    (Events.Link_repair { u = 0; v = 10_000; weight = 1.0 })
+
 (* --- cost accounting ------------------------------------------------------ *)
 
 let test_elapsed_time_charging () =
@@ -416,6 +528,8 @@ let test_stream_validation () =
       Events.make ~horizon:1.0
         [ { Events.time = 0.0; kind = Events.Link_failure { u = 3; v = 3 } } ]);
   reject "nan horizon" (fun () -> Events.make ~horizon:Float.nan []);
+  reject "nan time" (fun () ->
+      Events.make ~horizon:1.0 [ { Events.time = Float.nan; kind = Events.Probe } ]);
   let sc = scenario ~seed:1 () in
   reject "out-of-range flow id at run time" (fun () ->
       Event_engine.run sc ~policy:Engine.No_migration
@@ -483,6 +597,16 @@ let () =
           Alcotest.test_case "migration delay suppresses triggers" `Quick
             test_migration_delay_suppresses_triggers;
           Alcotest.test_case "trigger spec parsing" `Quick test_trigger_parsing;
+        ] );
+      ( "timeline",
+        [
+          Alcotest.test_case "equal times keep stream order" `Quick
+            test_equal_times_keep_stream_order;
+          Alcotest.test_case "completion after an equal-time probe" `Quick
+            test_completion_after_equal_time_probe;
+          Alcotest.test_case "completion after the last event" `Quick
+            test_completion_after_last_event;
+          Alcotest.test_case "refused link events" `Quick test_link_errors;
         ] );
       ( "accounting",
         [

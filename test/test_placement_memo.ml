@@ -14,8 +14,7 @@ module Obs = Ppdc_prelude.Obs
 module Parallel = Ppdc_prelude.Parallel
 open Ppdc_core
 
-let reference_solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges ()
-    =
+let reference_solve problem ~rates ?(rescore = false) ?pair_limit () =
   let att = Cost.attach problem ~rates in
   let switches = Problem.switches problem in
   let n = Problem.n problem in
@@ -47,7 +46,7 @@ let reference_solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges ()
           if ingress <> egress then begin
             let (r : Stroll_dp.result) =
               match
-                Stroll_dp.query table ~src:ingress ~n:(n - 2) ?max_edges ()
+                Stroll_dp.query table ~src:ingress ~n:(n - 2) ()
               with
               | Some r -> r
               | None ->
@@ -149,7 +148,6 @@ let with_metrics f =
 
 let test_warm_equals_cold domains () =
   with_domains domains @@ fun () ->
-  with_metrics @@ fun () ->
   List.iter
     (fun weighted ->
       let seed = if weighted then 7 else 3 in
@@ -160,7 +158,7 @@ let test_warm_equals_cold domains () =
       in
       for n = 3 to 6 do
         List.iter
-          (fun (rescore, candidates, max_edges) ->
+          (fun (rescore, candidates) ->
             let make cm =
               let p = Problem.make ~cm ~flows ~n () in
               match candidates with
@@ -171,36 +169,24 @@ let test_warm_equals_cold domains () =
             List.iteri
               (fun r rates ->
                 let msg =
-                  Printf.sprintf "weighted=%b n=%d rescore=%b restricted=%b \
-                                  max_edges=%s rates#%d"
-                    weighted n rescore (candidates <> None)
-                    (match max_edges with
-                    | Some e -> string_of_int e
-                    | None -> "-")
-                    r
+                  Printf.sprintf
+                    "weighted=%b n=%d rescore=%b restricted=%b rates#%d"
+                    weighted n rescore (candidates <> None) r
                 in
-                let solve p =
-                  Placement_dp.solve p ~rates ~rescore ?max_edges ()
-                in
+                let solve p = Placement_dp.solve p ~rates ~rescore () in
                 let w = solve warm in
                 check_same (msg ^ " warm/cold") w (solve (make (fresh cm)));
                 check_same (msg ^ " warm/reference") w
-                  (reference_solve warm ~rates ~rescore ?max_edges ()))
+                  (reference_solve warm ~rates ~rescore ()))
               (rate_vectors ~seed:(n + 11) flows 6))
           [
-            (false, None, None);
-            (true, None, None);
-            (false, Some restricted, None);
-            (true, Some restricted, Some (n - 1));
-            (false, None, Some (n - 1));
+            (false, None);
+            (true, None);
+            (false, Some restricted);
+            (true, Some restricted);
           ]
       done)
-    [ false; true ];
-  (* A budget of n − 1 edges is exactly the shortest stroll, so walks
-     that revisit a switch must fall back to nearest neighbour. *)
-  Alcotest.(check bool)
-    "the small budget reached the fallback" true
-    (counter "stroll_dp.nn_fallbacks" > 0)
+    [ false; true ]
 
 (* Rescored keys on many small decimal-weighted fabrics, where pairs
    whose chains sum to the same value in another order are common. *)

@@ -61,102 +61,6 @@ let prop_pqueue_sorts =
       List.iteri (fun i p -> Int_heap.push q p i) priorities;
       List.map fst (drain_int_heap q) = List.sort compare priorities)
 
-(* --- stable priority queue -------------------------------------------- *)
-
-let test_stable_fifo_on_ties () =
-  let q = Pqueue.Stable.create () in
-  List.iteri
-    (fun i p -> Pqueue.Stable.push q p i)
-    [ 2.0; 1.0; 2.0; 1.0; 2.0; 1.0 ];
-  let rec drain acc =
-    match Pqueue.Stable.pop_min q with
-    | None -> List.rev acc
-    | Some (_, x) -> drain (x :: acc)
-  in
-  (* Equal priorities must pop in push order: all the 1.0s in insertion
-     order, then all the 2.0s in insertion order. *)
-  Alcotest.(check (list int)) "FIFO within equal keys" [ 1; 3; 5; 0; 2; 4 ]
-    (drain [])
-
-let test_stable_rejects_nan () =
-  let q = Pqueue.Stable.create () in
-  Alcotest.(check bool) "NaN priority raises" true
-    (try
-       Pqueue.Stable.push q Float.nan 0;
-       false
-     with Invalid_argument _ -> true)
-
-let test_stable_to_sorted_list_preserves () =
-  let q = Pqueue.Stable.create () in
-  List.iteri (fun i p -> Pqueue.Stable.push q p i) [ 3.0; 1.0; 2.0; 1.0 ];
-  let snapshot = Pqueue.Stable.to_sorted_list q in
-  Alcotest.(check (list int)) "snapshot in pop order" [ 1; 3; 2; 0 ]
-    (List.map snd snapshot);
-  Alcotest.(check int) "queue untouched" 4 (Pqueue.Stable.length q);
-  (match Pqueue.Stable.peek_min q with
-  | Some (p, x) ->
-      Alcotest.(check (float 0.0)) "peek prio" 1.0 p;
-      Alcotest.(check int) "peek value" 1 x
-  | None -> Alcotest.fail "expected an element");
-  Pqueue.Stable.clear q;
-  Alcotest.(check bool) "cleared" true (Pqueue.Stable.is_empty q)
-
-(* Model check: interleaved pushes and pops against a sorted-list
-   model keyed by (priority, insertion sequence). *)
-let prop_stable_matches_model =
-  QCheck.Test.make ~name:"stable pqueue = sorted-list model" ~count:300
-    QCheck.(list (pair (int_range 0 9) bool))
-    (fun script ->
-      let q = Pqueue.Stable.create () in
-      let model = ref [] in
-      let seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun (bucket, do_pop) ->
-          if do_pop then begin
-            let expected =
-              match
-                List.sort
-                  (fun (pa, sa, _) (pb, sb, _) ->
-                    match Float.compare pa pb with
-                    | 0 -> Int.compare sa sb
-                    | c -> c)
-                  !model
-              with
-              | [] -> None
-              | ((p, _, x) as hd) :: _ ->
-                  model := List.filter (fun e -> e != hd) !model;
-                  Some (p, x)
-            in
-            if Pqueue.Stable.pop_min q <> expected then ok := false
-          end
-          else begin
-            (* Few buckets on purpose: collisions are the point. *)
-            let p = float_of_int bucket in
-            Pqueue.Stable.push q p !seq;
-            model := (p, !seq, !seq) :: !model;
-            incr seq
-          end)
-        script;
-      let rec drain () =
-        match Pqueue.Stable.pop_min q with
-        | None -> !model = []
-        | Some got ->
-            (match
-               List.sort
-                 (fun (pa, sa, _) (pb, sb, _) ->
-                   match Float.compare pa pb with
-                   | 0 -> Int.compare sa sb
-                   | c -> c)
-                 !model
-             with
-            | ((p, _, x) as hd) :: _ when (p, x) = got ->
-                model := List.filter (fun e -> e != hd) !model;
-                drain ()
-            | _ -> false)
-      in
-      !ok && drain ())
-
 (* --- union-find ------------------------------------------------------- *)
 
 let test_union_find_basic () =
@@ -710,17 +614,7 @@ let () =
           Alcotest.test_case "grows past initial capacity" `Quick
             test_pqueue_grows;
         ] );
-      ( "pqueue-stable",
-        [
-          Alcotest.test_case "FIFO on equal keys" `Quick
-            test_stable_fifo_on_ties;
-          Alcotest.test_case "rejects NaN priorities" `Quick
-            test_stable_rejects_nan;
-          Alcotest.test_case "snapshot without draining" `Quick
-            test_stable_to_sorted_list_preserves;
-        ] );
-      qsuite "pqueue-properties"
-        [ prop_pqueue_sorts; prop_stable_matches_model ];
+      qsuite "pqueue-properties" [ prop_pqueue_sorts ];
       ( "union-find",
         [
           Alcotest.test_case "union and find" `Quick test_union_find_basic;

@@ -405,82 +405,86 @@ let jplacement j =
 
 let same_float a b = Float.compare a b = 0
 
+(* One session, unit or weighted links, against the library on the
+   instance [Runner.fat_tree_problem] builds: [load_topology] copies its
+   recipe, link delays included. *)
+let engine_matches_library ~weighted seed =
+  let k = 4 and l = 4 + (seed mod 5) and n = 2 + (seed mod 3) in
+  let mu = 100.0 in
+  (* Engine side: one session, the documented request sequence. *)
+  let engine = Engine.create () in
+  let req fmt = Printf.ksprintf (rpc engine) fmt in
+  ignore
+    (req
+       {|{"id":1,"method":"load_topology","params":{"session":"d","k":%d,"l":%d,"n":%d,"seed":%d,"weighted":%b}}|}
+       k l n seed weighted);
+  let e_opt =
+    req {|{"id":2,"method":"place","params":{"session":"d","algo":"optimal"}}|}
+  in
+  let e_dp =
+    req {|{"id":3,"method":"place","params":{"session":"d","algo":"dp"}}|}
+  in
+  ignore
+    (req
+       {|{"id":4,"method":"rates_update","params":{"session":"d","seed":%d}}|}
+       (seed + 1));
+  let e_mig =
+    req
+      {|{"id":5,"method":"migrate","params":{"session":"d","algo":"mpareto","mu":%g}}|}
+      mu
+  in
+  let e_mig_opt =
+    req
+      {|{"id":6,"method":"migrate","params":{"session":"d","algo":"optimal","mu":%g}}|}
+      mu
+  in
+  (* Library side: the same instance, built by the experiments. *)
+  let problem =
+    Ppdc_experiments.Runner.fat_tree_problem ~weighted ~k ~l ~n ~seed ()
+  in
+  let flows = Problem.flows problem in
+  let rates = Flow.base_rates flows in
+  let opt = Placement_opt.solve problem ~rates () in
+  let dp = Placement_dp.solve problem ~rates () in
+  let rates' = Workload.redraw_rates ~rng:(Rng.create (seed + 1)) flows in
+  (* The engine applied place dp last, so its session placement —
+     the migration's starting point — is dp's. *)
+  let mp =
+    Mpareto.migrate problem ~rates:rates' ~mu ~current:dp.placement ()
+  in
+  (* ... and mPareto's answer is where the optimal migration starts. *)
+  let mo =
+    Migration_opt.solve problem ~rates:rates' ~mu ~current:mp.migration ()
+  in
+  let jbool field j = Json.member field j = Some (Json.Bool true) in
+  jplacement e_opt = opt.placement
+  && same_float (jnum "cost" e_opt) opt.cost
+  && jnum "explored" e_opt = float_of_int opt.explored
+  && jbool "proven_optimal" e_opt = opt.proven_optimal
+  && jplacement e_dp = dp.placement
+  && same_float (jnum "cost" e_dp) dp.cost
+  && jplacement e_mig = mp.migration
+  && same_float (jnum "migration_cost" e_mig) mp.migration_cost
+  && same_float (jnum "comm_cost" e_mig) mp.comm_cost
+  && same_float (jnum "total_cost" e_mig) mp.total_cost
+  && jnum "moved" e_mig
+     = float_of_int (Cost.moved ~src:dp.placement ~dst:mp.migration)
+  && jplacement e_mig_opt = mo.migration
+  && same_float (jnum "total_cost" e_mig_opt) mo.cost
+  && same_float
+       (jnum "migration_cost" e_mig_opt)
+       (Cost.migration_cost problem ~mu ~src:mp.migration ~dst:mo.migration)
+  && same_float
+       (jnum "comm_cost" e_mig_opt)
+       (Cost.comm_cost problem ~rates:rates' mo.migration)
+  && jnum "explored" e_mig_opt = float_of_int mo.explored
+  && jbool "proven_optimal" e_mig_opt = mo.proven_optimal
+
 let prop_engine_matches_library =
   property ~count:12 "RPC engine agrees exactly with the library API"
     (fun seed ->
-      let k = 4 and l = 4 + (seed mod 5) and n = 2 + (seed mod 3) in
-      let mu = 100.0 in
-      (* Engine side: one session, the documented request sequence. *)
-      let engine = Engine.create () in
-      let req fmt = Printf.ksprintf (rpc engine) fmt in
-      ignore
-        (req
-           {|{"id":1,"method":"load_topology","params":{"session":"d","k":%d,"l":%d,"n":%d,"seed":%d}}|}
-           k l n seed);
-      let e_opt =
-        req {|{"id":2,"method":"place","params":{"session":"d","algo":"optimal"}}|}
-      in
-      let e_dp =
-        req {|{"id":3,"method":"place","params":{"session":"d","algo":"dp"}}|}
-      in
-      ignore
-        (req
-           {|{"id":4,"method":"rates_update","params":{"session":"d","seed":%d}}|}
-           (seed + 1));
-      let e_mig =
-        req
-          {|{"id":5,"method":"migrate","params":{"session":"d","algo":"mpareto","mu":%g}}|}
-          mu
-      in
-      let e_mig_opt =
-        req
-          {|{"id":6,"method":"migrate","params":{"session":"d","algo":"optimal","mu":%g}}|}
-          mu
-      in
-      (* Library side: the same instance built the way the engine
-         documents building it. *)
-      let rng = Rng.create seed in
-      let ft = Fat_tree.build k in
-      let flows = Workload.generate_on_fat_tree ~rng ~l ft in
-      let problem =
-        Problem.make ~cm:(Cost_matrix.compute ft.Fat_tree.graph) ~flows ~n ()
-      in
-      let rates = Flow.base_rates flows in
-      let opt = Placement_opt.solve problem ~rates () in
-      let dp = Placement_dp.solve problem ~rates () in
-      let rates' = Workload.redraw_rates ~rng:(Rng.create (seed + 1)) flows in
-      (* The engine applied place dp last, so its session placement —
-         the migration's starting point — is dp's. *)
-      let mp =
-        Mpareto.migrate problem ~rates:rates' ~mu ~current:dp.placement ()
-      in
-      (* ... and mPareto's answer is where the optimal migration starts. *)
-      let mo =
-        Migration_opt.solve problem ~rates:rates' ~mu ~current:mp.migration ()
-      in
-      let jbool field j = Json.member field j = Some (Json.Bool true) in
-      jplacement e_opt = opt.placement
-      && same_float (jnum "cost" e_opt) opt.cost
-      && jnum "explored" e_opt = float_of_int opt.explored
-      && jbool "proven_optimal" e_opt = opt.proven_optimal
-      && jplacement e_dp = dp.placement
-      && same_float (jnum "cost" e_dp) dp.cost
-      && jplacement e_mig = mp.migration
-      && same_float (jnum "migration_cost" e_mig) mp.migration_cost
-      && same_float (jnum "comm_cost" e_mig) mp.comm_cost
-      && same_float (jnum "total_cost" e_mig) mp.total_cost
-      && jnum "moved" e_mig
-         = float_of_int (Cost.moved ~src:dp.placement ~dst:mp.migration)
-      && jplacement e_mig_opt = mo.migration
-      && same_float (jnum "total_cost" e_mig_opt) mo.cost
-      && same_float
-           (jnum "migration_cost" e_mig_opt)
-           (Cost.migration_cost problem ~mu ~src:mp.migration ~dst:mo.migration)
-      && same_float
-           (jnum "comm_cost" e_mig_opt)
-           (Cost.comm_cost problem ~rates:rates' mo.migration)
-      && jnum "explored" e_mig_opt = float_of_int mo.explored
-      && jbool "proven_optimal" e_mig_opt = mo.proven_optimal)
+      engine_matches_library ~weighted:false seed
+      && engine_matches_library ~weighted:true seed)
 
 (* An oracle independent of the shared branch-and-bound: enumerate every
    ordered sequence of n <= 3 distinct switches and take the minimum

@@ -196,6 +196,51 @@ let num_field j key =
   | Some (Json.Num n) -> n
   | _ -> Alcotest.failf "expected numeric field %s" key
 
+(* Method names are client input: 200 distinct unknown names, one as
+   long as a line allows, share one stats entry instead of adding 200,
+   and still count as requests and errors. *)
+let test_engine_unknown_methods_bounded () =
+  let e = eng () in
+  let requests id =
+    let stats =
+      expect_ok
+        (Engine.handle_line e
+           (Printf.sprintf {|{"id":%d,"method":"stats"}|} id))
+    in
+    match Json.member "requests" stats with
+    | Some r -> r
+    | None -> Alcotest.fail "stats without requests section"
+  in
+  let before = requests 0 in
+  for i = 1 to 200 do
+    let name =
+      if i = 200 then String.make 201 'f' else Printf.sprintf "frob%d" i
+    in
+    Alcotest.(check string) "unknown method" "unknown_method"
+      (expect_error
+         (Engine.handle_line e
+            (Printf.sprintf {|{"id":%d,"method":%S}|} i name)))
+  done;
+  let after = requests 201 in
+  let keys section =
+    match Json.member section after with
+    | Some (Json.Obj fields) -> List.map fst fields
+    | _ -> Alcotest.failf "stats without %s" section
+  in
+  Alcotest.(check (list string)) "by_method keys"
+    [ "stats"; "unknown_method" ] (keys "by_method");
+  Alcotest.(check (list string)) "latency_ms keys"
+    [ "stats"; "unknown_method" ] (keys "latency_ms");
+  (match Json.member "by_method" after with
+  | Some counts ->
+      Alcotest.(check (float 0.0)) "unknown calls" 200.0
+        (num_field counts "unknown_method")
+  | None -> Alcotest.fail "stats without by_method");
+  let grew key = num_field after key -. num_field before key in
+  Alcotest.(check (float 0.0)) "errors grew by 200" 200.0 (grew "errors");
+  Alcotest.(check (float 0.0)) "total grew by 200 and the second stats"
+    201.0 (grew "total")
+
 let test_engine_fail_links_repairs_warm_cache () =
   (* When the healthy fabric's matrix is already cached, fail_links
      derives the degraded matrix incrementally and installs it under
@@ -662,6 +707,8 @@ let () =
             test_engine_overloaded_response;
           Alcotest.test_case "bad mu is invalid_params" `Quick
             test_engine_bad_mu;
+          Alcotest.test_case "unknown methods share one entry" `Quick
+            test_engine_unknown_methods_bounded;
         ] );
       ( "fuzz",
         [
