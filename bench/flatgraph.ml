@@ -22,6 +22,7 @@ module Fat_tree = Ppdc_topology.Fat_tree
 module Cost_matrix = Ppdc_topology.Cost_matrix
 module Workload = Ppdc_traffic.Workload
 module Flow = Ppdc_traffic.Flow
+module Obs = Ppdc_prelude.Obs
 
 let reference_entry = "all_pairs_k16_auto"
 let k48_ceiling_mb = 300
@@ -87,7 +88,29 @@ let run ~quick t =
   Bench.record t "placement_dp_k8_n4_warm" ~reps (fun () ->
       Array.iter
         (fun rates -> ignore (Ppdc_core.Placement_dp.solve problem ~rates ()))
-        rate_vectors)
+        rate_vectors);
+  (* The egress rows those solves scan, counted in one more, untimed
+     pass: a deterministic count, gated bit for bit, so a change that
+     loses Algo. 3's row bound (all 8,000 rows scanned) fails the gate
+     whatever the timings do. *)
+  let pruned () =
+    Option.value ~default:0
+      (List.assoc_opt "placement_dp.rows_pruned" (Obs.snapshot ()).counters)
+  in
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  let before = pruned () in
+  Array.iter
+    (fun rates -> ignore (Ppdc_core.Placement_dp.solve problem ~rates ()))
+    rate_vectors;
+  let skipped = pruned () - before in
+  Obs.set_enabled was_enabled;
+  let rows =
+    Array.length rate_vectors
+    * Array.length (Ppdc_core.Problem.switches problem)
+  in
+  Bench.record_value t "placement_dp_k8_n4_warm_rows"
+    (float_of_int (rows - skipped))
 
 (* Peak resident size in MB from /proc/self/status, where there is one. *)
 let vm_hwm_mb () =

@@ -300,10 +300,12 @@ let simulate_events ~problem ~trace_path ~seed ~mu ~policy ~trigger
   let stream = ref base in
   (match probe_every with
   | None -> ()
-  | Some every ->
-      stream :=
-        Events.merge !stream
-          (Events.probes ~every ~horizon:(Events.horizon base)));
+  | Some every -> (
+      match Events.probes ~every ~horizon:(Events.horizon base) with
+      | probes -> stream := Events.merge !stream probes
+      | exception Invalid_argument msg ->
+          Printf.eprintf "ppdc simulate: %s\n" msg;
+          exit 1));
   (match failure_at with
   | None -> ()
   | Some at ->

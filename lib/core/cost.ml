@@ -50,10 +50,22 @@ let attach problem ~rates =
     let s = switches.(j) in
     let base = r.base.(s) and col = r.col.(s) and leaf = r.leaf.(s) in
     let sum_in = ref 0.0 and sum_out = ref 0.0 in
+    (* Unchecked reads: [i < l], the length of the four flow arrays;
+       [f_src.(i)] and [base] are row offsets and [f_dst.(i)] and [col]
+       columns of [r], read above with checks, and any row offset plus
+       any column indexes inside [dist]. *)
     for i = 0 to l - 1 do
-      let rate = f_rate.(i) in
-      sum_in := !sum_in +. (rate *. (dist.{f_src.(i) + col} +. leaf));
-      sum_out := !sum_out +. (rate *. (dist.{base + f_dst.(i)} +. f_leaf.(i)))
+      let rate = Array.unsafe_get f_rate i in
+      sum_in :=
+        !sum_in
+        +. rate
+           *. (Bigarray.Array1.unsafe_get dist (Array.unsafe_get f_src i + col)
+              +. leaf);
+      sum_out :=
+        !sum_out
+        +. rate
+           *. (Bigarray.Array1.unsafe_get dist (base + Array.unsafe_get f_dst i)
+              +. Array.unsafe_get f_leaf i)
     done;
     a_in.(s) <- !sum_in;
     a_out.(s) <- !sum_out

@@ -23,7 +23,7 @@ let migrate problem ~rates ~mu ~current ?(collisions = `Skip) ?rescore
   Placement.validate problem current;
   let att = Cost.attach problem ~rates in
   let target =
-    (Placement_dp.solve problem ~rates ?rescore ?pair_limit ()).placement
+    (Placement_dp.solve_attached problem att ?rescore ?pair_limit ()).placement
   in
   let paths = Frontier.migration_paths problem ~src:current ~dst:target in
   let rows = Frontier.parallel paths in

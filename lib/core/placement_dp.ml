@@ -90,6 +90,9 @@ type pairs = {
   stroll : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
       (* [stroll.{e * m + i}]: cost of the stroll from ingress i to
          egress e (m = number of candidates) *)
+  row_min : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (* [row_min.{e}]: the smallest stroll cost in egress row e, over
+         every ingress i <> e; [scan]'s row bound *)
   middles :
     (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
       (* [middles.{(e * m + i) * (n - 2) + j}]: candidate index of the
@@ -120,6 +123,7 @@ let create_pairs cm ~candidates ~n =
     col = Array.map (fun s -> r.col.(s)) candidates;
     leaf;
     stroll = Array1.create float64 c_layout (max 1 (m * m));
+    row_min = Array1.create float64 c_layout (max 1 m);
     middles = Array1.create int16_unsigned c_layout (max 1 (m * m * k));
     built = Bytes.make m '\000';
     fill = Mutex.create ();
@@ -175,6 +179,7 @@ let fill_rows p ~cm missing =
           (Domain.DLS.get stroll_workspace)
           ~cm ~dst:egress ~candidates:p.candidates ~extras:[||]
       in
+      let row_min = ref infinity in
       for i = 0 to m - 1 do
         if i <> e then begin
           let ingress = p.candidates.(i) in
@@ -195,11 +200,13 @@ let fill_rows p ~cm missing =
           in
           let pair = (e * m) + i in
           p.stroll.{pair} <- r.cost;
+          if r.cost < !row_min then row_min := r.cost;
           for j = 0 to k - 1 do
             p.middles.{(pair * k) + j} <- p.slot.(r.switches.(j))
           done
         end
-      done)
+      done;
+      p.row_min.{e} <- !row_min)
 
 (* One request fills a variant's missing rows while any other request
    needing them waits on [fill], then finds them built. Rows are marked
@@ -222,10 +229,32 @@ let ensure_rows p ~cm egresses =
    started inside a Parallel task fans out sequentially on its own \
    domain, so a task waiting here never holds up the filler"]
 
+(* Ordered pairs (i, e), i <> e, of distinct candidate indices:
+   |I|·|E| − |I ∩ E|. *)
+let pairs_in ~m ingresses egresses =
+  let is_ingress = Bytes.make m '\000' in
+  Array.iter (fun i -> Bytes.set is_ingress i '\001') ingresses;
+  let both = ref 0 in
+  Array.iter
+    (fun e -> if Bytes.get is_ingress e = '\001' then incr both)
+    egresses;
+  (Array.length ingresses * Array.length egresses) - !both
+
 (* Algo. 3's pair selection over filled rows: per egress, the first
    ingress with a strictly smaller key, then the per-egress winners in
    egress order with the same strict [<] — the order and comparisons of
-   the parallel per-egress scan, so the winner is bit-identical. *)
+   the parallel per-egress scan, so the winner is bit-identical.
+
+   Row bound (DESIGN.md §4k). Without [rescore] every key in egress row
+   [e] is [A_in(i) +. (Λ *. stroll) +. A_out(e)], and
+   [min_in +. (Λ *. row_min.{e}) +. A_out(e)] — the same expression and
+   operand order, no operand larger — is at most each of them: every
+   operand is non-negative and none is NaN (rates are finite and
+   non-negative, strolls finite and positive), and IEEE rounding is
+   monotone. A row whose bound is already [>=] the best key holds no
+   strictly smaller key, so skipping it changes neither the winner nor
+   its objective. [rescore]'s key is the recomputed chain cost, which
+   the stored stroll does not bound, so it scans every row. *)
 let scan problem (att : Cost.attach) p ~rescore ~ingresses ~egresses =
   let m = Array.length p.candidates and k = p.n - 2 in
   let cand = p.candidates in
@@ -247,47 +276,66 @@ let scan problem (att : Cost.attach) p ~rescore ~ingresses ~egresses =
     if !prev = e then 0.0
     else dist.{p.base.(!prev) + p.col.(e)} +. p.leaf.(e)
   in
+  let lambda = att.total_rate in
+  (* A_in in ingress order, gathered once, and its minimum. *)
+  let ni = Array.length ingresses in
+  let in_cost = Array.make ni 0.0 and min_in = ref infinity in
+  for ii = 0 to ni - 1 do
+    let v = att.a_in.(cand.(ingresses.(ii))) in
+    in_cost.(ii) <- v;
+    if v < !min_in then min_in := v
+  done;
   let best_key = ref infinity and best_pair = ref (-1) in
   let best_objective = ref infinity in
-  let tried = ref 0 in
+  let pruned = ref 0 in
   for ei = 0 to Array.length egresses - 1 do
     let e = egresses.(ei) in
-    let egress = cand.(e) in
-    let local_key = ref infinity and local_pair = ref (-1) in
-    let local_objective = ref infinity in
-    for ii = 0 to Array.length ingresses - 1 do
-      let i = ingresses.(ii) in
-      if i <> e then begin
-        incr tried;
-        let ingress = cand.(i) in
-        let pair = (e * m) + i in
-        let objective =
-          att.a_in.(ingress)
-          +. (att.total_rate *. p.stroll.{pair})
-          +. att.a_out.(egress)
-        in
-        let key =
-          if rescore then
-            att.a_in.(ingress)
-            +. (att.total_rate *. chain_cost ~i ~pair ~e)
-            +. att.a_out.(egress)
-          else objective
-        in
-        if !local_pair < 0 || not (key >= !local_key) then begin
-          local_key := key;
-          local_pair := pair;
-          local_objective := objective
+    let a_out = att.a_out.(cand.(e)) in
+    if
+      (not rescore) && !best_pair >= 0
+      && !min_in +. (lambda *. p.row_min.{e}) +. a_out >= !best_key
+    then incr pruned
+    else begin
+      let row = e * m in
+      let local_key = ref infinity and local_pair = ref (-1) in
+      let local_objective = ref infinity in
+      (* Unchecked reads: [ii < ni], the length of [ingresses] and
+         [in_cost], and a candidate index [i < m] keeps [row + i] inside
+         the filled row [e]. *)
+      for ii = 0 to ni - 1 do
+        let i = Array.unsafe_get ingresses ii in
+        if i <> e then begin
+          let pair = row + i in
+          let a_in = Array.unsafe_get in_cost ii in
+          let objective =
+            a_in
+            +. (lambda *. Bigarray.Array1.unsafe_get p.stroll pair)
+            +. a_out
+          in
+          let key =
+            if rescore then a_in +. (lambda *. chain_cost ~i ~pair ~e) +. a_out
+            else objective
+          in
+          if !local_pair < 0 || not (key >= !local_key) then begin
+            local_key := key;
+            local_pair := pair;
+            local_objective := objective
+          end
         end
+      done;
+      if !local_pair >= 0 && (!best_pair < 0 || not (!local_key >= !best_key))
+      then begin
+        best_key := !local_key;
+        best_pair := !local_pair;
+        best_objective := !local_objective
       end
-    done;
-    if !local_pair >= 0 && (!best_pair < 0 || not (!local_key >= !best_key))
-    then begin
-      best_key := !local_key;
-      best_pair := !local_pair;
-      best_objective := !local_objective
     end
   done;
-  if !tried > 0 then Obs.incr ~by:!tried "placement_dp.pairs_tried";
+  if Obs.enabled () then begin
+    let tried = pairs_in ~m ingresses egresses in
+    if tried > 0 then Obs.incr ~by:tried "placement_dp.pairs_tried";
+    if !pruned > 0 then Obs.incr ~by:!pruned "placement_dp.rows_pruned"
+  end;
   if !best_pair < 0 then
     invalid_arg "Placement_dp.solve: no feasible ingress/egress pair";
   let pair = !best_pair in
@@ -303,21 +351,20 @@ let scan problem (att : Cost.attach) p ~rescore ~ingresses ~egresses =
     objective = !best_objective;
   }
 
-let solve problem ~rates ?(rescore = false) ?pair_limit () =
-  (match pair_limit with
+let check_pair_limit = function
   | Some k when k < 1 ->
       invalid_arg
         (Printf.sprintf "Placement_dp.solve: pair_limit must be >= 1, got %d"
            k)
-  | _ -> ());
-  Obs.time "placement_dp.solve" @@ fun () ->
-  let att = Cost.attach problem ~rates in
+  | _ -> ()
+
+let select problem att ~rescore ~pair_limit =
   let switches = Problem.switches problem in
   let n = Problem.n problem in
   let ingresses, egresses =
     match pair_limit with
     | None -> (switches, switches)
-    | Some k -> (top_k att.a_in switches k, top_k att.a_out switches k)
+    | Some k -> (top_k att.Cost.a_in switches k, top_k att.a_out switches k)
   in
   if n = 1 then solve_n1 att switches
   else if n = 2 then solve_n2 problem att ingresses egresses
@@ -335,3 +382,13 @@ let solve problem ~rates ?(rescore = false) ?pair_limit () =
     ensure_rows p ~cm egresses;
     scan problem att p ~rescore ~ingresses ~egresses
   end
+
+let solve_attached problem att ?(rescore = false) ?pair_limit () =
+  check_pair_limit pair_limit;
+  Obs.time "placement_dp.solve" @@ fun () ->
+  select problem att ~rescore ~pair_limit
+
+let solve problem ~rates ?(rescore = false) ?pair_limit () =
+  check_pair_limit pair_limit;
+  Obs.time "placement_dp.solve" @@ fun () ->
+  select problem (Cost.attach problem ~rates) ~rescore ~pair_limit

@@ -14,7 +14,7 @@ let solve problem ~rates ?(budget = 20_000_000) ?incumbent () =
   let seed =
     match incumbent with
     | Some p -> p
-    | None -> (Placement_dp.solve problem ~rates ()).placement
+    | None -> (Placement_dp.solve_attached problem att ()).placement
   in
   let r =
     Exact_search.run

@@ -504,7 +504,12 @@ let rates_update t params =
     | None, None, Some c ->
         if (not (Float.is_finite c)) || Float.compare c 0.0 < 0 then
           reject Invalid_params "scale must be finite and non-negative";
-        Array.map (fun x -> c *. x) s.rates
+        let scaled = Array.map (fun x -> c *. x) s.rates in
+        (* A finite factor can still overflow a rate; refused before the
+           session's rates change. *)
+        if Array.exists (fun x -> not (Float.is_finite x)) scaled then
+          reject Invalid_params "scale %g overflows a rate to infinity" c;
+        scaled
     | None, None, None -> assert false
   in
   s.rates <- rates;

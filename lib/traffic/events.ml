@@ -142,16 +142,28 @@ let poisson ~rng ~horizon ~mean_active ?(jitter = 0.2) flows =
     flows;
   make ~horizon (List.rev !evs)
 
+(* Each tick is an event a run replays, and under [On_event] a
+   decision, so a tiny period would hang its caller and exhaust memory;
+   the finest schedule in use (a quarter hour over the 12 h day) is 47
+   ticks. *)
+let max_probe_ticks = 10_000
+
 let probes ~every ~horizon =
   if not (Float.is_finite every) || every <= 0.0 then
     invalid_arg "Events.probes: period must be finite positive";
   if not (Float.is_finite horizon) || horizon < 0.0 then
     invalid_arg "Events.probes: horizon must be finite >= 0";
-  let rec ticks t acc =
+  let rec ticks t count acc =
     if t >= horizon then List.rev acc
-    else ticks (t +. every) ({ time = t; kind = Probe } :: acc)
+    else if count = max_probe_ticks then
+      invalid_arg
+        (Printf.sprintf
+           "Events.probes: a period of %g h over a %g h horizon gives more \
+            than %d probe ticks"
+           every horizon max_probe_ticks)
+    else ticks (t +. every) (count + 1) ({ time = t; kind = Probe } :: acc)
   in
-  make ~horizon (ticks every [])
+  make ~horizon (ticks every 0 [])
 
 let merge a b =
   (* [make] stable-sorts, so equal-time events order a-before-b. *)

@@ -81,7 +81,13 @@ val poisson :
 
 val probes : every:float -> horizon:float -> t
 (** [Probe] ticks at [every, 2·every, ...) below the horizon — gives a
-    [Periodic] trigger a chance to fire between state changes. *)
+    [Periodic] trigger a chance to fire between state changes. At most
+    10 000 ticks: each is an event a run replays (and, under an
+    [On_event] trigger, a decision), so a schedule finer than that —
+    [every = 0.001] over the 12 h day, say — is refused rather than
+    left to hang its caller. Raises [Invalid_argument] on a non-finite
+    or non-positive [every], a non-finite or negative [horizon], or a
+    schedule of more than 10 000 ticks. *)
 
 val merge : t -> t -> t
 (** Union of two streams; horizon is the max. Equal-time events order

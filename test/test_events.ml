@@ -540,6 +540,22 @@ let test_stream_validation () =
                  kind = Events.Flow_arrival { flow = 9999; rate = 1.0 } } ])
         ())
 
+(* Events.probes refuses a schedule of more than 10,000 ticks instead
+   of building it; the finest one in use, a quarter hour over the 12 h
+   day, is far below the cap. *)
+let test_probe_cap () =
+  let refused every horizon =
+    match Events.probes ~every ~horizon with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "0.001 h over 12 h refused" true (refused 0.001 12.0);
+  Alcotest.(check int) "0.25 h over 12 h" 47
+    (Events.length (Events.probes ~every:0.25 ~horizon:12.0));
+  Alcotest.(check int) "exactly 10,000 ticks" 10_000
+    (Events.length (Events.probes ~every:1.0 ~horizon:10_001.0));
+  Alcotest.(check bool) "10,001 ticks refused" true (refused 1.0 10_001.5)
+
 (* --- observability -------------------------------------------------------- *)
 
 let test_metrics_instrumentation () =
@@ -621,6 +637,7 @@ let () =
           Alcotest.test_case "poisson churn" `Quick test_poisson_stream;
           Alcotest.test_case "merge stability" `Quick test_merge_is_stable;
           Alcotest.test_case "stream validation" `Quick test_stream_validation;
+          Alcotest.test_case "probe tick cap" `Quick test_probe_cap;
         ] );
       ( "observability",
         [

@@ -9,6 +9,7 @@ module Cost_matrix = Ppdc_topology.Cost_matrix
 module Fat_tree = Ppdc_topology.Fat_tree
 module Flow = Ppdc_traffic.Flow
 module Workload = Ppdc_traffic.Workload
+module Diurnal = Ppdc_traffic.Diurnal
 module Rng = Ppdc_prelude.Rng
 module Obs = Ppdc_prelude.Obs
 module Parallel = Ppdc_prelude.Parallel
@@ -81,7 +82,7 @@ let reference_solve problem ~rates ?(rescore = false) ?pair_limit () =
   match !best with
   | Some (_, cost, placement, objective) ->
       { Placement_dp.placement; cost; objective }
-  | None -> Alcotest.fail "reference: no feasible pair"
+  | None -> invalid_arg "reference: no feasible pair"
 
 let bits = Int64.bits_of_float
 
@@ -110,15 +111,15 @@ let fresh cm =
    sums of such weights depend on their order in the last bit, and
    equal-length alternatives are common, so a scan that summed in
    another order than [Cost.chain_cost] would pick another winner. *)
-let fabric ?(l = 10) ?(levels = 27) ~weighted ~seed () =
+let fabric ?(k = 4) ?(l = 10) ?(levels = 27) ~weighted ~seed () =
   let rng = Rng.create seed in
   let ft =
     if weighted then
       let w = Rng.split rng in
       Fat_tree.build
         ~weight:(fun _ _ -> float_of_int (1 + Rng.int w levels) /. 10.0)
-        4
-    else Fat_tree.build 4
+        k
+    else Fat_tree.build k
   in
   let flows = Workload.generate_on_fat_tree ~rng ~l ft in
   (ft, Cost_matrix.compute ft.graph, flows)
@@ -207,6 +208,107 @@ let test_rescore_sums_in_chain_order () =
         (rate_vectors ~seed flows 3)
     done
   done
+
+(* --- the row bound -------------------------------------------------------- *)
+
+(* k=8, n=5, 100 flows over the 12 diurnal hours and an all-zero
+   vector: the row bound skips most egress rows here, so a bound that
+   is not a lower bound on every key of a skipped row would lose the
+   winner. With Λ = 0 every key is 0 and the first pair must win. A
+   [pair_limit] of 1 can leave no pair (the same switch is best on both
+   ends): then every solver must refuse. *)
+let diurnal_day flows =
+  Array.make (Array.length flows) 0.0
+  :: List.init Diurnal.default.hours (fun h ->
+         Diurnal.rates_at Diurnal.default ~flows ~hour:(h + 1))
+
+let test_k8_diurnal () =
+  let outcome f =
+    match f () with o -> Some o | exception Invalid_argument _ -> None
+  in
+  let agree msg a b =
+    match (a, b) with
+    | Some a, Some b -> check_same msg a b
+    | None, None -> ()
+    | _ -> Alcotest.failf "%s: only one side found a pair" msg
+  in
+  List.iter
+    (fun weighted ->
+      let _, cm, flows = fabric ~k:8 ~l:100 ~weighted ~seed:8 () in
+      let problem = Problem.make ~cm ~flows ~n:5 () in
+      let switches = Problem.switches problem in
+      List.iteri
+        (fun r rates ->
+          List.iter
+            (fun rescore ->
+              List.iter
+                (fun pair_limit ->
+                  let msg =
+                    Printf.sprintf
+                      "weighted=%b rates#%d rescore=%b pair_limit=%s" weighted
+                      r rescore
+                      (Option.fold ~none:"-" ~some:string_of_int pair_limit)
+                  in
+                  let solve p () =
+                    Placement_dp.solve p ~rates ~rescore ?pair_limit ()
+                  in
+                  let warm = outcome (solve problem) in
+                  agree (msg ^ " warm/cold") warm
+                    (outcome (solve (Problem.with_cm problem (fresh cm))));
+                  agree (msg ^ " warm/reference") warm
+                    (outcome
+                       (reference_solve problem ~rates ~rescore ?pair_limit));
+                  if r = 0 && pair_limit = None then
+                    match warm with
+                    | Some o ->
+                        Alcotest.(check (pair int int))
+                          (msg ^ ": first pair wins")
+                          (switches.(1), switches.(0))
+                          (o.placement.(0), o.placement.(4))
+                    | None -> Alcotest.failf "%s: no pair" msg)
+                [ None; Some 1; Some 3; Some 80 ])
+            [ false; true ])
+        (diurnal_day flows))
+    [ false; true ]
+
+(* The bound is visible: it skips rows on a unit k=8 solve, none with
+   [rescore], and the pair count stays that of the full scan. *)
+let test_rows_pruned () =
+  with_metrics @@ fun () ->
+  let _, cm, flows = fabric ~k:8 ~l:100 ~weighted:false ~seed:8 () in
+  let problem = Problem.make ~cm ~flows ~n:5 () in
+  let rates = Flow.base_rates flows in
+  ignore (Placement_dp.solve problem ~rates ());
+  Obs.reset ();
+  ignore (Placement_dp.solve problem ~rates ());
+  Alcotest.(check bool)
+    "rows pruned" true
+    (counter "placement_dp.rows_pruned" > 0);
+  Alcotest.(check int) "every pair counted" (80 * 79)
+    (counter "placement_dp.pairs_tried");
+  Obs.reset ();
+  ignore (Placement_dp.solve problem ~rates ~rescore:true ());
+  Alcotest.(check int) "none with rescore" 0
+    (counter "placement_dp.rows_pruned");
+  Alcotest.(check int) "every pair tried with rescore" (80 * 79)
+    (counter "placement_dp.pairs_tried")
+
+(* mPareto hands Algo. 3 the attachment sums it computed: its target is
+   still the placement a standalone solve finds, every hour. *)
+let test_mpareto_target () =
+  let _, cm, flows = fabric ~k:8 ~l:100 ~weighted:true ~seed:9 () in
+  let problem = Problem.make ~cm ~flows ~n:5 () in
+  let day = List.tl (diurnal_day flows) in
+  let current =
+    (Placement_dp.solve problem ~rates:(List.hd day) ()).placement
+  in
+  List.iteri
+    (fun h rates ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "hour %d" (h + 1))
+        (Placement_dp.solve problem ~rates ()).placement
+        (Mpareto.migrate problem ~rates ~mu:100.0 ~current ()).target)
+    day
 
 (* --- partial then full ---------------------------------------------------- *)
 
@@ -369,6 +471,12 @@ let () =
             (test_warm_equals_cold 4);
           Alcotest.test_case "rescore sums in chain order" `Quick
             test_rescore_sums_in_chain_order;
+          Alcotest.test_case "row bound on k=8 diurnal days" `Quick
+            test_k8_diurnal;
+          Alcotest.test_case "rows pruned, pairs counted" `Quick
+            test_rows_pruned;
+          Alcotest.test_case "mPareto target = standalone solve" `Quick
+            test_mpareto_target;
           Alcotest.test_case "partial then full" `Quick test_partial_then_full;
           Alcotest.test_case "no cross-talk between variants" `Quick
             test_no_cross_talk;

@@ -396,6 +396,48 @@ let test_engine_bad_mu () =
        (Engine.handle_line e
           {|{"id":4,"method":"migrate","params":{"session":"s","algo":"optimal","mu":0}}|}))
 
+(* A probe schedule finer than Events.probes' tick cap is refused as
+   invalid_params, and the session keeps serving. Without the cap,
+   0.001 h over the 12 h day is 12,012 events, and each tenfold finer
+   period ten times more. *)
+let test_engine_probe_cap () =
+  let e = eng () in
+  ignore (load e ());
+  let simulate every =
+    Engine.handle_line e
+      (Printf.sprintf
+         {|{"id":1,"method":"simulate_events","params":{"session":"s","trigger":"periodic:1","probe_every":%s}}|}
+         every)
+  in
+  Alcotest.(check string) "probe_every 0.001" "invalid_params"
+    (expect_error (simulate "0.001"));
+  ignore (expect_ok (simulate "0.5"))
+
+(* A finite scale that overflows a rate is refused, and the session's
+   rates stay as they were: the next place answers as before it. *)
+let test_engine_scale_overflow () =
+  let e = eng () in
+  ignore (load e ());
+  let place () =
+    let r =
+      expect_ok
+        (Engine.handle_line e
+           {|{"id":1,"method":"place","params":{"session":"s"}}|})
+    in
+    match (Json.member "placement" r, Json.member "cost" r) with
+    | Some placement, Some (Json.Num cost) -> (Json.to_string placement, cost)
+    | _ -> Alcotest.fail "place answer without placement or cost"
+  in
+  let placement, cost = place () in
+  Alcotest.(check string) "scale 1e308" "invalid_params"
+    (expect_error
+       (Engine.handle_line e
+          {|{"id":2,"method":"rates_update","params":{"session":"s","scale":1e308}}|}));
+  let placement', cost' = place () in
+  Alcotest.(check string) "same placement" placement placement';
+  Alcotest.(check int64) "same cost bits" (Int64.bits_of_float cost)
+    (Int64.bits_of_float cost')
+
 let test_engine_shutdown () =
   let e = eng () in
   ignore (expect_ok (Engine.handle_line e {|{"id":1,"method":"shutdown"}|}));
@@ -705,6 +747,10 @@ let () =
             test_engine_deadline;
           Alcotest.test_case "canned overloaded response" `Quick
             test_engine_overloaded_response;
+          Alcotest.test_case "probe_every past the tick cap" `Quick
+            test_engine_probe_cap;
+          Alcotest.test_case "overflowing scale leaves rates alone" `Quick
+            test_engine_scale_overflow;
           Alcotest.test_case "bad mu is invalid_params" `Quick
             test_engine_bad_mu;
           Alcotest.test_case "unknown methods share one entry" `Quick
