@@ -80,7 +80,7 @@ let micro_tests mode =
       (Staged.stage (fun () ->
            ignore
              (Ppdc_baselines.Plan.migrate problem ~rates:rates' ~mu_vm:1e4
-                ~placement:current ())));
+                ~placement:current)));
     Test.make ~name:"mcf-migrate"
       (Staged.stage (fun () ->
            ignore

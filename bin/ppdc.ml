@@ -214,7 +214,7 @@ let migrate_cmd =
           (if o.proven_optimal then "" else "*")
           o.cost o.explored
     | `Plan ->
-        let o = Ppdc_baselines.Plan.migrate problem ~rates ~mu_vm:mu ~placement:current () in
+        let o = Ppdc_baselines.Plan.migrate problem ~rates ~mu_vm:mu ~placement:current in
         Format.printf "PLAN: moved %d VMs, C_b = %.1f, C_a = %.1f, C_t = %.1f@."
           o.migrations o.migration_cost o.comm_cost o.total_cost
     | `Mcf ->
@@ -243,12 +243,7 @@ let policy_arg =
   in
   Arg.(
     value
-    & opt
-        (enum
-           [ ("mpareto", Engine.Mpareto); ("optimal", Engine.Optimal);
-             ("forecast", Engine.Mpareto_lookahead); ("plan", Engine.Plan);
-             ("mcf", Engine.Mcf); ("none", Engine.No_migration) ])
-        Engine.Mpareto
+    & opt (enum Engine.policies) Engine.Mpareto
     & info [ "policy" ] ~docv:"POLICY" ~doc)
 
 let trace_cmd =

@@ -2,12 +2,9 @@ open Ppdc_core
 module Graph = Ppdc_topology.Graph
 module Mcf = Ppdc_mcf.Min_cost_flow
 
-let migrate problem ~rates ~mu_vm ~placement ?capacity ?(candidate_limit = 64)
-    () =
+let migrate problem ~rates ~mu_vm ~placement ?(candidate_limit = 64) () =
   Placement.validate problem placement;
-  let capacity =
-    match capacity with Some c -> c | None -> Vm.default_capacity problem
-  in
+  let capacity = Vm.default_capacity problem in
   let vms = Vm.all problem in
   let hosts = Graph.hosts (Problem.graph problem) in
   let flows = Problem.flows problem in

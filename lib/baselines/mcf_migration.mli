@@ -22,9 +22,8 @@ val migrate :
   rates:float array ->
   mu_vm:float ->
   placement:Ppdc_core.Placement.t ->
-  ?capacity:int ->
   ?candidate_limit:int ->
   unit ->
   Vm.outcome
-(** [capacity] defaults to {!Vm.default_capacity}; [candidate_limit] to
-    64. *)
+(** Hosts have {!Vm.default_capacity} slots each; [candidate_limit]
+    defaults to 64. *)

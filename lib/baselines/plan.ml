@@ -7,7 +7,7 @@ module Graph = Ppdc_topology.Graph
    give each VM, in descending order of its best utility, the best
    still-feasible host. That is how we implement it — one O(l·|V_h|)
    scoring pass instead of one per move. *)
-let migrate problem ~rates ~mu_vm ~placement ?capacity ?max_moves () =
+let migrate problem ~rates ~mu_vm ~placement =
   Placement.validate problem placement;
   (* A NaN rate would poison every utility and let the descending sort
      order candidates arbitrarily; fail loudly instead of migrating on
@@ -17,11 +17,8 @@ let migrate problem ~rates ~mu_vm ~placement ?capacity ?max_moves () =
       if Float.is_nan r then
         invalid_arg (Printf.sprintf "Plan.migrate: NaN rate for flow %d" i))
     rates;
-  let capacity =
-    match capacity with Some c -> c | None -> Vm.default_capacity problem
-  in
+  let capacity = Vm.default_capacity problem in
   let vms = Vm.all problem in
-  let max_moves = Option.value max_moves ~default:(Array.length vms) in
   let hosts = Graph.hosts (Problem.graph problem) in
   let flows = ref (Problem.flows problem) in
   let occ = Vm.occupancy problem !flows in
@@ -55,20 +52,18 @@ let migrate problem ~rates ~mu_vm ~placement ?capacity ?max_moves () =
   let migrations = ref 0 in
   List.iter
     (fun (_, vm, options) ->
-      if !migrations < max_moves then begin
-        let from_host = Vm.host !flows vm in
-        match
-          List.find_opt (fun (_, to_host) -> occ.(to_host) < capacity) options
-        with
-        | None -> ()
-        | Some (_, to_host) ->
-            flows := Vm.move !flows ~vm ~to_host;
-            occ.(from_host) <- occ.(from_host) - 1;
-            occ.(to_host) <- occ.(to_host) + 1;
-            migration_cost :=
-              !migration_cost +. (mu_vm *. Problem.cost problem from_host to_host);
-            incr migrations
-      end)
+      let from_host = Vm.host !flows vm in
+      match
+        List.find_opt (fun (_, to_host) -> occ.(to_host) < capacity) options
+      with
+      | None -> ()
+      | Some (_, to_host) ->
+          flows := Vm.move !flows ~vm ~to_host;
+          occ.(from_host) <- occ.(from_host) - 1;
+          occ.(to_host) <- occ.(to_host) + 1;
+          migration_cost :=
+            !migration_cost +. (mu_vm *. Problem.cost problem from_host to_host);
+          incr migrations)
     scored;
   let moved_problem = Problem.with_flows problem !flows in
   let comm_cost = Cost.comm_cost moved_problem ~rates placement in

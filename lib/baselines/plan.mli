@@ -4,10 +4,10 @@
     PLAN reduces dynamic traffic by migrating *VMs* (the VNF placement
     stays fixed): the utility of moving a VM is the reduction of its
     policy-preserving communication cost minus its migration cost, and
-    VMs may only move to hosts with spare capacity. We implement the
-    greedy scheme the paper compares against: repeatedly apply the
-    highest positive-utility move until none remains (or [max_moves] is
-    hit).
+    VMs may only move to hosts with spare capacity
+    ({!Vm.default_capacity} slots each). We implement the greedy scheme
+    the paper compares against: repeatedly apply the highest
+    positive-utility move until none remains.
 
     Because one VM move only improves that flow's own attachment leg —
     whereas one VNF move improves every flow traversing the chain — PLAN
@@ -19,9 +19,5 @@ val migrate :
   rates:float array ->
   mu_vm:float ->
   placement:Ppdc_core.Placement.t ->
-  ?capacity:int ->
-  ?max_moves:int ->
-  unit ->
   Vm.outcome
-(** [capacity] defaults to {!Vm.default_capacity}; [max_moves] defaults
-    to the number of VMs. *)
+(** Each VM moves at most once. *)

@@ -26,9 +26,9 @@ val occupancy : Ppdc_core.Problem.t -> Ppdc_traffic.Flow.t array -> int array
 (** VMs per host, indexed by node id (zero for switches). *)
 
 val default_capacity : Ppdc_core.Problem.t -> int
-(** Default host slot capacity: twice the average load, but at least the
-    current maximum occupancy (so the initial state is always
-    feasible). *)
+(** Host slot capacity of both VM baselines: twice the average load, but
+    at least the current maximum occupancy (so the initial state is
+    always feasible). *)
 
 val move : Ppdc_traffic.Flow.t array -> vm:t -> to_host:int -> Ppdc_traffic.Flow.t array
 (** Fresh flow array with the VM rehosted. *)

@@ -56,7 +56,3 @@ let compute problem placement =
     mean_stretch =
       Stats.mean (Array.map (fun m -> m.stretch) per_flow);
   }
-
-let pp_summary fmt t =
-  Format.fprintf fmt "mean %.1f, p95 %.1f, max %.1f (stretch %.1fx)"
-    t.mean_delay t.p95_delay t.max_delay t.mean_stretch

@@ -28,6 +28,3 @@ type t = {
 val compute : Problem.t -> Placement.t -> t
 (** Rate-independent route metrics (delay is topology-weighted length;
     rates only weight the aggregate cost, not a single flow's delay). *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** ["mean 8.0, p95 10.0, max 12.0 (stretch 3.2x)"]. *)

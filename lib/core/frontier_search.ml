@@ -8,13 +8,10 @@ type outcome = {
   truncated : bool;
 }
 
-let migrate problem ~rates ~mu ~current ?(max_combinations = 100_000) ?rescore
-    ?pair_limit () =
+let migrate problem ~rates ~mu ~current ?(max_combinations = 100_000) () =
   Placement.validate problem current;
   let att = Cost.attach problem ~rates in
-  let target =
-    (Placement_dp.solve_attached problem att ?rescore ?pair_limit ()).placement
-  in
+  let target = (Placement_dp.solve_attached problem att ()).placement in
   let paths = Frontier.migration_paths problem ~src:current ~dst:target in
   let n = Array.length paths in
   let frontier = Array.make n (-1) in

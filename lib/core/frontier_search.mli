@@ -28,8 +28,6 @@ val migrate :
   mu:float ->
   current:Placement.t ->
   ?max_combinations:int ->
-  ?rescore:bool ->
-  ?pair_limit:int ->
   unit ->
   outcome
 (** Like {!Mpareto.migrate} but minimizing over every collision-free

@@ -17,13 +17,12 @@ type outcome = {
 
 module Obs = Ppdc_prelude.Obs
 
-let migrate problem ~rates ~mu ~current ?(collisions = `Skip) ?rescore
-    ?pair_limit () =
+let migrate problem ~rates ~mu ~current ?(collisions = `Skip) ?pair_limit () =
   Obs.time "mpareto.migrate" @@ fun () ->
   Placement.validate problem current;
   let att = Cost.attach problem ~rates in
   let target =
-    (Placement_dp.solve_attached problem att ?rescore ?pair_limit ()).placement
+    (Placement_dp.solve_attached problem att ?pair_limit ()).placement
   in
   let paths = Frontier.migration_paths problem ~src:current ~dst:target in
   let rows = Frontier.parallel paths in

@@ -39,11 +39,10 @@ val migrate :
   mu:float ->
   current:Placement.t ->
   ?collisions:[ `Skip | `Allow ] ->
-  ?rescore:bool ->
   ?pair_limit:int ->
   unit ->
   outcome
 (** [migrate problem ~rates ~mu ~current ()] picks the cheapest parallel
     frontier. [collisions] (default [`Skip]) controls whether frontiers
     that co-locate two VNFs may be chosen (they are always *reported* in
-    [points]); [rescore]/[pair_limit] are passed to {!Placement_dp}. *)
+    [points]); [pair_limit] is passed to {!Placement_dp}. *)

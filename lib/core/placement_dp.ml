@@ -383,10 +383,10 @@ let select problem att ~rescore ~pair_limit =
     scan problem att p ~rescore ~ingresses ~egresses
   end
 
-let solve_attached problem att ?(rescore = false) ?pair_limit () =
+let solve_attached problem att ?pair_limit () =
   check_pair_limit pair_limit;
   Obs.time "placement_dp.solve" @@ fun () ->
-  select problem att ~rescore ~pair_limit
+  select problem att ~rescore:false ~pair_limit
 
 let solve problem ~rates ?(rescore = false) ?pair_limit () =
   check_pair_limit pair_limit;

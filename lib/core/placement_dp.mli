@@ -75,19 +75,13 @@ val solve :
     [n >= 3], if the instance has more than 65536 candidate switches
     (the stored middles are 16-bit candidate indices).
 
-    [solve problem ~rates ?rescore ?pair_limit ()] is
-    [solve_attached problem (Cost.attach problem ~rates) ?rescore
-    ?pair_limit ()]. *)
+    [solve problem ~rates ?pair_limit ()] is
+    [solve_attached problem (Cost.attach problem ~rates) ?pair_limit ()]. *)
 
 val solve_attached :
-  Problem.t ->
-  Cost.attach ->
-  ?rescore:bool ->
-  ?pair_limit:int ->
-  unit ->
-  outcome
-(** {!solve} on attachment sums the caller already computed for this
-    problem and rate vector, so a decision that needs them too
-    (mPareto's frontier scan, Algo. 4's incumbent) runs {!Cost.attach}
-    once. Same answers, bit for bit, and the same errors but the rate
-    check, which {!Cost.attach} made. *)
+  Problem.t -> Cost.attach -> ?pair_limit:int -> unit -> outcome
+(** {!solve} (the paper's pair selection, no [rescore]) on attachment
+    sums the caller already computed for this problem and rate vector,
+    so a decision that needs them too (mPareto's frontier scan, Algo.
+    4's incumbent) runs {!Cost.attach} once. Same answers, bit for bit,
+    and the same errors but the rate check, which {!Cost.attach} made. *)

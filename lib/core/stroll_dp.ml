@@ -197,7 +197,7 @@ let extract_walk t ~src_local ~edges =
   done;
   walk
 
-let distinct_counting t ~walk ~src ~excluded =
+let distinct_counting t ~walk ~src =
   let seen = Hashtbl.create 16 in
   let acc = ref [] in
   Array.iter
@@ -205,7 +205,6 @@ let distinct_counting t ~walk ~src ~excluded =
       if
         v <> src && v <> t.dst
         && (not (Hashtbl.mem seen v))
-        && (not (Hashtbl.mem excluded v))
         &&
         let idx = t.local.(v) in
         idx >= 0 && Bytes.get t.counting idx <> '\000'
@@ -216,7 +215,7 @@ let distinct_counting t ~walk ~src ~excluded =
     walk;
   Array.of_list (List.rev !acc)
 
-let query t ~src ~n ?(exclude = [||]) ?max_edges () =
+let query t ~src ~n ?max_edges () =
   let src_local =
     if src < 0 || src >= Array.length t.local || t.local.(src) = -1 then
       invalid_arg "Stroll_dp.query: source not in table"
@@ -224,9 +223,6 @@ let query t ~src ~n ?(exclude = [||]) ?max_edges () =
   in
   if n < 0 then invalid_arg "Stroll_dp.query: negative n";
   if n = 0 then begin
-    (* [exclude] only withdraws counting credit, so with n = 0 it cannot
-       change the answer; [max_edges] still bounds the stroll length. *)
-    ignore exclude;
     let max_edges = Option.value max_edges ~default:1 in
     if max_edges < 0 then None
     else if src = t.dst then
@@ -246,8 +242,6 @@ let query t ~src ~n ?(exclude = [||]) ?max_edges () =
   end
   else begin
     let max_edges = Option.value max_edges ~default:((2 * n) + 8) in
-    let excluded = Hashtbl.create (Array.length exclude) in
-    Array.iter (fun v -> Hashtbl.replace excluded v ()) exclude;
     let first_attempt = n + 1 in
     let rec attempt edges =
       if edges > max_edges then None
@@ -261,7 +255,7 @@ let query t ~src ~n ?(exclude = [||]) ?max_edges () =
         if Float.equal best.(src_local) infinity then attempt (edges + 1)
         else begin
           let walk = extract_walk t ~src_local ~edges in
-          let distinct = distinct_counting t ~walk ~src ~excluded in
+          let distinct = distinct_counting t ~walk ~src in
           if Array.length distinct >= n then
             Some
               {
@@ -314,12 +308,8 @@ let nearest_neighbour ~cm ~src ~dst ~n ~eligible =
   let walk = Array.concat [ [| src |]; switches; [| dst |] ] in
   { cost = !total; switches; walk; edges = n + 1 }
 
-let solve ~cm ~src ~dst ~n ?candidates ?max_edges () =
-  let candidates =
-    match candidates with
-    | Some c -> c
-    | None -> Graph.switches (Cost_matrix.graph cm)
-  in
+let solve ~cm ~src ~dst ~n ?max_edges () =
+  let candidates = Graph.switches (Cost_matrix.graph cm) in
   let eligible =
     Array.of_list
       (List.filter

@@ -67,21 +67,16 @@ type result = {
   edges : int;  (** number of edges of the stroll *)
 }
 
-val query :
-  table -> src:int -> n:int -> ?exclude:int array -> ?max_edges:int -> unit ->
-  result option
+val query : table -> src:int -> n:int -> ?max_edges:int -> unit -> result option
 (** Cheapest stroll from [src] (which must be a node of the table) to the
     table's destination visiting at least [n] distinct counting switches,
-    where switches in [exclude] (and the physical [src]/[dst] nodes) do
-    not count. [None] if no such stroll is found within [max_edges]
-    (default [2·n + 8]) edges.
+    where the physical [src]/[dst] nodes do not count. [None] if no such
+    stroll is found within [max_edges] (default [2·n + 8]) edges.
 
     [n = 0] asks for the direct hop (or the empty stroll when
     [src = dst]). The edge budget still applies: [max_edges] defaults to
     [1] and the result is [None] when the required stroll does not fit
-    (e.g. [~max_edges:0] with [src <> dst]). [exclude] only withdraws
-    counting credit, so with [n = 0] it is accepted but cannot affect
-    the answer. *)
+    (e.g. [~max_edges:0] with [src <> dst]). *)
 
 val nearest_neighbour :
   cm:Ppdc_topology.Cost_matrix.t ->
@@ -102,13 +97,11 @@ val solve :
   src:int ->
   dst:int ->
   n:int ->
-  ?candidates:int array ->
   ?max_edges:int ->
   unit ->
   result
-(** One-shot TOP-1 entry point: prepares a table (candidates default to
-    all switches of the graph) and queries it. If the DP fails to expose
-    [n] distinct switches within the edge budget, falls back to a
-    nearest-neighbour stroll so a valid result is always produced.
-    Raises [Invalid_argument] if fewer than [n] counting switches
-    exist. *)
+(** One-shot TOP-1 entry point: prepares a table over all switches of
+    the graph and queries it. If the DP fails to expose [n] distinct
+    switches within the edge budget, falls back to a nearest-neighbour
+    stroll so a valid result is always produced. Raises
+    [Invalid_argument] if fewer than [n] counting switches exist. *)

@@ -8,10 +8,10 @@ type outcome = {
   explored : int;
 }
 
-let solve ~cm ~src ~dst ~n ?candidates ?(budget = 20_000_000) ?incumbent () =
+let solve ~cm ~src ~dst ~n ?(budget = 20_000_000) ?incumbent () =
   if n < 0 then invalid_arg "Stroll_exact.solve: negative n";
   let candidates =
-    Option.value candidates ~default:(Graph.switches (Cost_matrix.graph cm))
+    Graph.switches (Cost_matrix.graph cm)
     |> Array.to_list
     |> List.filter (fun v -> v <> src && v <> dst)
     |> Array.of_list

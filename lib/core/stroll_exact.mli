@@ -29,14 +29,13 @@ val solve :
   src:int ->
   dst:int ->
   n:int ->
-  ?candidates:int array ->
   ?budget:int ->
   ?incumbent:float * int array ->
   unit ->
   outcome
 (** [solve ~cm ~src ~dst ~n ()] finds the cheapest sequence of [n]
-    distinct switches between [src] and [dst]. [candidates] (distinct
-    switches) defaults to every switch except [src]/[dst]; [budget]
-    defaults to 20 million nodes; [incumbent] seeds the upper bound
-    (e.g. from {!Stroll_dp.solve}) which can prune dramatically. Raises
-    [Invalid_argument] if fewer than [n] candidates exist. *)
+    distinct switches between [src] and [dst], drawn from every switch
+    except [src]/[dst]; [budget] defaults to 20 million nodes;
+    [incumbent] seeds the upper bound (e.g. from {!Stroll_dp.solve})
+    which can prune dramatically. Raises [Invalid_argument] if fewer
+    than [n] candidates exist. *)

@@ -5,7 +5,7 @@ module Flow = Ppdc_traffic.Flow
 open Ppdc_core
 
 let run _mode =
-  let lin = Linear.build ~num_switches:5 () in
+  let lin = Linear.build ~num_switches:5 in
   let cm = Cost_matrix.compute lin.graph in
   let h1 = lin.hosts.(0) and h2 = lin.hosts.(1) in
   let flows =

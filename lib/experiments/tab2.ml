@@ -49,7 +49,7 @@ let run mode =
        ~budget:(Mode.opt_budget mode) ())
       .cost;
   add "TOM" "PLAN [17]"
-    (Plan.migrate problem ~rates:rates' ~mu_vm:mu ~placement:current ())
+    (Plan.migrate problem ~rates:rates' ~mu_vm:mu ~placement:current)
       .total_cost;
   add "TOM" "MCF [24]"
     (Mcf_migration.migrate problem ~rates:rates' ~mu_vm:mu ~placement:current

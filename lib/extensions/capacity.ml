@@ -63,7 +63,10 @@ let solve problem ~rates ~capacity =
     blocks = q;
   }
 
-let solve_optimal problem ~rates ~capacity ?(budget = 5_000_000) () =
+(* Node budget of [solve_optimal]'s search. *)
+let budget = 5_000_000
+
+let solve_optimal problem ~rates ~capacity =
   if capacity < 1 then invalid_arg "Capacity.solve_optimal: capacity must be >= 1";
   let att = Cost.attach problem ~rates in
   let switches = Problem.switches problem in

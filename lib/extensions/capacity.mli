@@ -42,9 +42,8 @@ val solve_optimal :
   Ppdc_core.Problem.t ->
   rates:float array ->
   capacity:int ->
-  ?budget:int ->
-  unit ->
   outcome * bool
 (** Exhaustive capacity-aware branch-and-bound (benchmark; the boolean
-    is [proven_optimal]). Searches sequences directly without the block
-    reduction, so it certifies the reduction in tests. *)
+    is [proven_optimal], false when the 5-million-node budget runs
+    out). Searches sequences directly without the block reduction, so
+    it certifies the reduction in tests. *)

@@ -73,10 +73,9 @@ let impact ~rng ~fraction ~mu problem ~rates ~placement =
      shape Cost_matrix.repair_to localizes. Only the rows whose
      shortest-path trees used a failed link are re-run; the result is
      bit-identical to the cold compute this used to do. *)
-  let degraded_cm =
-    match Cost_matrix.repair_to (Problem.cm problem) degraded_graph with
-    | Some (cm, _repaired_rows) -> cm
-    | None -> Cost_matrix.compute degraded_graph
+  (* Same nodes and kinds: [repair_to] never refuses. *)
+  let degraded_cm, _rows =
+    Option.get (Cost_matrix.repair_to (Problem.cm problem) degraded_graph)
   in
   let degraded_problem =
     Problem.make ~cm:degraded_cm ~flows:(Problem.flows problem)

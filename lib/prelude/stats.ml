@@ -76,5 +76,3 @@ let percentile xs q =
     let frac = pos -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
   end
-
-let pp_summary fmt s = Format.fprintf fmt "%.2f ± %.2f" s.mean s.ci95

@@ -31,6 +31,3 @@ val percentile : float array -> float -> float
     on an empty array, [q] outside [0,1], or a NaN data point (NaN has
     no rank; polymorphic [compare] used to place it arbitrarily and
     poison the interpolation). The input array is not modified. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Renders as ["mean ± ci95"]. *)

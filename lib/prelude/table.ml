@@ -13,15 +13,6 @@ let add_row t cells =
          (List.length t.columns) (List.length cells));
   t.rows <- cells :: t.rows
 
-let float_cell v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.2f" v
-
-let add_float_row t label values =
-  add_row t (label :: List.map float_cell values);
-  t
-
 let title t = t.title
 
 let rows_in_order t = List.rev t.rows

@@ -13,10 +13,6 @@ val add_row : t -> string list -> unit
 (** Append a row. Raises [Invalid_argument] if the number of cells differs
     from the number of columns. *)
 
-val add_float_row : t -> string -> float list -> t
-(** [add_float_row t label values] appends [label :: formatted values] and
-    returns [t] for chaining. Values print as [%.2f], integers plainly. *)
-
 val title : t -> string
 
 val to_string : t -> string

@@ -137,6 +137,12 @@ let mu_param params =
     reject Invalid_params "mu must be finite and non-negative";
   mu
 
+(* Finite rates can still overflow a cost; such an answer is refused
+   before it changes the session. *)
+let check_cost cost =
+  if not (Float.is_finite cost) then
+    reject Invalid_params "the session's rates overflow the cost to %g" cost
+
 (* --- session helpers ---------------------------------------------------- *)
 
 (* Look the session up in the sharded registry (which locks only the
@@ -374,6 +380,7 @@ let place t params =
            greedy)"
           other
   in
+  check_cost cost;
   s.placement <- Some placement;
   Json.Obj
     (("algo", Json.Str algo)
@@ -401,6 +408,7 @@ let migrate t params =
   let hit, problem = problem_of t s in
   let rates = s.rates in
   let vnf_result migration ~migration_cost ~comm_cost ~total_cost extra =
+    check_cost total_cost;
     s.placement <- Some migration;
     ("placement", placement_json migration)
     :: ("moved", num (Cost.moved ~src:current ~dst:migration))
@@ -412,6 +420,7 @@ let migrate t params =
   let vm_result (o : Ppdc_baselines.Vm.outcome) =
     (* VM baselines move endpoints, not VNFs: persist the rehosted
        flows so later requests see the migrated workload. *)
+    check_cost o.total_cost;
     s.flows <- o.flows;
     [
       ("moved_vms", num o.migrations);
@@ -442,7 +451,7 @@ let migrate t params =
     | "plan" ->
         vm_result
           (Ppdc_baselines.Plan.migrate problem ~rates ~mu_vm:mu
-             ~placement:current ())
+             ~placement:current)
     | "mcf" ->
         vm_result
           (Ppdc_baselines.Mcf_migration.migrate problem ~rates ~mu_vm:mu
@@ -452,6 +461,7 @@ let migrate t params =
           Ppdc_baselines.No_migration.evaluate problem ~rates
             ~placement:current
         in
+        check_cost o.total_cost;
         [
           ("moved", num 0);
           ("migration_cost", fnum 0.0);
@@ -504,19 +514,19 @@ let rates_update t params =
     | None, None, Some c ->
         if (not (Float.is_finite c)) || Float.compare c 0.0 < 0 then
           reject Invalid_params "scale must be finite and non-negative";
-        let scaled = Array.map (fun x -> c *. x) s.rates in
-        (* A finite factor can still overflow a rate; refused before the
-           session's rates change. *)
-        if Array.exists (fun x -> not (Float.is_finite x)) scaled then
-          reject Invalid_params "scale %g overflows a rate to infinity" c;
-        scaled
+        Array.map (fun x -> c *. x) s.rates
     | None, None, None -> assert false
   in
+  (* Finite rates, or a finite scale, can still overflow the total rate
+     Λ; refused before the session's rates change. *)
+  let total_rate = Flow.total_rate rates in
+  if not (Float.is_finite total_rate) then
+    reject Invalid_params "the rates overflow the total rate to %g" total_rate;
   s.rates <- rates;
   Json.Obj
     [
       ("flows", num (Array.length rates));
-      ("total_rate", fnum (Flow.total_rate rates));
+      ("total_rate", fnum total_rate);
     ]
 
 let fail_links t params =
@@ -590,20 +600,14 @@ let simulate_events t params =
     | exception Invalid_argument msg -> reject Invalid_params "%s" msg
   in
   let policy =
-    match
+    let name =
       Option.value ~default:"mpareto" (Protocol.str_param params "policy")
-    with
-    | "mpareto" -> Ppdc_sim.Engine.Mpareto
-    | "optimal" -> Ppdc_sim.Engine.Optimal
-    | "forecast" -> Ppdc_sim.Engine.Mpareto_lookahead
-    | "plan" -> Ppdc_sim.Engine.Plan
-    | "mcf" -> Ppdc_sim.Engine.Mcf
-    | "none" -> Ppdc_sim.Engine.No_migration
-    | other ->
-        reject Invalid_params
-          "unknown policy %S (expected mpareto, optimal, forecast, plan, mcf \
-           or none)"
-          other
+    in
+    match List.assoc_opt name Ppdc_sim.Engine.policies with
+    | Some policy -> policy
+    | None ->
+        reject Invalid_params "unknown policy %S (expected %s)" name
+          (String.concat ", " (List.map fst Ppdc_sim.Engine.policies))
   in
   let t0 = Clock.now () in
   let hit, problem = problem_of t s in

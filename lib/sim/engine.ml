@@ -14,6 +14,16 @@ let policy_name = function
   | Mcf -> "MCF"
   | No_migration -> "NoMigration"
 
+let policies =
+  [
+    ("mpareto", Mpareto);
+    ("optimal", Optimal);
+    ("forecast", Mpareto_lookahead);
+    ("plan", Plan);
+    ("mcf", Mcf);
+    ("none", No_migration);
+  ]
+
 type hour_record = {
   hour : int;
   comm_cost : float;
@@ -38,7 +48,7 @@ type state = {
 }
 
 let step scenario state ~policy ~rates ~next_rates =
-  let { Scenario.mu; mu_vm; pair_limit; opt_budget; _ } = scenario in
+  let { Scenario.mu; pair_limit; opt_budget; _ } = scenario in
   match policy with
   | No_migration ->
       let comm = Cost.comm_cost state.problem ~rates state.placement in
@@ -83,14 +93,14 @@ let step scenario state ~policy ~rates ~next_rates =
       (comm, migration_cost, moved)
   | Plan ->
       let out =
-        Plan_baseline.migrate state.problem ~rates ~mu_vm
-          ~placement:state.placement ()
+        Plan_baseline.migrate state.problem ~rates ~mu_vm:mu
+          ~placement:state.placement
       in
       state.problem <- Problem.with_flows state.problem out.flows;
       (out.comm_cost, out.migration_cost, out.migrations)
   | Mcf ->
       let out =
-        Mcf_baseline.migrate state.problem ~rates ~mu_vm
+        Mcf_baseline.migrate state.problem ~rates ~mu_vm:mu
           ~placement:state.placement ()
       in
       state.problem <- Problem.with_flows state.problem out.flows;

@@ -37,6 +37,11 @@ type policy = Mpareto | Optimal | Mpareto_lookahead | Plan | Mcf | No_migration
 
 val policy_name : policy -> string
 
+val policies : (string * policy) list
+(** Every policy under the name the CLI's [--policy] and the RPC
+    [simulate_events] method accept: ["mpareto"], ["optimal"],
+    ["forecast"], ["plan"], ["mcf"], ["none"]. *)
+
 type hour_record = {
   hour : int;
   comm_cost : float;  (** one hour of [C_a] after the policy acted *)

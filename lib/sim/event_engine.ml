@@ -105,9 +105,7 @@ let apply_rates ~strict rates (kind : Events.kind) =
   | Events.Flow_arrival { flow; rate } -> set flow rate
   | Events.Flow_departure { flow } -> set flow 0.0
   | Events.Rate_update updates -> List.iter (fun (f, r) -> set f r) updates
-  | Events.Link_failure _ | Events.Link_repair _ | Events.Migration_complete
-  | Events.Probe ->
-      ()
+  | Events.Link_failure _ | Events.Link_repair _ | Events.Probe -> ()
 
 (* A copy of [rates] after the events at the head of [pending] whose
    time is at most [until], in stream order. *)
@@ -121,39 +119,21 @@ let rates_until rates pending ~until =
   in
   go pending
 
-let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
+let run scenario ~policy ~trigger ~events () =
   validate_trigger trigger;
-  if not (Float.is_finite migration_delay) || migration_delay < 0.0 then
-    invalid_arg "Event_engine.run: migration_delay must be finite >= 0";
   let problem0 = scenario.Scenario.problem in
   let l = Problem.num_flows problem0 in
   let horizon = Events.horizon events in
   let rates = Array.make l 0.0 in
-  (* The timeline is the sorted stream — [pending] holds the events not
-     yet replayed — merged with the completion times of migrations in
-     flight. Completions are scheduled at [t + migration_delay] with
-     [t] non-decreasing, so the FIFO is in time order; on a tie the
-     stream event goes first. *)
+  (* The timeline is the sorted stream: [pending] holds the events not
+     yet replayed. *)
   let pending = ref (Events.events events) in
-  let completions = Queue.create () in
   let next () =
-    let completion c =
-      if Float.compare c horizon >= 0 then None
-      else begin
-        ignore (Queue.pop completions);
-        Some { Events.time = c; kind = Events.Migration_complete }
-      end
-    in
-    match (!pending, Queue.peek_opt completions) with
-    | e :: _, Some c when Float.compare c e.time < 0 -> completion c
-    | e :: rest, _ ->
-        if Float.compare e.time horizon >= 0 then None
-        else begin
-          pending := rest;
-          Some e
-        end
-    | [], Some c -> completion c
-    | [], None -> None
+    match !pending with
+    | e :: rest when Float.compare e.Events.time horizon < 0 ->
+        pending := rest;
+        Some e
+    | _ -> None
   in
   (* An [Hour1] deployment sees the rates the stream leaves in place
      after every event at its earliest timestamp. *)
@@ -177,7 +157,6 @@ let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
   let baseline = ref !comm_rate in
   let next_due = ref 0.0 in
   let armed = ref true in
-  let in_flight = ref false in
   let t_now = ref 0.0 in
   let total_comm = ref 0.0 in
   let total_migration = ref 0.0 in
@@ -215,14 +194,13 @@ let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
             kept)
     | Events.Link_repair { u; v; weight } ->
         relink (fun edges -> (min u v, max u v, weight) :: edges)
-    | Events.Migration_complete -> in_flight := false
     | kind -> apply_rates ~strict:true rates kind
   in
   (* Perfect short-range forecast: the rate vector after every stream
-     event not yet replayed up to [t + 1], in stream order (completions
-     carry no rates). An [of_trace] stream carries its all-zero vector
-     *at* the horizon precisely so this scan reproduces the hour
-     engine's zero-forecast end-of-day contract. *)
+     event not yet replayed up to [t + 1], in stream order. An
+     [of_trace] stream carries its all-zero vector *at* the horizon
+     precisely so this scan reproduces the hour engine's zero-forecast
+     end-of-day contract. *)
   let forecast t = rates_until rates !pending ~until:(t +. 1.0) in
   let rec replay () =
     match next () with
@@ -234,12 +212,10 @@ let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
         t_now := t;
         apply_kind e.kind;
         (match e.kind with
-        | Events.Probe | Events.Migration_complete -> ()
+        | Events.Probe -> ()
         | _ ->
             comm_rate := Cost.comm_cost state.problem ~rates state.placement);
         let fired =
-          (not !in_flight)
-          &&
           match trigger with
           | On_event -> true
           | Periodic _ -> Float.compare t !next_due >= 0
@@ -276,10 +252,6 @@ let run ?(migration_delay = 0.0) scenario ~policy ~trigger ~events () =
             | Periodic span -> next_due := t +. span
             | Hysteresis _ -> armed := false
             | Threshold _ | On_event -> ());
-            if migration_delay > 0.0 && moved > 0 then begin
-              in_flight := true;
-              Queue.push (t +. migration_delay) completions
-            end;
             (migration_cost, moved)
           end
         in

@@ -14,9 +14,7 @@
     {b Determinism.} The engine replays the stream in place, in the
     order {!Ppdc_traffic.Events.make}'s stable sort gave it, so
     equal-time events replay in stream order on every machine and at
-    every domain count. A [Migration_complete] the engine schedules
-    itself replays after every stream event at its time. Every policy
-    step is itself deterministic.
+    every domain count. Every policy step is itself deterministic.
     Replaying an [Events.of_trace] stream with [Periodic 1.0]
     reproduces {!Engine.run_trace} (and hence [run_day] on diurnal
     streams) bit-identically for all six policies — the regression in
@@ -82,7 +80,6 @@ type run = {
 }
 
 val run :
-  ?migration_delay:float ->
   Scenario.t ->
   policy:Engine.policy ->
   trigger:trigger ->
@@ -103,14 +100,11 @@ val run :
     prediction, the continuous generalization of the hour engine's
     next-hour vector.
 
-    [migration_delay] (default 0 = instantaneous): when positive, each
-    reconfiguration that moved something holds the trigger {e in
-    flight} for that long (a [Migration_complete] event is scheduled;
-    further firings are suppressed until it lands) — migrations take
-    time, and a policy should not be re-invoked mid-move.
+    Migrations are instantaneous, as in the paper's cost model (Eq. 8):
+    a reconfiguration takes effect at the event that fired it, and its
+    migration cost is charged there.
 
-    Raises [Invalid_argument] on a negative/non-finite
-    [migration_delay], an out-of-range flow id or link endpoint in the
-    stream, a [Link_failure] naming an absent edge or one whose
-    removal disconnects the fabric, or a [Link_repair] of a present
-    edge. *)
+    Raises [Invalid_argument] on an out-of-range flow id or link
+    endpoint in the stream, a [Link_failure] naming an absent edge or
+    one whose removal disconnects the fabric, or a [Link_repair] of a
+    present edge. *)

@@ -4,19 +4,17 @@ type t = {
   problem : Ppdc_core.Problem.t;
   diurnal : Ppdc_traffic.Diurnal.t;
   mu : float;
-  mu_vm : float;
   pair_limit : int option;
   opt_budget : int;
   initial : initial;
 }
 
-let make ?(mu = 1e4) ?mu_vm ?pair_limit ?(opt_budget = 2_000_000)
+let make ?(mu = 1e4) ?pair_limit ?(opt_budget = 2_000_000)
     ?(initial = Uninformed 0) problem =
   {
     problem;
     diurnal = Ppdc_traffic.Diurnal.default;
     mu;
-    mu_vm = Option.value mu_vm ~default:mu;
     pair_limit;
     opt_budget;
     initial;

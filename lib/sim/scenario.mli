@@ -19,11 +19,11 @@ type initial =
 type t = {
   problem : Ppdc_core.Problem.t;
   diurnal : Ppdc_traffic.Diurnal.t;
-  mu : float;  (** VNF migration coefficient (paper: 10^4–10^5) *)
-  mu_vm : float;
-      (** VM migration coefficient for the PLAN/MCF baselines; defaults
-          to [mu] since containerized VNF and VM memory footprints are of
-          the same order (DESIGN.md §4) *)
+  mu : float;
+      (** migration coefficient (paper: 10^4–10^5), charged per moved
+          VNF and, under the PLAN/MCF baselines, per moved VM:
+          containerized VNF and VM memory footprints are of the same
+          order (DESIGN.md §4) *)
   pair_limit : int option;
       (** ingress/egress candidate cap handed to {!Ppdc_core.Placement_dp}
           inside mPareto — a scalability knob for k=16 runs *)
@@ -34,14 +34,13 @@ type t = {
 
 val make :
   ?mu:float ->
-  ?mu_vm:float ->
   ?pair_limit:int ->
   ?opt_budget:int ->
   ?initial:initial ->
   Ppdc_core.Problem.t ->
   t
 (** The diurnal model is the paper's 12-hour one. Defaults: [mu = 1e4],
-    [mu_vm = mu], no pair limit, 2-million-node optimal budget,
+    no pair limit, 2-million-node optimal budget,
     [Uninformed 0] deployment. *)
 
 (** {1 Event-stream constructors}

@@ -1,7 +1,5 @@
-let of_graph ?(highlight = []) g =
+let of_graph g =
   let buffer = Buffer.create 1024 in
-  let highlighted = Hashtbl.create (List.length highlight) in
-  List.iter (fun v -> Hashtbl.replace highlighted v ()) highlight;
   Buffer.add_string buffer "graph ppdc {\n";
   Buffer.add_string buffer "  node [fontname=\"sans-serif\"];\n";
   (* Stable human labels: switches and hosts numbered within their kind. *)
@@ -17,13 +15,8 @@ let of_graph ?(highlight = []) g =
     let shape =
       match Graph.kind g v with Graph.Switch -> "box" | Graph.Host -> "ellipse"
     in
-    let fill =
-      if Hashtbl.mem highlighted v then ", style=filled, fillcolor=\"#ffd27f\""
-      else ""
-    in
     Buffer.add_string buffer
-      (Printf.sprintf "  n%d [label=\"%s\", shape=%s%s];\n" v (label v)
-         shape fill)
+      (Printf.sprintf "  n%d [label=\"%s\", shape=%s];\n" v (label v) shape)
   done;
   List.iter
     (fun (u, v, w) ->

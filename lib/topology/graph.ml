@@ -111,11 +111,6 @@ let iter_neighbors g u f =
     f g.targets.(i) g.weights.(i)
   done
 
-let neighbors g u =
-  List.init (degree g u) (fun j ->
-      let i = g.row_ptr.(u) + j in
-      (g.targets.(i), g.weights.(i)))
-
 let edge_weight g u v =
   let found = ref None in
   iter_neighbors g u (fun x w -> if x = v then found := Some w);

@@ -49,8 +49,6 @@ val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
 (** [iter_neighbors g u f] calls [f v w] for every edge [(u, v)] of
     weight [w]. *)
 
-val neighbors : t -> int -> (int * float) list
-
 val edge_weight : t -> int -> int -> float option
 (** Weight of the edge between two nodes, if present. *)
 

@@ -43,9 +43,3 @@ let leaf_of_host t host =
     invalid_arg (Printf.sprintf "Leaf_spine: node %d is not a host" host);
   let hosts_per_leaf = Array.length t.hosts / Array.length t.leaves in
   t.leaves.(idx / hosts_per_leaf)
-
-let hosts_of_leaf t leaf =
-  let hosts_per_leaf = Array.length t.hosts / Array.length t.leaves in
-  if leaf < 0 || leaf >= Array.length t.leaves then
-    invalid_arg (Printf.sprintf "Leaf_spine.hosts_of_leaf: leaf %d" leaf);
-  Array.sub t.hosts (leaf * hosts_per_leaf) hosts_per_leaf

@@ -31,6 +31,3 @@ val build :
 
 val leaf_of_host : t -> int -> int
 (** The leaf (rack) switch a host attaches to. *)
-
-val hosts_of_leaf : t -> int -> int array
-(** Hosts under the given leaf index (0-based). *)

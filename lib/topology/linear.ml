@@ -4,28 +4,21 @@ type t = {
   hosts : int array;
 }
 
-let build ?(weight = 1.0) ?host_positions ~num_switches () =
+let build ~num_switches =
   if num_switches < 1 then invalid_arg "Linear.build: need at least one switch";
   let host_positions =
-    match host_positions with
-    | Some ps -> ps
-    | None -> if num_switches = 1 then [ 0 ] else [ 0; num_switches - 1 ]
+    if num_switches = 1 then [ 0 ] else [ 0; num_switches - 1 ]
   in
-  List.iter
-    (fun p ->
-      if p < 0 || p >= num_switches then
-        invalid_arg (Printf.sprintf "Linear.build: host position %d out of range" p))
-    host_positions;
   let num_hosts = List.length host_positions in
   let kinds =
     Array.init (num_switches + num_hosts) (fun i ->
         if i < num_switches then Graph.Switch else Graph.Host)
   in
   let chain =
-    List.init (max 0 (num_switches - 1)) (fun i -> (i, i + 1, weight))
+    List.init (max 0 (num_switches - 1)) (fun i -> (i, i + 1, 1.0))
   in
   let host_links =
-    List.mapi (fun i p -> (p, num_switches + i, weight)) host_positions
+    List.mapi (fun i p -> (p, num_switches + i, 1.0)) host_positions
   in
   let graph = Graph.make ~kinds ~edges:(chain @ host_links) in
   {

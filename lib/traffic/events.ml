@@ -4,7 +4,6 @@ type kind =
   | Rate_update of (int * float) list
   | Link_failure of { u : int; v : int }
   | Link_repair of { u : int; v : int; weight : float }
-  | Migration_complete
   | Probe
 
 type event = { time : float; kind : kind }
@@ -17,7 +16,6 @@ let kind_name = function
   | Rate_update _ -> "rate_update"
   | Link_failure _ -> "link_failure"
   | Link_repair _ -> "link_repair"
-  | Migration_complete -> "migration_complete"
   | Probe -> "probe"
 
 let check_rate what r =
@@ -42,7 +40,7 @@ let check_kind = function
       if u < 0 || v < 0 || u = v then invalid_arg "Events.make: bad link";
       if not (Float.is_finite weight) || weight <= 0.0 then
         invalid_arg "Events.make: repair weight must be finite positive"
-  | Migration_complete | Probe -> ()
+  | Probe -> ()
 
 let make ~horizon events =
   if not (Float.is_finite horizon) || horizon < 0.0 then
@@ -65,8 +63,6 @@ let make ~horizon events =
 let events t = Array.to_list t.events
 let horizon t = t.horizon
 let length t = Array.length t.events
-
-let iter f t = Array.iter f t.events
 
 (* One full-vector rate event per trace epoch, at integer times
    0 .. epochs-1, plus a final all-zero vector at [t = epochs]. The
@@ -102,13 +98,11 @@ let exponential rng ~mean =
   let u = Ppdc_prelude.Rng.uniform rng ~lo:0.0 ~hi:1.0 in
   -.mean *. log (1.0 -. u)
 
-let poisson ~rng ~horizon ~mean_active ?(jitter = 0.2) flows =
+let poisson ~rng ~horizon ~mean_active flows =
   if not (Float.is_finite horizon) || horizon <= 0.0 then
     invalid_arg "Events.poisson: horizon must be finite positive";
   if not (Float.is_finite mean_active) || mean_active <= 0.0 then
     invalid_arg "Events.poisson: mean_active must be finite positive";
-  if not (Float.is_finite jitter) || jitter < 0.0 || jitter > 1.0 then
-    invalid_arg "Events.poisson: jitter must be in [0, 1]";
   let l = Array.length flows in
   if l = 0 then invalid_arg "Events.poisson: no flows";
   (* Flows join as a Poisson process: exponential inter-arrivals with
@@ -125,11 +119,7 @@ let poisson ~rng ~horizon ~mean_active ?(jitter = 0.2) flows =
       clock := !clock +. exponential rng ~mean:inter_mean;
       let arrival = !clock in
       if arrival < horizon then begin
-        let rate =
-          f.base_rate
-          *. Ppdc_prelude.Rng.uniform rng ~lo:(1.0 -. jitter)
-               ~hi:(1.0 +. jitter)
-        in
+        let rate = f.base_rate *. Ppdc_prelude.Rng.uniform rng ~lo:0.8 ~hi:1.2 in
         evs :=
           { time = arrival; kind = Flow_arrival { flow = f.id; rate } }
           :: !evs;

@@ -23,9 +23,6 @@ type kind =
           event (and evaluates its trigger once), not one per flow *)
   | Link_failure of { u : int; v : int }
   | Link_repair of { u : int; v : int; weight : float }
-  | Migration_complete
-      (** end of a migration in flight; normally scheduled by the
-          engine itself when a migration delay is configured *)
   | Probe  (** no state change; gives periodic triggers a tick *)
 
 type event = { time : float; kind : kind }
@@ -49,7 +46,6 @@ val events : t -> event list
 
 val horizon : t -> float
 val length : t -> int
-val iter : (event -> unit) -> t -> unit
 
 val of_trace : Trace.t -> t
 (** One atomic full-vector [Rate_update] per trace epoch at times
@@ -67,17 +63,16 @@ val poisson :
   rng:Ppdc_prelude.Rng.t ->
   horizon:float ->
   mean_active:float ->
-  ?jitter:float ->
   Flow.t array ->
   t
 (** Session churn as a Poisson process: flows arrive with exponential
     inter-arrival times (population spread over the first half of the
     horizon), each at its base rate scaled by a uniform factor in
-    [1 ± jitter] (default 0.2), and stay active for an
-    Exponential([mean_active]) duration before departing. Departures
-    past the horizon are dropped (the run ends first). Deterministic
-    given the rng seed. Raises [Invalid_argument] on a non-positive
-    horizon or [mean_active], [jitter] outside [0, 1], or no flows. *)
+    [0.8, 1.2], and stay active for an Exponential([mean_active])
+    duration before departing. Departures past the horizon are dropped
+    (the run ends first). Deterministic given the rng seed. Raises
+    [Invalid_argument] on a non-positive horizon or [mean_active], or
+    no flows. *)
 
 val probes : every:float -> horizon:float -> t
 (** [Probe] ticks at [every, 2·every, ...) below the horizon — gives a

@@ -33,10 +33,8 @@ let of_diurnal m ~flows =
   in
   make ~flows ~rates
 
-let churn ~rng ~epochs ?(jitter = 0.2) flows =
+let churn ~rng ~epochs flows =
   if epochs < 2 then invalid_arg "Trace.churn: need at least two epochs";
-  if jitter < 0.0 || jitter > 1.0 then
-    invalid_arg "Trace.churn: jitter outside [0,1]";
   let windows =
     Array.map
       (fun (_ : Flow.t) ->
@@ -53,9 +51,7 @@ let churn ~rng ~epochs ?(jitter = 0.2) flows =
           (fun i (f : Flow.t) ->
             let arrival, departure = windows.(i) in
             if e >= arrival && e < departure then
-              f.base_rate
-              *. Ppdc_prelude.Rng.uniform rng ~lo:(1.0 -. jitter)
-                   ~hi:(1.0 +. jitter)
+              f.base_rate *. Ppdc_prelude.Rng.uniform rng ~lo:0.8 ~hi:1.2
             else 0.0)
           flows)
   in

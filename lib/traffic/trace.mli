@@ -32,17 +32,15 @@ val of_diurnal : Diurnal.t -> flows:Flow.t array -> t
 val churn :
   rng:Ppdc_prelude.Rng.t ->
   epochs:int ->
-  ?jitter:float ->
   Flow.t array ->
   t
 (** User churn: each flow is assigned a random active window
     [arrival, departure) within the trace (arrival in the first half,
     departure after it) and runs at its base rate — multiplied per epoch
-    by a uniform factor in [1-jitter, 1+jitter] (default 0.2) — while
-    active, zero otherwise. "New users joining for the first time" is
-    the rates-go-from-zero-to-positive special case of TOM the paper
-    points at (Liu et al. [35]). Raises [Invalid_argument] if
-    [epochs < 2] or [jitter] is outside [0, 1]. *)
+    by a uniform factor in [0.8, 1.2] — while active, zero otherwise.
+    "New users joining for the first time" is the
+    rates-go-from-zero-to-positive special case of TOM the paper points
+    at (Liu et al. [35]). Raises [Invalid_argument] if [epochs < 2]. *)
 
 val num_epochs : t -> int
 val num_flows : t -> int

@@ -29,40 +29,10 @@ let sample_rate rng mix =
 
 let coast_of_index i = if i mod 2 = 0 then Flow.East else Flow.West
 
-(* Rack-popularity sampler. [skew = 0] is uniform; [skew > 0] draws rack
-   ranks from a Zipf law with that exponent, with the rank->rack mapping
-   shuffled so the hot racks land anywhere in the fabric. Production
-   measurements (Roy et al., SIGCOMM 2015) report exactly this kind of
-   heavy rack skew. *)
-let rack_sampler rng ~skew ~num_racks =
-  if skew <= 0.0 then fun () -> Rng.int rng num_racks
-  else begin
-    let order = Array.init num_racks (fun i -> i) in
-    Rng.shuffle rng order;
-    let cumulative = Array.make num_racks 0.0 in
-    let total = ref 0.0 in
-    Array.iteri
-      (fun i _ ->
-        total := !total +. (1.0 /. Float.pow (float_of_int (i + 1)) skew);
-        cumulative.(i) <- !total)
-      cumulative;
-    fun () ->
-      let x = Rng.float rng !total in
-      (* cumulative is sorted: binary search for the first entry >= x. *)
-      let lo = ref 0 and hi = ref (num_racks - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if cumulative.(mid) >= x then hi := mid else lo := mid + 1
-      done;
-      order.(!lo)
-  end
-
-let generate_on_fat_tree ?(rack_skew = 0.0) ~rng ~l ft =
+let generate_on_fat_tree ~rng ~l ft =
   if l < 0 then invalid_arg "Workload.generate_on_fat_tree: negative l";
-  if rack_skew < 0.0 then
-    invalid_arg "Workload.generate_on_fat_tree: negative rack_skew";
   let num_racks = Fat_tree.num_racks ft in
-  let sample_rack = rack_sampler rng ~skew:rack_skew ~num_racks in
+  let sample_rack () = Rng.int rng num_racks in
   (* Coast follows the source pod: jobs of one region land in one half of
      the data center, so the diurnal offset moves the traffic hotspot
      across the fabric over the day (the effect the paper's time-zone
@@ -74,7 +44,7 @@ let generate_on_fat_tree ?(rack_skew = 0.0) ~rng ~l ft =
       let dst_rack =
         if Rng.float rng 1.0 < 0.8 || num_racks = 1 then src_rack
         else begin
-          (* A fresh popularity draw, rejecting the source rack. *)
+          (* A fresh uniform draw, rejecting the source rack. *)
           let rec other () =
             let r = sample_rack () in
             if r = src_rack then other () else r

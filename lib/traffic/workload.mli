@@ -28,26 +28,20 @@ val sample_rate : Ppdc_prelude.Rng.t -> rate_mix -> float
 (** One rate draw from the mix. *)
 
 val generate_on_fat_tree :
-  ?rack_skew:float ->
   rng:Ppdc_prelude.Rng.t ->
   l:int ->
   Ppdc_topology.Fat_tree.t ->
   Flow.t array
 (** [generate_on_fat_tree ~rng ~l ft] draws [l] flows on the fat-tree's
-    hosts with 80 % rack locality and {!facebook_mix} rates. A flow's
-    coast follows its source pod — pods in the first half of the fabric
-    are "east", the rest "west" — so the diurnal time-zone offset
-    physically moves the traffic hotspot across the data center over
-    the day, as the paper's model intends
-    (with a uniform rack draw roughly half the flows are on each coast).
+    hosts with 80 % rack locality and {!facebook_mix} rates. Every rack
+    is equally likely as a source; the other 20 % of destinations are
+    uniform over the remaining racks. A flow's coast follows its source
+    pod — pods in the first half of the fabric are "east", the rest
+    "west" — so the diurnal time-zone offset physically moves the
+    traffic hotspot across the data center over the day, as the paper's
+    model intends (roughly half the flows are on each coast).
 
-    [rack_skew] (default 0 = uniform racks) draws rack popularity from a
-    Zipf law with that exponent over a shuffled rack order — the
-    rack-level concentration production data centers exhibit; higher
-    skew concentrates traffic in fewer racks and makes placement more
-    location-sensitive.
-
-    Raises [Invalid_argument] if [l < 0] or [rack_skew < 0]. *)
+    Raises [Invalid_argument] if [l < 0]. *)
 
 val generate_on_hosts :
   rng:Ppdc_prelude.Rng.t ->

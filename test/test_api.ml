@@ -39,29 +39,6 @@ let test_stroll_table_reuse () =
       end)
     (Array.sub ft.hosts 0 4)
 
-let test_stroll_query_exclusions () =
-  let ft = Fat_tree.build 4 in
-  let cm = Cost_matrix.compute ft.graph in
-  let switches = Graph.switches ft.graph in
-  let src = ft.hosts.(0) and dst = ft.hosts.(15) in
-  let table = Stroll_dp.prepare ~cm ~dst ~candidates:switches ~extras:[| src |] in
-  match Stroll_dp.query table ~src ~n:3 () with
-  | None -> Alcotest.fail "baseline query failed"
-  | Some base ->
-      (* Excluding the switches it used forces a different (not cheaper)
-         stroll. *)
-      let excluded = base.switches in
-      (match Stroll_dp.query table ~src ~n:3 ~exclude:excluded () with
-      | None -> ()  (* acceptable: exclusion can exhaust the edge budget *)
-      | Some other ->
-          Array.iter
-            (fun s ->
-              Alcotest.(check bool) "excluded switch not reused" true
-                (not (Array.exists (( = ) s) excluded)))
-            other.switches;
-          Alcotest.(check bool) "exclusion cannot be cheaper" true
-            (other.cost >= base.cost -. 1e-9))
-
 (* --- printers -------------------------------------------------------------- *)
 
 let test_printers () =
@@ -145,8 +122,6 @@ let () =
         [
           Alcotest.test_case "reuse equals one-shot" `Quick
             test_stroll_table_reuse;
-          Alcotest.test_case "exclusions respected" `Quick
-            test_stroll_query_exclusions;
         ] );
       ("printers", [ Alcotest.test_case "pp output" `Quick test_printers ]);
       ( "leaf-spine-pipeline",

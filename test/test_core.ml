@@ -21,7 +21,7 @@ let check_float = Alcotest.(check (float 1e-9))
 (* Linear PPDC: switches 0..4 in a chain, host 5 at switch 0 (h1), host 6
    at switch 4 (h2). Flow 0 has both VMs on h1, flow 1 both on h2. *)
 let fig3 () =
-  let lin = Linear.build ~num_switches:5 () in
+  let lin = Linear.build ~num_switches:5 in
   let h1 = lin.hosts.(0) and h2 = lin.hosts.(1) in
   let cm = Cost_matrix.compute lin.graph in
   let flows =

@@ -93,7 +93,7 @@ let test_n_equals_two () =
 
 let test_n_equals_num_switches () =
   (* Every switch hosts a VNF: placement is a permutation of V_s. *)
-  let lin = Linear.build ~num_switches:4 () in
+  let lin = Linear.build ~num_switches:4 in
   let cm = Cost_matrix.compute lin.graph in
   let flows =
     [| Flow.make ~id:0 ~src_host:lin.hosts.(0) ~dst_host:lin.hosts.(1)
@@ -115,7 +115,7 @@ let test_stroll_tour_src_equals_dst () =
   (* Fig. 5 of the paper: a 2-tour from h1 back to h1 in the linear PPDC
      visits s1 and s2 for cost 1+1+1+1 = 4? No: h1-s1-s2-s1-h1 = 4 hops
      but only 2 distinct switches; optimal cost 4. *)
-  let lin = Linear.build ~num_switches:5 () in
+  let lin = Linear.build ~num_switches:5 in
   let cm = Cost_matrix.compute lin.graph in
   let h1 = lin.hosts.(0) in
   let r = Stroll_dp.solve ~cm ~src:h1 ~dst:h1 ~n:2 () in
@@ -146,14 +146,9 @@ let test_stroll_n_zero_honors_max_edges () =
   (match Stroll_dp.query table ~src ~n:0 ~max_edges:1 () with
   | Some r -> Alcotest.(check int) "budget 1 is the direct hop" 1 r.edges
   | None -> Alcotest.fail "budget 1 must admit the direct hop");
-  (match Stroll_dp.query table ~src:dst ~n:0 ~max_edges:0 () with
+  match Stroll_dp.query table ~src:dst ~n:0 ~max_edges:0 () with
   | Some r -> Alcotest.(check int) "empty tour fits budget 0" 0 r.edges
-  | None -> Alcotest.fail "src = dst needs no edges");
-  (* [exclude] only withdraws counting credit, so with n = 0 it is
-     accepted and changes nothing. *)
-  match Stroll_dp.query table ~src ~n:0 ~exclude:[| dst |] () with
-  | Some r -> Alcotest.(check int) "exclude is a no-op at n = 0" 1 r.edges
-  | None -> Alcotest.fail "exclude must not break the n = 0 path"
+  | None -> Alcotest.fail "src = dst needs no edges"
 
 (* Regression: an undersized eligible set used to die on an internal
    [assert] deep inside the greedy walk instead of a clear error. *)
@@ -170,7 +165,7 @@ let test_nearest_neighbour_undersized_rejected () =
      with Invalid_argument _ -> true)
 
 let test_stroll_insufficient_candidates () =
-  let lin = Linear.build ~num_switches:3 () in
+  let lin = Linear.build ~num_switches:3 in
   let cm = Cost_matrix.compute lin.graph in
   Alcotest.(check bool) "too few switches raises" true
     (try

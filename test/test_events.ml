@@ -202,31 +202,6 @@ let test_hysteresis_disarms_and_rearms () =
   Alcotest.(check bool) "threshold fires on the t1 spike" true
     threshold.Event_engine.records.(1).Event_engine.fired
 
-let test_migration_delay_suppresses_triggers () =
-  let sc = scenario ~seed:5 () in
-  let stream = Scenario.events_of_diurnal sc in
-  let run =
-    Event_engine.run ~migration_delay:2.5 sc ~policy:Engine.Mpareto
-      ~trigger:Event_engine.On_event ~events:stream ()
-  in
-  (* While a migration is in flight no trigger may fire: consecutive
-     firings after a real move are at least the delay apart. *)
-  let last_move_fire = ref neg_infinity in
-  Array.iter
-    (fun (r : Event_engine.event_record) ->
-      if r.fired then begin
-        Alcotest.(check bool)
-          (Printf.sprintf "no firing mid-flight (t=%g)" r.time)
-          true
-          (r.time -. !last_move_fire >= 2.5 -. 1e-9);
-        if r.moved > 0 then last_move_fire := r.time
-      end)
-    run.Event_engine.records;
-  Alcotest.(check bool) "completion events were replayed" true
-    (Array.exists
-       (fun (r : Event_engine.event_record) -> r.kind = "migration_complete")
-       run.Event_engine.records)
-
 (* --- timeline order ------------------------------------------------------- *)
 
 let kinds_of (run : Event_engine.run) =
@@ -255,63 +230,6 @@ let test_equal_times_keep_stream_order () =
   Alcotest.(check (list string)) "stream order"
     [ "probe"; "flow_arrival"; "probe"; "rate_update"; "flow_departure" ]
     (kinds_of run)
-
-(* A completion scheduled at a probe's time replays after that probe:
-   the stream event was scheduled first. *)
-let test_completion_after_equal_time_probe () =
-  let sc = scenario ~seed:5 () in
-  let base = Scenario.events_of_diurnal sc in
-  let stream =
-    Events.merge base (Events.probes ~every:0.25 ~horizon:(Events.horizon base))
-  in
-  let run =
-    Event_engine.run ~migration_delay:0.25 sc ~policy:Engine.Mpareto
-      ~trigger:Event_engine.On_event ~events:stream ()
-  in
-  let records = run.Event_engine.records in
-  let completions = ref 0 in
-  Array.iteri
-    (fun i (r : Event_engine.event_record) ->
-      if r.kind = "migration_complete" then begin
-        incr completions;
-        let prev = records.(i - 1) in
-        Alcotest.(check string)
-          (Printf.sprintf "probe before the completion at t=%g" r.time)
-          "probe" prev.kind;
-        check_bits "same time" prev.time r.time
-      end)
-    records;
-  Alcotest.(check bool) "completions replayed" true (!completions > 0)
-
-(* A completion due after the stream's last event still replays when it
-   falls before the horizon. *)
-let test_completion_after_last_event () =
-  let sc =
-    Scenario.make ~mu:1.0 ~initial:(Scenario.Uninformed 3) (problem ~seed:3 ())
-  in
-  let rates =
-    Ppdc_traffic.Flow.base_rates (Problem.flows sc.Scenario.problem)
-  in
-  let stream =
-    Events.make ~horizon:2.0
-      [
-        {
-          Events.time = 0.0;
-          kind =
-            Events.Rate_update
-              (List.mapi (fun i r -> (i, r)) (Array.to_list rates));
-        };
-      ]
-  in
-  let run =
-    Event_engine.run ~migration_delay:0.5 sc ~policy:Engine.Mpareto
-      ~trigger:Event_engine.On_event ~events:stream ()
-  in
-  Alcotest.(check bool) "the first firing moved" true
-    (run.Event_engine.records.(0).Event_engine.moved > 0);
-  Alcotest.(check (list string)) "completion replayed"
-    [ "rate_update"; "migration_complete" ] (kinds_of run);
-  check_bits "at t + delay" 0.5 run.Event_engine.records.(1).Event_engine.time
 
 (* A link event the fabric cannot take is refused, not replayed. *)
 let test_link_errors () =
@@ -610,18 +528,12 @@ let () =
             test_threshold_fires_once_on_constant_load;
           Alcotest.test_case "hysteresis disarms and re-arms" `Quick
             test_hysteresis_disarms_and_rearms;
-          Alcotest.test_case "migration delay suppresses triggers" `Quick
-            test_migration_delay_suppresses_triggers;
           Alcotest.test_case "trigger spec parsing" `Quick test_trigger_parsing;
         ] );
       ( "timeline",
         [
           Alcotest.test_case "equal times keep stream order" `Quick
             test_equal_times_keep_stream_order;
-          Alcotest.test_case "completion after an equal-time probe" `Quick
-            test_completion_after_equal_time_probe;
-          Alcotest.test_case "completion after the last event" `Quick
-            test_completion_after_last_event;
           Alcotest.test_case "refused link events" `Quick test_link_errors;
         ] );
       ( "accounting",

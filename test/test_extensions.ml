@@ -62,7 +62,7 @@ let test_capacity_block_reduction_is_optimal () =
     List.iter
       (fun capacity ->
         let direct, proved =
-          Capacity.solve_optimal problem ~rates ~capacity ()
+          Capacity.solve_optimal problem ~rates ~capacity
         in
         Alcotest.(check bool) "search completed" true proved;
         let q = (4 + capacity - 1) / capacity in
@@ -79,7 +79,7 @@ let test_capacity_block_reduction_is_optimal () =
 let test_capacity_monotone_in_capacity () =
   let problem = k4_problem ~l:8 ~n:4 ~seed:5 in
   let rates = Flow.base_rates (Problem.flows problem) in
-  let cost c = (fst (Capacity.solve_optimal problem ~rates ~capacity:c ())).cost in
+  let cost c = (fst (Capacity.solve_optimal problem ~rates ~capacity:c)).cost in
   let c1 = cost 1 and c2 = cost 2 and c4 = cost 4 in
   Alcotest.(check bool) "capacity 2 <= capacity 1" true (c2 <= c1 +. 1e-9);
   Alcotest.(check bool) "capacity 4 <= capacity 2" true (c4 <= c2 +. 1e-9)

@@ -172,6 +172,25 @@ let test_engine_simulate_events () =
        (Engine.handle_line e
           {|{"id":3,"method":"simulate_events","params":{"session":"s","trigger":"sometimes"}}|}))
 
+(* Every name in the policy table is accepted by simulate_events and
+   echoed under the policy's display name. *)
+let test_engine_simulate_every_policy () =
+  let e = eng () in
+  ignore (load e ());
+  List.iter
+    (fun (name, policy) ->
+      let r =
+        expect_ok
+          (Engine.handle_line e
+             (Printf.sprintf
+                {|{"id":1,"method":"simulate_events","params":{"session":"s","policy":%S,"trigger":"threshold:1.2"}}|}
+                name))
+      in
+      Alcotest.(check string) name
+        (Ppdc_sim.Engine.policy_name policy)
+        (str_field r "policy"))
+    Ppdc_sim.Engine.policies
+
 let test_engine_fail_links_changes_digest () =
   let e = eng () in
   let loaded = load e ~k:4 () in
@@ -413,30 +432,58 @@ let test_engine_probe_cap () =
     (expect_error (simulate "0.001"));
   ignore (expect_ok (simulate "0.5"))
 
-(* A finite scale that overflows a rate is refused, and the session's
-   rates stay as they were: the next place answers as before it. *)
+(* Rates whose total overflows a float are refused, and so is a place or
+   migrate whose cost overflows, and the session keeps its rates,
+   placement and flows: after each refusal a migrate that stays put and
+   a fresh place answer exactly as before it. *)
 let test_engine_scale_overflow () =
   let e = eng () in
-  ignore (load e ());
-  let place () =
-    let r =
-      expect_ok
-        (Engine.handle_line e
-           {|{"id":1,"method":"place","params":{"session":"s"}}|})
-    in
-    match (Json.member "placement" r, Json.member "cost" r) with
-    | Some placement, Some (Json.Num cost) -> (Json.to_string placement, cost)
-    | _ -> Alcotest.fail "place answer without placement or cost"
+  ignore (load e ~l:2 ());
+  let call line = Engine.handle_line e line in
+  let update params =
+    Printf.sprintf
+      {|{"id":2,"method":"rates_update","params":{"session":"s",%s}}|} params
   in
-  let placement, cost = place () in
-  Alcotest.(check string) "scale 1e308" "invalid_params"
-    (expect_error
-       (Engine.handle_line e
-          {|{"id":2,"method":"rates_update","params":{"session":"s","scale":1e308}}|}));
-  let placement', cost' = place () in
-  Alcotest.(check string) "same placement" placement placement';
-  Alcotest.(check int64) "same cost bits" (Int64.bits_of_float cost)
-    (Int64.bits_of_float cost')
+  let place = {|{"id":1,"method":"place","params":{"session":"s"}}|} in
+  let migrate algo =
+    Printf.sprintf
+      {|{"id":3,"method":"migrate","params":{"session":"s","algo":%S,"mu":100}}|}
+      algo
+  in
+  let bits r key = Int64.bits_of_float (num_field r key) in
+  (* The migrate runs first: it reads the stored placement and flows,
+     which the place after it replaces with the same placement. *)
+  let answers () =
+    let stay = expect_ok (call (migrate "none")) in
+    let placed = expect_ok (call place) in
+    ( bits stay "total_cost",
+      (match Json.member "placement" placed with
+      | Some p -> Json.to_string p
+      | None -> Alcotest.fail "place answer without placement"),
+      bits placed "cost" )
+  in
+  let refused name line =
+    Alcotest.(check string) name "invalid_params" (expect_error (call line))
+  in
+  ignore (expect_ok (call (update {|"rates":[1000,3000]|})));
+  ignore (expect_ok (call place));
+  let before = answers () in
+  let unchanged name =
+    Alcotest.(check (triple int64 string int64)) name before (answers ())
+  in
+  refused "scale 1e308" (update {|"scale":1e308|});
+  unchanged "after scale 1e308";
+  refused "rates summing past max_float" (update {|"rates":[1e308,1e308]|});
+  unchanged "after rates [1e308, 1e308]";
+  (* Λ = 1.6e308 is finite, but every cost overflows. *)
+  ignore (expect_ok (call (update {|"rates":[8e307,8e307]|})));
+  refused "scale overflowing the total" (update {|"scale":1.2|});
+  refused "place with an infinite cost" place;
+  List.iter
+    (fun algo -> refused ("migrate " ^ algo ^ " with an infinite cost") (migrate algo))
+    [ "mpareto"; "optimal"; "plan"; "mcf"; "none" ];
+  ignore (expect_ok (call (update {|"rates":[1000,3000]|})));
+  unchanged "after the refused place and migrates"
 
 let test_engine_shutdown () =
   let e = eng () in
@@ -755,6 +802,8 @@ let () =
             test_engine_bad_mu;
           Alcotest.test_case "unknown methods share one entry" `Quick
             test_engine_unknown_methods_bounded;
+          Alcotest.test_case "simulate_events takes every policy name" `Quick
+            test_engine_simulate_every_policy;
         ] );
       ( "fuzz",
         [

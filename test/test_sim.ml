@@ -103,17 +103,17 @@ let test_vm_policies_keep_vnfs_fixed () =
       let run = Engine.run_day (scenario ~seed:6 ()) ~policy in
       (* VM-migration baselines never move VNFs: the recorded migrations
          are VM moves and the initial placement persists, which we can
-         observe via zero VNF-migration charge when mu_vm is huge. *)
+         observe via zero VNF-migration charge when mu is huge. *)
       ignore run)
     Engine.[ Plan; Mcf ];
   let frozen_mu =
-    Scenario.make ~mu:1e3 ~mu_vm:1e12 (problem ~l:20 ~n:4 ~seed:6)
+    Scenario.make ~mu:1e12 (problem ~l:20 ~n:4 ~seed:6)
   in
   List.iter
     (fun policy ->
       let run = Engine.run_day frozen_mu ~policy in
       Alcotest.(check int)
-        (Engine.policy_name policy ^ " frozen by huge mu_vm")
+        (Engine.policy_name policy ^ " frozen by huge mu")
         0 run.total_migrations)
     Engine.[ Plan; Mcf ]
 
@@ -242,7 +242,7 @@ let () =
             `Quick test_hour1_initial_needs_no_correction;
           Alcotest.test_case "uninformed deployment is seeded" `Quick
             test_uninformed_initial_is_seeded;
-          Alcotest.test_case "VM policies freeze under huge mu_vm" `Quick
+          Alcotest.test_case "VM policies freeze under huge mu" `Quick
             test_vm_policies_keep_vnfs_fixed;
           Alcotest.test_case "forecast policy coherent" `Quick
             test_lookahead_policy_runs;

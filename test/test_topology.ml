@@ -163,18 +163,11 @@ let test_fat_tree_rejects_odd_k () =
 (* --- linear ------------------------------------------------------------ *)
 
 let test_linear_structure () =
-  let lin = Linear.build ~num_switches:5 () in
+  let lin = Linear.build ~num_switches:5 in
   Alcotest.(check int) "5 switches" 5 (Graph.num_switches lin.graph);
   Alcotest.(check int) "2 hosts" 2 (Graph.num_hosts lin.graph);
   let cm = Cost_matrix.compute lin.graph in
   Alcotest.(check (float 0.0)) "end-to-end = 6" 6.0
-    (Cost_matrix.cost cm lin.hosts.(0) lin.hosts.(1))
-
-let test_linear_custom_hosts () =
-  let lin = Linear.build ~num_switches:4 ~host_positions:[ 1; 1; 3 ] () in
-  Alcotest.(check int) "3 hosts" 3 (Graph.num_hosts lin.graph);
-  let cm = Cost_matrix.compute lin.graph in
-  Alcotest.(check (float 0.0)) "co-located hosts 2 apart" 2.0
     (Cost_matrix.cost cm lin.hosts.(0) lin.hosts.(1))
 
 (* --- leaf-spine --------------------------------------------------------- *)
@@ -410,7 +403,7 @@ let prop_path_cost_matches_dist =
 
 let test_dot_export () =
   let g = tiny_graph () in
-  let dot = Ppdc_topology.Dot.of_graph ~highlight:[ 1 ] g in
+  let dot = Ppdc_topology.Dot.of_graph g in
   Alcotest.(check bool) "document shape" true
     (String.length dot > 0
     && String.sub dot 0 11 = "graph ppdc "
@@ -422,7 +415,6 @@ let test_dot_export () =
   in
   Alcotest.(check bool) "switch labelled s0" true (contains "label=\"s0\"");
   Alcotest.(check bool) "host labelled h0" true (contains "label=\"h0\"");
-  Alcotest.(check bool) "highlight filled" true (contains "fillcolor");
   Alcotest.(check bool) "weighted edge labelled" true (contains "[label=\"5\"]");
   Alcotest.(check bool) "five edges" true
     (List.length (String.split_on_char '-' dot) > 5)
@@ -461,8 +453,6 @@ let () =
       ( "linear",
         [
           Alcotest.test_case "Fig. 1 chain" `Quick test_linear_structure;
-          Alcotest.test_case "custom host positions" `Quick
-            test_linear_custom_hosts;
         ] );
       ( "leaf-spine",
         [
