@@ -9,9 +9,11 @@
     37 MB) and an unbounded table is a slow leak.
 
     Not thread-safe: callers that share a cache across domains guard it
-    with their own mutex (both in-tree users do), which also lets them
-    make "concurrent misses for the same key wait for one build" a
-    matter of calling {!find_or_add} under the lock. *)
+    with their own mutex (both in-tree users do). [Runner] calls
+    {!find_or_add} under its lock, so concurrent misses for one key
+    wait for a single build but also block every other lookup. The
+    server's engine holds its lock only for {!find}, {!put} and its
+    own in-flight table, and builds outside it. *)
 
 type ('k, 'v) t
 

@@ -164,9 +164,14 @@ let obtain_pool width =
           end;
           pool)
 
-(* Reentrancy guard: a task body calling back into this module runs its
-   inner task set sequentially, keeping the pool single-purpose and the
-   schedule deadlock-free. *)
+(* Only the main domain fans out. A section started anywhere else — on a
+   pool worker (a task body calling back into this module) or on a
+   domain the program spawned itself, such as a socket daemon's request
+   worker — runs sequentially where it starts: that domain is already
+   one lane of the program's parallelism, and adding the pool beside it
+   oversubscribes the cores. [busy] is the same rule for the main
+   domain's own lane: a task body it runs calls back in sequentially,
+   keeping the pool single-purpose and the schedule deadlock-free. *)
 let busy = Atomic.make false
 
 let run_sequential n body =
@@ -178,7 +183,8 @@ let run n body =
   if n <= 0 then ()
   else
     let width = domain_count () in
-    if width = 1 || n = 1 then run_sequential n body
+    if width = 1 || n = 1 || not (Domain.is_main_domain ()) then
+      run_sequential n body
     else if not (Atomic.compare_and_set busy false true) then
       run_sequential n body
     else
@@ -211,9 +217,10 @@ let run n body =
           match job.error with Some exn -> raise exn | None -> ())
 [@@ppdc.domain_safe
   "the pool/err mutexes taken here are the scheduler's own, never held \
-   across user code, and a reentrant call observes the busy flag and \
-   runs sequentially — so task bodies calling back into Parallel cannot \
-   deadlock; exempted from the R8 roll-up for that reason"]
+   across user code, and a call from a task body runs sequentially (off \
+   the main domain, or through the busy flag on it) — so task bodies \
+   calling back into Parallel cannot deadlock; exempted from the R8 \
+   roll-up for that reason"]
 
 let parallel_for n f = run n f
 

@@ -13,10 +13,15 @@
     exception of the lowest index is re-raised (matching what a
     sequential left-to-right loop would have raised first).
 
-    Nested parallel sections degrade gracefully: a task body that
-    itself calls into this module runs its inner task set sequentially
-    on the calling domain, so callers never need to know whether they
-    are already inside a parallel region. *)
+    Only the main domain fans out. A section started on any other
+    domain runs its task set sequentially on that domain: a task body
+    that itself calls into this module (it runs on a pool worker, or on
+    the main domain's own lane while its section is in progress), and a
+    section started on a domain the program spawned — a socket
+    daemon's request worker, say — which is already one lane of the
+    program's parallelism. So callers never need to know whether they
+    are already inside a parallel region, and a program that spawns
+    its own domains never gets the pool beside them. *)
 
 val domain_count : unit -> int
 (** Effective parallelism width (≥ 1). *)

@@ -24,11 +24,13 @@ open Ppdc_core
    the requests of one session (two clients of the same session see a
    consistent placement/rates/graph) while distinct sessions run in
    parallel on the transport's worker pool. [cache_mutex] guards the
-   shared cost-matrix LRU, including building a missing matrix, so
-   concurrent misses for the same digest wait for one build instead of
-   computing it twice. [stats_mutex] is a leaf guarding the per-method
-   latency table and the load probe; the plain request counters are
-   atomics and need no lock at all. *)
+   shared cost-matrix LRU and its in-flight table, and is held only to
+   look a digest up, claim its build, or install the built matrix: the
+   build itself runs under the session lock alone, so a request for
+   another fabric never waits behind it, while concurrent misses for
+   the same digest wait on [built] for the one build. [stats_mutex] is
+   a leaf guarding the per-method latency table and the load probe;
+   the plain request counters are atomics and need no lock at all. *)
 [@@@ppdc.lock_order "shard session cache stats"]
 
 type session = {
@@ -67,6 +69,13 @@ type load = {
 type t = {
   cache : (string, Cost_matrix.t) Lru.t;
   cache_mutex : Mutex.t; [@ppdc.guards "cache"]
+  (* Digests whose matrix one request is deriving outside [cache_mutex],
+     and how many requests wait for one of them; both under
+     [cache_mutex]. A digest is never both here and in [cache]. *)
+  building : (string, unit) Hashtbl.t;
+  mutable waiting : int;
+  built : Condition.t;  (* broadcast under [cache_mutex] when a build ends *)
+  build_hook : (string -> unit) option Atomic.t;
   registry : session Registry.t;
   started : float;
   by_method : (string, method_stats) Hashtbl.t;
@@ -95,6 +104,10 @@ let create ?(cache_capacity = 8) ?shards ?session_budget ?tenant_sessions
   {
     cache = Lru.create ~capacity:cache_capacity;
     cache_mutex = Mutex.create ();
+    building = Hashtbl.create 8;
+    waiting = 0;
+    built = Condition.create ();
+    build_hook = Atomic.make None;
     registry =
       Registry.create ?shards ?session_budget ?tenant_sessions ?tenant_bytes
         ?tenant_inflight ();
@@ -112,6 +125,7 @@ let create ?(cache_capacity = 8) ?shards ?session_budget ?tenant_sessions
   }
 
 let set_registry_test_hook t hook = Registry.set_test_hook t.registry hook
+let set_build_test_hook t hook = Atomic.set t.build_hook hook
 let stopped t = Atomic.get t.stop
 
 let set_load_probe t probe =
@@ -168,18 +182,71 @@ let with_session t params f =
       reject Unknown_session "no session named %S; load_topology first" name
 [@@ppdc.calls_under "session"]
 
+(* --- cost-matrix cache ---------------------------------------------------- *)
+
+(* Under [cache_mutex]: return once no request is building [digest].
+   [Condition.wait] releases the lock meanwhile, so other digests are
+   looked up, claimed and installed while this request waits. *)
+let rec await_build t digest =
+  if Hashtbl.mem t.building digest then begin
+    t.waiting <- t.waiting + 1;
+    Condition.wait t.built t.cache_mutex;
+    t.waiting <- t.waiting - 1;
+    await_build t digest
+  end
+
+(* Run [derive] as the one build of [digest], which the caller claimed
+   in [building] under [cache_mutex], holding no engine lock but the
+   caller's session lock. Then, under the lock, drop the claim, install
+   the matrix [matrix_of] finds in the result (counting it with
+   [on_install]) and wake every waiter — also when [derive] raised, so
+   a waiter retries instead of waiting forever. *)
+let build_claimed t digest ~matrix_of ~on_install derive =
+  let derived = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutexes.with_lock t.cache_mutex (fun () ->
+          Hashtbl.remove t.building digest;
+          Option.iter
+            (fun cm ->
+              Lru.put t.cache digest cm;
+              on_install ())
+            (Option.bind !derived matrix_of);
+          Condition.broadcast t.built))
+    (fun () ->
+      Option.iter (fun hook -> hook digest) (Atomic.get t.build_hook);
+      let r = derive () in
+      derived := Some r;
+      r)
+
 (* Resolve the session's all-pairs matrix through the LRU: the single
    expensive step of every query, skipped whenever this fabric (by
-   structural digest) has been seen before. The build runs under
-   [cache_mutex], so a concurrent miss for the same fabric waits for
-   the first build instead of duplicating it. *)
+   structural digest) has been seen before. A miss claims the digest
+   and computes outside [cache_mutex]; a concurrent miss for the same
+   fabric waits for that build and then hits. So a resolve is a miss
+   exactly when it builds, and each one counts once in the LRU's
+   hits or misses. *)
 let resolve_cm t (s : session) =
-  let hit, cm =
+  let digest = s.digest in
+  let found =
     Mutexes.with_lock t.cache_mutex (fun () ->
-        Lru.find_or_add t.cache s.digest (fun () ->
-            t.cm_rebuilds <- t.cm_rebuilds + 1;
-            Obs.time "server.cost_matrix.compute" (fun () ->
-                Cost_matrix.compute s.graph)))
+        await_build t digest;
+        match Lru.find t.cache digest with
+        | Some _ as cm -> cm
+        | None ->
+            Hashtbl.replace t.building digest ();
+            None)
+  in
+  let hit, cm =
+    match found with
+    | Some cm -> (true, cm)
+    | None ->
+        ( false,
+          build_claimed t digest ~matrix_of:Option.some
+            ~on_install:(fun () -> t.cm_rebuilds <- t.cm_rebuilds + 1)
+            (fun () ->
+              Obs.time "server.cost_matrix.compute" (fun () ->
+                  Cost_matrix.compute s.graph)) )
   in
   Obs.incr (if hit then "server.cache.hits" else "server.cache.misses");
   (hit, cm)
@@ -224,6 +291,15 @@ let load_topology t params =
   in
   if l < 1 then reject Invalid_params "l must be >= 1";
   if n < 1 then reject Invalid_params "n must be >= 1";
+  (* The largest fabrics whose cost matrix the daemon can hold, refused
+     before anything is built: a unit k=48 matrix is ≈186 MB, and a
+     weighted fabric gives every host its own leaf class, so weighted
+     k=32 (≈194 MB) is the same size. *)
+  let max_k = if weighted then 32 else 48 in
+  if k > max_k then
+    reject Invalid_params "k must be <= %d%s" max_k
+      (if weighted then " for a weighted fabric" else "");
+  if l > 1_000_000 then reject Invalid_params "l must be <= 1000000";
   let rng = Rng.create seed in
   let ft =
     if weighted then begin
@@ -549,25 +625,35 @@ let fail_links t params =
      failed links, so when the parent's matrix is cached we derive the
      degraded matrix from it (only rows whose shortest-path trees used
      a failed link re-run) and install it under the new digest — the
-     next [place] is a warm hit instead of a cold all-pairs sweep.
-     [Lru.peek] reads the parent without disturbing recency or the
-     hit/miss counters. *)
-  let repaired, cached =
+     next [place] is a warm hit instead of a cold all-pairs sweep. The
+     repair is claimed and run like [resolve_cm]'s compute, outside
+     [cache_mutex]. [Lru.peek] reads the parent without disturbing
+     recency or the hit/miss counters. *)
+  let claim =
     Mutexes.with_lock t.cache_mutex (fun () ->
-        if Lru.mem t.cache s.digest then (false, true)
+        await_build t s.digest;
+        if Lru.mem t.cache s.digest then `Cached
         else
           match Lru.peek t.cache parent_digest with
-          | None -> (false, false)
-          | Some parent -> (
-              match
-                Obs.time "server.cost_matrix.repair" (fun () ->
-                    Cost_matrix.repair_to parent degraded)
-              with
-              | Some (cm, _rows) ->
-                  Lru.put t.cache s.digest cm;
-                  t.cm_repairs <- t.cm_repairs + 1;
-                  (true, true)
-              | None -> (false, false)))
+          | None -> `Absent
+          | Some parent ->
+              Hashtbl.replace t.building s.digest ();
+              `Repair parent)
+  in
+  let repaired, cached =
+    match claim with
+    | `Cached -> (false, true)
+    | `Absent -> (false, false)
+    | `Repair parent -> (
+        match
+          build_claimed t s.digest ~matrix_of:(Option.map fst)
+            ~on_install:(fun () -> t.cm_repairs <- t.cm_repairs + 1)
+            (fun () ->
+              Obs.time "server.cost_matrix.repair" (fun () ->
+                  Cost_matrix.repair_to parent degraded))
+        with
+        | Some _ -> (true, true)
+        | None -> (false, false))
   in
   if repaired then Obs.incr "server.cache.repairs";
   Json.Obj
@@ -728,6 +814,8 @@ let stats t _params =
             ("misses", num (Lru.misses t.cache));
             ("repairs", num t.cm_repairs);
             ("rebuilds", num t.cm_rebuilds);
+            ("in_flight", num (Hashtbl.length t.building));
+            ("waiting", num t.waiting);
           ])
   in
   let registry_section =

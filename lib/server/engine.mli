@@ -16,15 +16,21 @@
     contend only when their names share a shard; each session carries
     its own lock, so two requests against the same session serialize
     while distinct sessions run in parallel; the shared cost-matrix
-    LRU has a dedicated mutex under which missing matrices are also
-    built, so concurrent misses for one fabric wait for a single
-    build; and a leaf stats mutex guards the per-method latency table
-    (plain request counters are atomics). Lock order is always
-    shard > session > cache > stats. Solver outputs are bit-identical
-    to a sequential run — and independent of the shard count: handlers
-    are deterministic given the session state they serialized on, and
-    the {!Ppdc_prelude.Parallel} sections they use are
-    schedule-independent by contract.
+    LRU has a dedicated mutex held only to look a digest up, claim its
+    build in an in-flight table, or install the built matrix — the
+    build itself ([Cost_matrix.compute] on a miss, [repair_to] in
+    [fail_links]) runs under the session lock alone, so concurrent
+    misses for one fabric wait for a single build while requests for
+    any other fabric never wait behind it; and a leaf stats mutex
+    guards the per-method latency table (plain request counters are
+    atomics). Lock order is always shard > session > cache > stats.
+    Solver outputs are bit-identical to a sequential run — and
+    independent of the shard count: handlers are deterministic given
+    the session state they serialized on, and the
+    {!Ppdc_prelude.Parallel} sections they use are
+    schedule-independent by contract (they fan out only when the
+    engine is driven from the main domain, as [serve --stdio] does;
+    on a socket daemon's worker domains they run sequentially).
 
     {b Budgets, eviction and fairness.} [create] optionally bounds the
     registry: a global session budget, per-tenant session and byte
@@ -50,7 +56,14 @@
     used a failed link) and installs it under the new digest, so the first
     [place] after a failure is already a warm hit. The [stats] result
     reports [cache.repairs] vs [cache.rebuilds] so a regression in the
-    fast path is observable in production.
+    fast path is observable in production, and [cache.in_flight] /
+    [cache.waiting]: the builds in progress and the requests waiting
+    for one of them.
+
+    [load_topology] refuses, with [invalid_params] naming the limit,
+    a fabric whose matrix the daemon could not hold: [k > 48], a
+    weighted [k > 32] (each about 190 MB of matrix), or [l > 1000000]
+    flows.
 
     Every request is counted, and a request for a served method is
     timed under an [Obs] span ([rpc.<method>]); cache traffic shows up
@@ -140,3 +153,10 @@ val set_registry_test_hook : t -> (string -> unit) option -> unit
     runs inside the shard critical section of every session create, so
     a test can prove creates on distinct shards hold their shard locks
     concurrently. Never set this in production. *)
+
+val set_build_test_hook : t -> (string -> unit) option -> unit
+(** Test-only: [f digest] runs just before every cost-matrix build (a
+    compute on a cache miss, a repair in [fail_links]), after the
+    digest was claimed and outside the cache lock, so a test can hold
+    a build in flight or make it raise. Never set this in
+    production. *)

@@ -96,6 +96,51 @@ let test_set_domains_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A section started off the main domain — on a domain the program
+   spawned itself, as a socket daemon spawns its request workers — runs
+   every index on that domain, and answers what the main domain
+   answers. *)
+let test_sections_off_main_run_in_place () =
+  let n = 200 in
+  let sections () =
+    let ran_on = Array.make (3 * n) (-1) in
+    let mark lane i = ran_on.((lane * n) + i) <- (Domain.self () :> int) in
+    let squares = Array.make n 0 in
+    Parallel.parallel_for n (fun i ->
+        mark 0 i;
+        squares.(i) <- i * i);
+    let mixed =
+      Parallel.init n (fun i ->
+          mark 1 i;
+          (i * 37) mod 11)
+    in
+    let folded =
+      Parallel.map_reduce ~n
+        ~map:(fun i ->
+          mark 2 i;
+          i + 1)
+        ~init:17
+        ~combine:(fun acc x -> (acc * 31) + x)
+    in
+    ((squares, mixed, folded), ran_on)
+  in
+  List.iter
+    (fun d ->
+      with_domains d (fun () ->
+          let on_main, _ = sections () in
+          let self, (off_main, ran_on) =
+            Domain.join
+              (Domain.spawn (fun () -> ((Domain.self () :> int), sections ())))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "domains=%d: every index ran on the spawned domain" d)
+            true
+            (Array.for_all (Int.equal self) ran_on);
+          Alcotest.(check bool)
+            (Printf.sprintf "domains=%d: results equal the main domain's" d)
+            true (off_main = on_main)))
+    [ 1; 4 ]
+
 (* --- solver determinism --------------------------------------------------- *)
 
 type bundle = {
@@ -206,6 +251,8 @@ let () =
             test_nested_sections_degrade_gracefully;
           Alcotest.test_case "set_domains validation" `Quick
             test_set_domains_validation;
+          Alcotest.test_case "sections off the main domain run where they start"
+            `Quick test_sections_off_main_run_in_place;
         ] );
       ( "determinism",
         [

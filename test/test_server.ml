@@ -526,6 +526,61 @@ let test_engine_overloaded_response () =
   Alcotest.(check bool) "overloaded id null" true
     (Json.equal Json.Null (response_id Engine.overloaded_response))
 
+(* A fabric whose cost matrix the daemon could not hold is refused
+   before anything is built, with a message naming the limit, and
+   leaves the session table as it was; the largest unit fabric still
+   loads. *)
+let test_engine_fabric_limits () =
+  let e = eng () in
+  let sessions () =
+    let stats = expect_ok (Engine.handle_line e {|{"id":0,"method":"stats"}|}) in
+    match Json.member "registry" stats with
+    | Some reg -> (
+        match Json.member "sessions" reg with
+        | Some (Json.Num n) -> int_of_float n
+        | _ -> Alcotest.fail "registry without sessions count")
+    | None -> Alcotest.fail "stats without registry section"
+  in
+  ignore (load e ());
+  List.iter
+    (fun (params, limit) ->
+      let line =
+        Engine.handle_line e
+          (Printf.sprintf
+             {|{"id":1,"method":"load_topology","params":{"session":"big",%s}}|}
+             params)
+      in
+      Alcotest.(check string) (params ^ " code") "invalid_params"
+        (expect_error line);
+      (match Json.member "error" (Json.parse line) with
+      | Some err ->
+          let msg = str_field err "message" in
+          let has_limit =
+            let n = String.length limit in
+            let rec scan i =
+              i + n <= String.length msg
+              && (String.equal (String.sub msg i n) limit || scan (i + 1))
+            in
+            scan 0
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s names %s in %S" params limit msg)
+            true has_limit
+      | None -> Alcotest.fail "no error object");
+      Alcotest.(check int) (params ^ " creates no session") 1 (sessions ()))
+    [
+      ({|"k":1000|}, "48");
+      ({|"k":50|}, "48");
+      ({|"k":34,"weighted":true|}, "32");
+      ({|"k":4,"l":1000001|}, "1000000");
+    ];
+  let big = load e ~session:"big" ~k:48 ~l:10 () in
+  Alcotest.(check int) "unit k=48 hosts" 27648
+    (match Json.member "hosts" big with
+    | Some (Json.Num n) -> int_of_float n
+    | _ -> Alcotest.fail "load_topology without hosts");
+  Alcotest.(check int) "unit k=48 is a session" 2 (sessions ())
+
 (* --- protocol fuzzing -------------------------------------------------- *)
 
 (* Random request lines: valid templates, truncated JSON, arbitrary
@@ -804,6 +859,8 @@ let () =
             test_engine_unknown_methods_bounded;
           Alcotest.test_case "simulate_events takes every policy name" `Quick
             test_engine_simulate_every_policy;
+          Alcotest.test_case "load_topology refuses fabrics it cannot hold"
+            `Quick test_engine_fabric_limits;
         ] );
       ( "fuzz",
         [

@@ -580,6 +580,242 @@ let test_call_timeout_on_stalled_server () =
          find 0));
   Domain.join srv
 
+(* --- single-flight cost-matrix cache -------------------------------------- *)
+
+(* Poll [ready] until it holds or [timeout_s] passes, and say whether it
+   held: a request that blocks where it should not fails the test
+   instead of hanging it. *)
+let await ?(timeout_s = 5.0) ready =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    ready ()
+    || Float.compare (Unix.gettimeofday ()) deadline < 0
+       && begin
+            Unix.sleepf 0.001;
+            go ()
+          end
+  in
+  go ()
+
+(* Run [f] on a new domain. [answer] waits for its result, bounded like
+   [await], and joins the domain only once it has finished, so a
+   request that never returns fails the test instead of hanging it. *)
+let background f =
+  let slot = Atomic.make None in
+  (slot, Domain.spawn (fun () -> Atomic.set slot (Some (f ()))))
+
+let finished (slot, _) = Option.is_some (Atomic.get slot)
+
+let answer ((slot, d) as job) =
+  if not (await (fun () -> finished job)) then
+    Alcotest.fail "a request never answered";
+  Domain.join d;
+  Option.get (Atomic.get slot)
+
+let call engine fmt = Printf.ksprintf (Engine.handle_line engine) fmt
+
+(* Weighted fabrics differ by seed; unit ones share one digest. *)
+let load_k4 engine ?(weighted = false) ~seed session =
+  match
+    Json.member "digest"
+      (expect_ok
+         (call engine
+            {|{"id":"%s","method":"load_topology","params":{"session":"%s","k":4,"l":6,"n":3,"seed":%d,"weighted":%b}}|}
+            session session seed weighted))
+  with
+  | Some (Json.Str digest) -> digest
+  | _ -> Alcotest.fail "load_topology without digest"
+
+let place engine session =
+  call engine {|{"id":"%s","method":"place","params":{"session":"%s"}}|}
+    session session
+
+let cache_hit line =
+  match Json.member "cache_hit" (expect_ok line) with
+  | Some (Json.Bool b) -> b
+  | _ -> Alcotest.failf "place without cache_hit: %s" line
+
+let cache_count engine key =
+  let stats = expect_ok (call engine {|{"id":"st","method":"stats"}|}) in
+  int_of_float (num_field (member_exn stats "cache") key)
+
+type held = {
+  entered : bool Atomic.t;  (* the held build reached the hook *)
+  release : bool Atomic.t;
+  builds : int Atomic.t;  (* every build the hook saw *)
+}
+
+(* Install a build hook that holds the first build of [digest] — in
+   flight, outside the cache lock — until [release] is set (bounded like
+   [await]), then runs [after]. *)
+let hold_first_build engine ~digest ?(after = ignore) () =
+  let h =
+    {
+      entered = Atomic.make false;
+      release = Atomic.make false;
+      builds = Atomic.make 0;
+    }
+  in
+  Engine.set_build_test_hook engine
+    (Some
+       (fun d ->
+         Atomic.incr h.builds;
+         if String.equal d digest && Atomic.compare_and_set h.entered false true
+         then begin
+           ignore (await (fun () -> Atomic.get h.release));
+           after ()
+         end));
+  h
+
+let check_resolves engine resolves =
+  Alcotest.(check int)
+    "cache.hits + cache.misses = resolves" resolves
+    (cache_count engine "hits" + cache_count engine "misses");
+  Alcotest.(check int) "no build in flight" 0 (cache_count engine "in_flight");
+  Alcotest.(check int) "no request waiting" 0 (cache_count engine "waiting")
+
+(* Two places on two sessions of one cold fabric: the second arrives
+   while the first builds, waits for that build, and both answer the
+   same from one matrix. *)
+let test_concurrent_misses_build_once () =
+  let engine = Engine.create () in
+  let digest = load_k4 engine ~seed:1 "one" in
+  ignore (load_k4 engine ~seed:1 "two");
+  let h = hold_first_build engine ~digest () in
+  let first = background (fun () -> place engine "one") in
+  let entered = await (fun () -> Atomic.get h.entered) in
+  let second = background (fun () -> place engine "two") in
+  let waited = entered && await (fun () -> cache_count engine "waiting" = 1) in
+  Atomic.set h.release true;
+  let a = answer first and b = answer second in
+  Engine.set_build_test_hook engine None;
+  Alcotest.(check bool) "the second place waited for the build" true waited;
+  List.iter
+    (fun key ->
+      Alcotest.(check bool)
+        (key ^ " identical") true
+        (Json.equal (member_exn (expect_ok a) key) (member_exn (expect_ok b) key)))
+    [ "placement"; "cost" ];
+  Alcotest.(check bool) "the first place missed" false (cache_hit a);
+  Alcotest.(check bool) "the waiter hit" true (cache_hit b);
+  Alcotest.(check int) "one build" 1 (Atomic.get h.builds);
+  Alcotest.(check int) "cache.rebuilds" 1 (cache_count engine "rebuilds");
+  check_resolves engine 2
+
+(* While one fabric's build is held in flight, a hit on a cached fabric
+   and a miss on a third one both complete. *)
+let test_other_fabrics_never_wait () =
+  let engine = Engine.create () in
+  ignore (load_k4 engine ~seed:1 "warm");
+  Alcotest.(check bool) "warm-up place misses" false (cache_hit (place engine "warm"));
+  let digest = load_k4 engine ~weighted:true ~seed:1 "held" in
+  ignore (load_k4 engine ~weighted:true ~seed:2 "cold");
+  let h = hold_first_build engine ~digest () in
+  let held_place = background (fun () -> place engine "held") in
+  let entered = await (fun () -> Atomic.get h.entered) in
+  let other =
+    background (fun () ->
+        let warm = place engine "warm" in
+        (warm, place engine "cold"))
+  in
+  let during = entered && await (fun () -> finished other) in
+  Atomic.set h.release true;
+  let held = answer held_place and warm, cold = answer other in
+  Engine.set_build_test_hook engine None;
+  Alcotest.(check bool)
+    "a hit and a miss on other fabrics finished during the held build" true
+    during;
+  Alcotest.(check bool) "warm fabric hits" true (cache_hit warm);
+  Alcotest.(check bool) "cold fabric misses" false (cache_hit cold);
+  Alcotest.(check bool) "the held build still answers" false (cache_hit held);
+  check_resolves engine 4
+
+(* A build that raises drops its claim and wakes its waiter, which
+   builds the matrix itself; the next request then hits. *)
+let test_failed_build_wakes_waiter () =
+  let engine = Engine.create () in
+  let digest = load_k4 engine ~seed:1 "one" in
+  ignore (load_k4 engine ~seed:1 "two");
+  let h =
+    hold_first_build engine ~digest
+      ~after:(fun () -> failwith "injected build failure")
+      ()
+  in
+  let first = background (fun () -> place engine "one") in
+  let entered = await (fun () -> Atomic.get h.entered) in
+  let second = background (fun () -> place engine "two") in
+  let waited = entered && await (fun () -> cache_count engine "waiting" = 1) in
+  Atomic.set h.release true;
+  let failed = answer first and retried = answer second in
+  Engine.set_build_test_hook engine None;
+  Alcotest.(check bool) "the second place waited for the build" true waited;
+  Alcotest.(check string) "the failed build answers" "internal_error"
+    (expect_error failed);
+  Alcotest.(check bool) "the woken waiter built" false (cache_hit retried);
+  Alcotest.(check int) "two builds" 2 (Atomic.get h.builds);
+  Alcotest.(check int) "cache.rebuilds" 1 (cache_count engine "rebuilds");
+  Alcotest.(check bool) "the next place hits" true (cache_hit (place engine "one"));
+  check_resolves engine 3
+
+(* Three domains place, fail links and place again on sessions over
+   three fabrics and their degraded copies, through a two-entry cache:
+   every resolve counts once as a hit or a miss, every miss is one
+   build, and every answer equals a sequential replay's. *)
+let test_resolves_counted_once () =
+  let conversation d =
+    List.concat_map
+      (fun j ->
+        let s = Printf.sprintf "d%d-s%d" d j in
+        let seed = 1 + ((d + j) mod 3) in
+        [
+          Printf.sprintf
+            {|{"id":0,"method":"load_topology","params":{"session":"%s","k":4,"l":6,"n":3,"seed":%d,"weighted":true}}|}
+            s seed;
+          Printf.sprintf {|{"id":1,"method":"place","params":{"session":"%s"}}|} s;
+          Printf.sprintf
+            {|{"id":2,"method":"fail_links","params":{"session":"%s","fraction":0.1,"seed":%d}}|}
+            s d;
+          Printf.sprintf {|{"id":3,"method":"place","params":{"session":"%s"}}|} s;
+          Printf.sprintf
+            {|{"id":4,"method":"migrate","params":{"session":"%s","mu":100}}|}
+            s;
+        ])
+      [ 0; 1 ]
+  in
+  let conversations = Array.init 3 conversation in
+  let engine = Engine.create ~cache_capacity:2 () in
+  let answers =
+    Array.map
+      (fun conv ->
+        background (fun () -> List.map (Engine.handle_line engine) conv))
+      conversations
+    |> Array.map answer
+  in
+  let sequential = Engine.create ~cache_capacity:2 () in
+  Array.iteri
+    (fun d conv ->
+      List.iter2
+        (fun req line ->
+          let got = expect_ok line in
+          let want = expect_ok (Engine.handle_line sequential req) in
+          List.iter
+            (fun key ->
+              match (Json.member key want, Json.member key got) with
+              | None, None -> ()
+              | w, g ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "domain %d %s: %s as sequential" d req key)
+                    true
+                    (Option.equal Json.equal w g))
+            [ "placement"; "cost"; "total_cost"; "digest" ])
+        conv answers.(d))
+    conversations;
+  let resolves = 3 * 2 * 3 in
+  Alcotest.(check int) "every miss built one matrix"
+    (cache_count engine "misses")
+    (cache_count engine "rebuilds");
+  check_resolves engine resolves
+
 let () =
   (* The CI stress step runs this binary directly with PPDC_METRICS set
      and uploads the NDJSON it writes. *)
@@ -620,5 +856,16 @@ let () =
             `Quick test_socket_cleanup_on_exception;
           Alcotest.test_case "call ~timeout raises on a stalled daemon" `Quick
             test_call_timeout_on_stalled_server;
+        ] );
+      ( "in-flight",
+        [
+          Alcotest.test_case "concurrent misses on one fabric build once"
+            `Quick test_concurrent_misses_build_once;
+          Alcotest.test_case "other fabrics never wait behind a build" `Quick
+            test_other_fabrics_never_wait;
+          Alcotest.test_case "a failed build wakes its waiter" `Quick
+            test_failed_build_wakes_waiter;
+          Alcotest.test_case "every resolve is one hit or one miss" `Quick
+            test_resolves_counted_once;
         ] );
     ]
