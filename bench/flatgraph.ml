@@ -27,16 +27,6 @@ module Obs = Ppdc_prelude.Obs
 let reference_entry = "all_pairs_k16_auto"
 let k48_ceiling_mb = 300
 
-(* Link delays uniform with mean 1.5 and variance 0.5, drawn the way
-   the server's weighted [load_topology] draws them. *)
-let uniform_delay_fat_tree k =
-  let weight_rng = Rng.split (Rng.create 1) in
-  let half_width = sqrt 1.5 in
-  Fat_tree.build
-    ~weight:(fun _ _ ->
-      Rng.uniform weight_rng ~lo:(1.5 -. half_width) ~hi:(1.5 +. half_width))
-    k
-
 let run ~quick t =
   (* Every entry gates normalized by the reference (~10 ms), so its
      min must be stable: enough reps, about a second, that scheduler
@@ -44,7 +34,7 @@ let run ~quick t =
   let ft16 = Fat_tree.build 16 in
   Bench.record t reference_entry ~reps:100 (fun () ->
       Cost_matrix.compute ft16.graph);
-  let weighted16 = uniform_delay_fat_tree 16 in
+  let weighted16 = Fat_tree.build_weighted ~rng:(Rng.create 1) 16 in
   Bench.record t "all_pairs_k16_weighted" ~reps:10 (fun () ->
       Cost_matrix.compute weighted16.graph);
   if not quick then begin

@@ -7,7 +7,8 @@ val unweighted_fat_tree :
     2.3 MB, and the dynamic experiments reuse it hundreds of times).
     The memo is an LRU ({!Ppdc_prelude.Lru}) holding at most
     {!cost_matrix_cache_capacity} fabrics, so sweeping many ks cannot
-    accumulate matrices without bound. *)
+    accumulate matrices without bound. Parallel trials build each k
+    once, and one k's build never blocks trials on another. *)
 
 val cost_matrix_cache_capacity : int
 (** Upper bound on simultaneously cached fabrics (currently 4 — any
@@ -26,11 +27,10 @@ val fat_tree_problem :
   unit ->
   Ppdc_core.Problem.t
 (** Build a seeded experiment instance: a k-ary fat-tree (unit link
-    weights, or — with [weighted] — link delays uniform with mean 1.5 ms
-    and variance 0.5 ms², the setting Fig. 10 takes from Liu et al.),
-    [l] flows with the paper's rack locality and Facebook rate mix, and
-    an SFC of length [n]. The same seed always yields the same
-    instance. *)
+    weights, or — with [weighted] — the link delays of
+    {!Ppdc_topology.Fat_tree.build_weighted}), [l] flows with the
+    paper's rack locality and Facebook rate mix, and an SFC of length
+    [n]. The same seed always yields the same instance. *)
 
 val average :
   trials:int -> (seed:int -> float) -> Ppdc_prelude.Stats.summary

@@ -12,10 +12,10 @@ module Workload = Ppdc_traffic.Workload
 module Failures = Ppdc_extensions.Failures
 open Ppdc_core
 
-(* Concurrency model (see DESIGN.md §4e/§4j). Four lock classes,
+(* Concurrency model (see DESIGN.md §4e/§4j). Three lock classes,
    always taken in this order and never the reverse:
 
-     shard (Registry)  >  session.lock  >  cache_mutex  >  stats_mutex
+     shard (Registry)  >  session.lock  >  stats_mutex
 
    ["shard"] is the per-shard mutex of the sharded session registry
    ({!Registry}): a lookup or insert locks only the shard its session
@@ -23,15 +23,14 @@ open Ppdc_core
    collisions instead of one global lock. [session.lock] serializes
    the requests of one session (two clients of the same session see a
    consistent placement/rates/graph) while distinct sessions run in
-   parallel on the transport's worker pool. [cache_mutex] guards the
-   shared cost-matrix LRU and its in-flight table, and is held only to
-   look a digest up, claim its build, or install the built matrix: the
-   build itself runs under the session lock alone, so a request for
-   another fabric never waits behind it, while concurrent misses for
-   the same digest wait on [built] for the one build. [stats_mutex] is
-   a leaf guarding the per-method latency table and the load probe;
-   the plain request counters are atomics and need no lock at all. *)
-[@@@ppdc.lock_order "shard session cache stats"]
+   parallel on the transport's worker pool. [stats_mutex] is a leaf
+   guarding the per-method latency table and the load probe; the plain
+   request counters are atomics and need no lock at all. The shared
+   cost-matrix cache is an {!Lru}, which takes its own leaf lock and
+   builds a missing matrix outside it, under the session lock alone:
+   a request for another fabric never waits behind a build, while
+   concurrent misses for the same digest wait for the one build. *)
+[@@@ppdc.lock_order "shard session stats"]
 
 type session = {
   k : int;
@@ -68,14 +67,6 @@ type load = {
 
 type t = {
   cache : (string, Cost_matrix.t) Lru.t;
-  cache_mutex : Mutex.t; [@ppdc.guards "cache"]
-  (* Digests whose matrix one request is deriving outside [cache_mutex],
-     and how many requests wait for one of them; both under
-     [cache_mutex]. A digest is never both here and in [cache]. *)
-  building : (string, unit) Hashtbl.t;
-  mutable waiting : int;
-  built : Condition.t;  (* broadcast under [cache_mutex] when a build ends *)
-  build_hook : (string -> unit) option Atomic.t;
   registry : session Registry.t;
   started : float;
   by_method : (string, method_stats) Hashtbl.t;
@@ -88,14 +79,6 @@ type t = {
      eviction can cause any number of evicted answers). *)
   evicted_answers : int Atomic.t;
   mutable load_probe : (unit -> load) option;  (* under [stats_mutex] *)
-  (* Cost-matrix provenance counters, guarded by [cache_mutex] (both
-     are only touched while the cache is): [cm_rebuilds] counts cold
-     all-pairs computes, [cm_repairs] counts matrices derived
-     incrementally from a cached parent. A healthy dynamic fabric
-     shows repairs ≫ rebuilds; the ratio regressing towards rebuilds
-     means the fast path stopped firing. *)
-  mutable cm_rebuilds : int;
-  mutable cm_repairs : int;
   stop : bool Atomic.t;
 }
 
@@ -103,11 +86,6 @@ let create ?(cache_capacity = 8) ?shards ?session_budget ?tenant_sessions
     ?tenant_bytes ?tenant_inflight () =
   {
     cache = Lru.create ~capacity:cache_capacity;
-    cache_mutex = Mutex.create ();
-    building = Hashtbl.create 8;
-    waiting = 0;
-    built = Condition.create ();
-    build_hook = Atomic.make None;
     registry =
       Registry.create ?shards ?session_budget ?tenant_sessions ?tenant_bytes
         ?tenant_inflight ();
@@ -119,13 +97,11 @@ let create ?(cache_capacity = 8) ?shards ?session_budget ?tenant_sessions
     deadline_errors = Atomic.make 0;
     evicted_answers = Atomic.make 0;
     load_probe = None;
-    cm_rebuilds = 0;
-    cm_repairs = 0;
     stop = Atomic.make false;
   }
 
 let set_registry_test_hook t hook = Registry.set_test_hook t.registry hook
-let set_build_test_hook t hook = Atomic.set t.build_hook hook
+let set_build_test_hook t hook = Lru.set_build_test_hook t.cache hook
 let stopped t = Atomic.get t.stop
 
 let set_load_probe t probe =
@@ -184,69 +160,14 @@ let with_session t params f =
 
 (* --- cost-matrix cache ---------------------------------------------------- *)
 
-(* Under [cache_mutex]: return once no request is building [digest].
-   [Condition.wait] releases the lock meanwhile, so other digests are
-   looked up, claimed and installed while this request waits. *)
-let rec await_build t digest =
-  if Hashtbl.mem t.building digest then begin
-    t.waiting <- t.waiting + 1;
-    Condition.wait t.built t.cache_mutex;
-    t.waiting <- t.waiting - 1;
-    await_build t digest
-  end
-
-(* Run [derive] as the one build of [digest], which the caller claimed
-   in [building] under [cache_mutex], holding no engine lock but the
-   caller's session lock. Then, under the lock, drop the claim, install
-   the matrix [matrix_of] finds in the result (counting it with
-   [on_install]) and wake every waiter — also when [derive] raised, so
-   a waiter retries instead of waiting forever. *)
-let build_claimed t digest ~matrix_of ~on_install derive =
-  let derived = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutexes.with_lock t.cache_mutex (fun () ->
-          Hashtbl.remove t.building digest;
-          Option.iter
-            (fun cm ->
-              Lru.put t.cache digest cm;
-              on_install ())
-            (Option.bind !derived matrix_of);
-          Condition.broadcast t.built))
-    (fun () ->
-      Option.iter (fun hook -> hook digest) (Atomic.get t.build_hook);
-      let r = derive () in
-      derived := Some r;
-      r)
-
 (* Resolve the session's all-pairs matrix through the LRU: the single
    expensive step of every query, skipped whenever this fabric (by
-   structural digest) has been seen before. A miss claims the digest
-   and computes outside [cache_mutex]; a concurrent miss for the same
-   fabric waits for that build and then hits. So a resolve is a miss
-   exactly when it builds, and each one counts once in the LRU's
-   hits or misses. *)
+   structural digest) has been seen before. *)
 let resolve_cm t (s : session) =
-  let digest = s.digest in
-  let found =
-    Mutexes.with_lock t.cache_mutex (fun () ->
-        await_build t digest;
-        match Lru.find t.cache digest with
-        | Some _ as cm -> cm
-        | None ->
-            Hashtbl.replace t.building digest ();
-            None)
-  in
   let hit, cm =
-    match found with
-    | Some cm -> (true, cm)
-    | None ->
-        ( false,
-          build_claimed t digest ~matrix_of:Option.some
-            ~on_install:(fun () -> t.cm_rebuilds <- t.cm_rebuilds + 1)
-            (fun () ->
-              Obs.time "server.cost_matrix.compute" (fun () ->
-                  Cost_matrix.compute s.graph)) )
+    Lru.find_or_add t.cache s.digest (fun () ->
+        Obs.time "server.cost_matrix.compute" (fun () ->
+            Cost_matrix.compute s.graph))
   in
   Obs.incr (if hit then "server.cache.hits" else "server.cache.misses");
   (hit, cm)
@@ -302,21 +223,15 @@ let load_topology t params =
   if l > 1_000_000 then reject Invalid_params "l must be <= 1000000";
   let rng = Rng.create seed in
   let ft =
-    if weighted then begin
-      (* Same recipe as Runner.fat_tree_problem: link delays uniform
-         with mean 1.5 and variance 0.5. *)
-      let half_width = sqrt 1.5 in
-      let weight_rng = Rng.split rng in
-      Fat_tree.build
-        ~weight:(fun _ _ ->
-          Rng.uniform weight_rng ~lo:(1.5 -. half_width)
-            ~hi:(1.5 +. half_width))
-        k
-    end
-    else Fat_tree.build k
+    if weighted then Fat_tree.build_weighted ~rng k else Fat_tree.build k
   in
-  let flows = Workload.generate_on_fat_tree ~rng ~l ft in
   let graph = ft.Fat_tree.graph in
+  (* A chain longer than the fabric would make every later place fail
+     in Problem.make; refused before the flows are drawn. *)
+  if n > Graph.num_switches graph then
+    reject Invalid_params "n must be <= %d, the fabric's switch count"
+      (Graph.num_switches graph);
+  let flows = Workload.generate_on_fat_tree ~rng ~l ft in
   let digest = Graph.digest graph in
   let session =
     {
@@ -347,7 +262,7 @@ let load_topology t params =
       Obs.incr "server.session.evicted";
       Obs.incr ("server.session.evicted." ^ Registry.reason_slug e.reason))
     outcome.evicted;
-  let cached = Mutexes.with_lock t.cache_mutex (fun () -> Lru.mem t.cache digest) in
+  let cached = Lru.mem t.cache digest in
   Json.Obj
     [
       ("session", Str name);
@@ -625,35 +540,16 @@ let fail_links t params =
      failed links, so when the parent's matrix is cached we derive the
      degraded matrix from it (only rows whose shortest-path trees used
      a failed link re-run) and install it under the new digest — the
-     next [place] is a warm hit instead of a cold all-pairs sweep. The
-     repair is claimed and run like [resolve_cm]'s compute, outside
-     [cache_mutex]. [Lru.peek] reads the parent without disturbing
-     recency or the hit/miss counters. *)
-  let claim =
-    Mutexes.with_lock t.cache_mutex (fun () ->
-        await_build t s.digest;
-        if Lru.mem t.cache s.digest then `Cached
-        else
-          match Lru.peek t.cache parent_digest with
-          | None -> `Absent
-          | Some parent ->
-              Hashtbl.replace t.building s.digest ();
-              `Repair parent)
-  in
+     next [place] is a warm hit instead of a cold all-pairs sweep. *)
   let repaired, cached =
-    match claim with
-    | `Cached -> (false, true)
-    | `Absent -> (false, false)
-    | `Repair parent -> (
-        match
-          build_claimed t s.digest ~matrix_of:(Option.map fst)
-            ~on_install:(fun () -> t.cm_repairs <- t.cm_repairs + 1)
-            (fun () ->
-              Obs.time "server.cost_matrix.repair" (fun () ->
-                  Cost_matrix.repair_to parent degraded))
-        with
-        | Some _ -> (true, true)
-        | None -> (false, false))
+    match
+      Lru.derive t.cache s.digest ~parent:parent_digest (fun parent ->
+          Obs.time "server.cost_matrix.repair" (fun () ->
+              Option.map fst (Cost_matrix.repair_to parent degraded)))
+    with
+    | Lru.Cached -> (false, true)
+    | Lru.Absent -> (false, false)
+    | Lru.Derived -> (true, true)
   in
   if repaired then Obs.incr "server.cache.repairs";
   Json.Obj
@@ -805,18 +701,18 @@ let stats t _params =
       by_method
   in
   let cache =
-    Mutexes.with_lock t.cache_mutex (fun () ->
-        Json.Obj
-          [
-            ("capacity", num (Lru.capacity t.cache));
-            ("entries", num (Lru.length t.cache));
-            ("hits", num (Lru.hits t.cache));
-            ("misses", num (Lru.misses t.cache));
-            ("repairs", num t.cm_repairs);
-            ("rebuilds", num t.cm_rebuilds);
-            ("in_flight", num (Hashtbl.length t.building));
-            ("waiting", num t.waiting);
-          ])
+    let c = Lru.stats t.cache in
+    Json.Obj
+      [
+        ("capacity", num c.capacity);
+        ("entries", num c.entries);
+        ("hits", num c.hits);
+        ("misses", num c.misses);
+        ("repairs", num c.derived);
+        ("rebuilds", num c.builds);
+        ("in_flight", num c.in_flight);
+        ("waiting", num c.waiting);
+      ]
   in
   let registry_section =
     let c = Registry.counters t.registry in

@@ -15,15 +15,15 @@
     mutex per shard (lock class ["shard"]), so two creates or lookups
     contend only when their names share a shard; each session carries
     its own lock, so two requests against the same session serialize
-    while distinct sessions run in parallel; the shared cost-matrix
-    LRU has a dedicated mutex held only to look a digest up, claim its
-    build in an in-flight table, or install the built matrix — the
-    build itself ([Cost_matrix.compute] on a miss, [repair_to] in
-    [fail_links]) runs under the session lock alone, so concurrent
-    misses for one fabric wait for a single build while requests for
-    any other fabric never wait behind it; and a leaf stats mutex
+    while distinct sessions run in parallel; and a leaf stats mutex
     guards the per-method latency table (plain request counters are
-    atomics). Lock order is always shard > session > cache > stats.
+    atomics). Lock order is always shard > session > stats. The shared
+    cost-matrix cache is a {!Ppdc_prelude.Lru}, which holds its own
+    leaf lock only to look a digest up, claim its build or install the
+    matrix: the build itself ([Cost_matrix.compute] on a miss,
+    [repair_to] in [fail_links]) runs under the session lock alone, so
+    concurrent misses for one fabric wait for a single build while
+    requests for any other fabric never wait behind it.
     Solver outputs are bit-identical to a sequential run — and
     independent of the shard count: handlers are deterministic given
     the session state they serialized on, and the

@@ -10,7 +10,7 @@
    its home shard — regardless of where its sessions land).
 
    Lock discipline: every shard has its own mutex, class "shard" in
-   the engine's declared order (shard > session > cache > stats). No
+   the engine's declared order (shard > session > stats). No
    operation ever holds two shard locks at once — eviction is phased:
    pick a victim reading one shard at a time, then remove it under its
    own shard lock, re-checking the recency stamp in case the victim

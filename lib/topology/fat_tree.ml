@@ -55,6 +55,15 @@ let build ?(weight = fun _ _ -> 1.0) k =
   let graph = Graph.make ~kinds ~edges:!edges in
   { graph; k; core; aggregation; edge; hosts }
 
+let build_weighted ~rng k =
+  let weight_rng = Ppdc_prelude.Rng.split rng in
+  let half_width = sqrt 1.5 (* sqrt (3 * variance) *) in
+  build
+    ~weight:(fun _ _ ->
+      Ppdc_prelude.Rng.uniform weight_rng ~lo:(1.5 -. half_width)
+        ~hi:(1.5 +. half_width))
+    k
+
 let host_index t host =
   let first_host = t.hosts.(0) in
   let idx = host - first_host in

@@ -24,6 +24,12 @@ val build : ?weight:(int -> int -> float) -> int -> t
     weight (default: constant 1.0). Raises [Invalid_argument] if [k] is
     odd or < 2. *)
 
+val build_weighted : rng:Ppdc_prelude.Rng.t -> int -> t
+(** The weighted fat-tree of Fig. 10 (after Liu et al.): link delays
+    uniform with mean 1.5 and variance 0.5, i.e. in [[1.5 − √1.5,
+    1.5 + √1.5]], drawn from [Rng.split rng], so [rng] advances by
+    exactly one split. *)
+
 val pod_of_host : t -> int -> int
 (** Pod index (0-based) of a host. *)
 

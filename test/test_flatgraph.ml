@@ -395,23 +395,13 @@ let prop_diameter_brute_force =
         (Int64.bits_of_float (Cost_matrix.diameter cm))
         (Int64.bits_of_float !brute))
 
-(* The fabric [load_topology ~weighted] builds: uniform delays with
-   mean 1.5 and variance 0.5. *)
-let weighted_fat_tree k =
-  let weight_rng = Rng.split (Rng.create 1) in
-  let half_width = sqrt 1.5 in
-  Fat_tree.build
-    ~weight:(fun _ _ ->
-      Rng.uniform weight_rng ~lo:(1.5 -. half_width) ~hi:(1.5 +. half_width))
-    k
-
 (* The kernel's loop allocates nothing: a weighted k=8 build and two
    repairs stay under 16 minor words per node (a heap that boxes its
    float priorities costs about 1,000 per row). [Gc.minor_words]
    counts the calling domain only, hence one domain. *)
 let test_kernel_allocates_nothing () =
   with_domains 1 (fun () ->
-      let ft = weighted_fat_tree 8 in
+      let ft = Fat_tree.build_weighted ~rng:(Rng.create 1) 8 in
       let g = ft.graph in
       let n = Graph.num_nodes g in
       let per_source f =
@@ -460,7 +450,7 @@ let test_kernel_allocates_nothing () =
    call here). *)
 let test_comm_cost_allocates_nothing () =
   with_domains 1 (fun () ->
-      let ft = weighted_fat_tree 8 in
+      let ft = Fat_tree.build_weighted ~rng:(Rng.create 1) 8 in
       let cm = Cost_matrix.compute ft.graph in
       let rng = Rng.create 3 in
       let flows = Workload.generate_on_fat_tree ~rng ~l:100 ft in

@@ -438,24 +438,23 @@ let test_lru_rejects_bad_capacity () =
   | (_ : (int, int) Lru.t) -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* Install [v] under [k] the only way a key enters the cache: its own
+   claimed build. *)
+let lru_add c k v = ignore (Lru.find_or_add c k (fun () -> v))
+let no_build () = Alcotest.fail "a resident key was built again"
+
 let test_lru_evicts_least_recent () =
   let c = Lru.create ~capacity:2 in
-  Lru.put c "a" 1;
-  Lru.put c "b" 2;
+  lru_add c "a" 1;
+  lru_add c "b" 2;
   (* Touch "a" so "b" becomes the eviction candidate. *)
-  Alcotest.(check (option int)) "a hit" (Some 1) (Lru.find c "a");
-  Lru.put c "c" 3;
-  Alcotest.(check int) "bounded" 2 (Lru.length c);
+  Alcotest.(check (pair bool int)) "a hit" (true, 1)
+    (Lru.find_or_add c "a" no_build);
+  lru_add c "c" 3;
+  Alcotest.(check int) "bounded" 2 (Lru.stats c).entries;
   Alcotest.(check bool) "b evicted" false (Lru.mem c "b");
   Alcotest.(check bool) "a kept by recency refresh" true (Lru.mem c "a");
   Alcotest.(check bool) "c present" true (Lru.mem c "c")
-
-let test_lru_put_replaces () =
-  let c = Lru.create ~capacity:2 in
-  Lru.put c "a" 1;
-  Lru.put c "a" 10;
-  Alcotest.(check int) "no duplicate entry" 1 (Lru.length c);
-  Alcotest.(check (option int)) "latest value wins" (Some 10) (Lru.find c "a")
 
 let test_lru_find_or_add () =
   let c = Lru.create ~capacity:4 in
@@ -469,8 +468,10 @@ let test_lru_find_or_add () =
   Alcotest.(check (pair bool int)) "miss builds" (false, 42) (hit1, v1);
   Alcotest.(check (pair bool int)) "hit reuses" (true, 42) (hit2, v2);
   Alcotest.(check int) "built exactly once" 1 !builds;
-  Alcotest.(check int) "one hit counted" 1 (Lru.hits c);
-  Alcotest.(check int) "one miss counted" 1 (Lru.misses c)
+  let st = Lru.stats c in
+  Alcotest.(check int) "one hit counted" 1 st.hits;
+  Alcotest.(check int) "one miss counted" 1 st.misses;
+  Alcotest.(check int) "one build counted" 1 st.builds
 
 let prop_lru_keeps_most_recent =
   QCheck.Test.make
@@ -478,34 +479,208 @@ let prop_lru_keeps_most_recent =
     QCheck.(pair (int_range 1 5) (small_list (int_bound 9)))
     (fun (cap, keys) ->
       let c = Lru.create ~capacity:cap in
-      List.iter (fun k -> Lru.put c k (k * 7)) keys;
-      (* Most recent [cap] distinct keys (a repeated put refreshes
-         recency, so scan newest to oldest). *)
+      List.iter (fun k -> lru_add c k (k * 7)) keys;
+      (* Most recent [cap] distinct keys (a repeated key is a hit and
+         refreshes recency, so scan newest to oldest). *)
       let recent =
         List.fold_left
           (fun acc k -> if List.mem k acc then acc else acc @ [ k ])
           [] (List.rev keys)
         |> List.filteri (fun i _ -> i < cap)
       in
-      Lru.length c <= cap
-      && List.for_all (fun k -> Lru.find c k = Some (k * 7)) recent)
+      (Lru.stats c).entries <= cap
+      && List.for_all
+           (fun k -> Lru.find_or_add c k (fun () -> -1) = (true, k * 7))
+           recent)
 
-let test_lru_peek_leaves_state_alone () =
-  (* peek must answer without touching recency or the hit/miss
-     counters — it exists so the server can read a parent matrix for
-     incremental repair without skewing the cache statistics its tests
+let pp_derivation ppf d =
+  Format.pp_print_string ppf
+    (match d with
+    | Lru.Cached -> "Cached"
+    | Lru.Absent -> "Absent"
+    | Lru.Derived -> "Derived")
+
+let derivation = Alcotest.testable pp_derivation ( = )
+
+let test_lru_derive_leaves_parent_alone () =
+  (* derive reads its parent without touching recency or the hit/miss
+     counters: the server repairs a degraded fabric's matrix from its
+     parent's, and that must not skew the cache statistics its tests
      and operators rely on. *)
   let c = Lru.create ~capacity:2 in
-  Lru.put c "a" 1;
-  Lru.put c "b" 2;
-  Alcotest.(check (option int)) "peek finds" (Some 1) (Lru.peek c "a");
-  Alcotest.(check (option int)) "peek misses silently" None (Lru.peek c "x");
-  Alcotest.(check int) "no hits counted" 0 (Lru.hits c);
-  Alcotest.(check int) "no misses counted" 0 (Lru.misses c);
-  (* "a" was peeked, not touched: it is still the eviction candidate. *)
-  Lru.put c "c" 3;
-  Alcotest.(check bool) "peek did not refresh recency" false (Lru.mem c "a");
-  Alcotest.(check bool) "b survived" true (Lru.mem c "b")
+  lru_add c "a" 1;
+  lru_add c "b" 2;
+  Alcotest.(check derivation) "missing parent" Lru.Absent
+    (Lru.derive c "y" ~parent:"x" (fun _ -> Some 0));
+  Alcotest.(check derivation) "f answers None" Lru.Absent
+    (Lru.derive c "z" ~parent:"a" (fun _ -> None));
+  Alcotest.(check bool) "nothing installed for None" false (Lru.mem c "z");
+  Alcotest.(check derivation) "resident key" Lru.Cached
+    (Lru.derive c "b" ~parent:"a" (fun _ -> Alcotest.fail "f ran"));
+  (* "a" was read, not touched: still the eviction candidate, so
+     installing its child evicts it. *)
+  Alcotest.(check derivation) "derived from a" Lru.Derived
+    (Lru.derive c "a'" ~parent:"a" (fun v -> Some (v + 10)));
+  let st = Lru.stats c in
+  Alcotest.(check int) "no hits counted" 0 st.hits;
+  Alcotest.(check int) "only the two builds' misses" 2 st.misses;
+  Alcotest.(check int) "one derived" 1 st.derived;
+  Alcotest.(check bool) "derive did not refresh the parent" false
+    (Lru.mem c "a");
+  Alcotest.(check bool) "b survived" true (Lru.mem c "b");
+  Alcotest.(check (pair bool int)) "child installed" (true, 11)
+    (Lru.find_or_add c "a'" no_build)
+
+(* --- lru across domains ------------------------------------------------ *)
+
+(* Poll [ready] until it holds or [timeout_s] passes, and say whether it
+   held: a call that blocks where it should not fails the test instead
+   of hanging it. *)
+let await ?(timeout_s = 5.0) ready =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    ready ()
+    || Float.compare (Unix.gettimeofday ()) deadline < 0
+       && begin
+            Unix.sleepf 0.001;
+            go ()
+          end
+  in
+  go ()
+
+(* Run [f] on a new domain; [result] waits for it, bounded like [await],
+   and joins the domain only once it has finished. *)
+let background f =
+  let slot = Atomic.make None in
+  ( slot,
+    Domain.spawn (fun () ->
+        Atomic.set slot (Some (try Ok (f ()) with e -> Error e))) )
+
+let finished (slot, _) = Option.is_some (Atomic.get slot)
+
+let result ((slot, d) as job) =
+  if not (await (fun () -> finished job)) then
+    Alcotest.fail "a cache call never returned";
+  Domain.join d;
+  Option.get (Atomic.get slot)
+
+let value job =
+  match result job with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+
+(* Hold the first build of [key] in flight, outside the lock, until
+   [release] is set, then run [after]. The hold outlasts every [await]
+   of the test, so a call that blocks behind the held build is seen
+   blocked before the build lets go. Returns (entered, release). *)
+let hold_first_build c key ?(after = ignore) () =
+  let entered = Atomic.make false and release = Atomic.make false in
+  Lru.set_build_test_hook c
+    (Some
+       (fun k ->
+         if String.equal k key && Atomic.compare_and_set entered false true
+         then begin
+           ignore (await ~timeout_s:30.0 (fun () -> Atomic.get release));
+           after ()
+         end));
+  (entered, release)
+
+let waiters c n = await (fun () -> (Lru.stats c).waiting = n)
+
+let check_idle c =
+  let st = Lru.stats c in
+  Alcotest.(check int) "no build in flight" 0 st.in_flight;
+  Alcotest.(check int) "no caller waiting" 0 st.waiting
+
+let test_lru_domains_build_once () =
+  let c = Lru.create ~capacity:2 in
+  let builds = Atomic.make 0 in
+  let build () =
+    Atomic.incr builds;
+    42
+  in
+  let entered, release = hold_first_build c "k" () in
+  let first = background (fun () -> Lru.find_or_add c "k" build) in
+  let held = await (fun () -> Atomic.get entered) in
+  let second = background (fun () -> Lru.find_or_add c "k" build) in
+  let waited = held && waiters c 1 in
+  Atomic.set release true;
+  let a = value first and b = value second in
+  Alcotest.(check bool) "the second miss waited for the build" true waited;
+  Alcotest.(check (pair bool int)) "the builder missed" (false, 42) a;
+  Alcotest.(check (pair bool int)) "the waiter hit" (true, 42) b;
+  Alcotest.(check int) "built once" 1 (Atomic.get builds);
+  Alcotest.(check int) "one build counted" 1 (Lru.stats c).builds;
+  check_idle c
+
+let test_lru_other_keys_proceed () =
+  let c = Lru.create ~capacity:4 in
+  lru_add c "warm" 1;
+  let entered, release = hold_first_build c "a" () in
+  let held = background (fun () -> Lru.find_or_add c "a" (fun () -> 2)) in
+  let reached = await (fun () -> Atomic.get entered) in
+  let other =
+    background (fun () ->
+        let warm = Lru.find_or_add c "warm" no_build in
+        (warm, Lru.find_or_add c "cold" (fun () -> 3)))
+  in
+  let during = reached && await (fun () -> finished other) in
+  Atomic.set release true;
+  let a = value held and warm, cold = value other in
+  Alcotest.(check bool) "a hit and a miss finished during the held build"
+    true during;
+  Alcotest.(check (pair bool int)) "warm key hits" (true, 1) warm;
+  Alcotest.(check (pair bool int)) "cold key misses" (false, 3) cold;
+  Alcotest.(check (pair bool int)) "the held build still answers" (false, 2) a;
+  check_idle c
+
+let test_lru_failed_build_wakes_waiter () =
+  let c = Lru.create ~capacity:2 in
+  let builds = Atomic.make 0 in
+  let build () =
+    Atomic.incr builds;
+    42
+  in
+  let entered, release =
+    hold_first_build c "k" ~after:(fun () -> failwith "injected") ()
+  in
+  let first = background (fun () -> Lru.find_or_add c "k" build) in
+  let held = await (fun () -> Atomic.get entered) in
+  let second = background (fun () -> Lru.find_or_add c "k" build) in
+  let waited = held && waiters c 1 in
+  Atomic.set release true;
+  let failed = result first and retried = value second in
+  Alcotest.(check bool) "the second miss waited for the build" true waited;
+  Alcotest.(check bool) "the failed build raised" true
+    (match failed with Error (Failure _) -> true | _ -> false);
+  Alcotest.(check (pair bool int)) "the woken waiter built" (false, 42) retried;
+  Alcotest.(check int) "only the waiter's build ran" 1 (Atomic.get builds);
+  let st = Lru.stats c in
+  Alcotest.(check int) "two misses" 2 st.misses;
+  Alcotest.(check int) "one build installed" 1 st.builds;
+  check_idle c
+
+let test_lru_derive_races_find_or_add () =
+  let c = Lru.create ~capacity:4 in
+  lru_add c "parent" 1;
+  let entered, release = hold_first_build c "child" () in
+  let derived =
+    background (fun () ->
+        Lru.derive c "child" ~parent:"parent" (fun v -> Some (v + 1)))
+  in
+  let held = await (fun () -> Atomic.get entered) in
+  let found = background (fun () -> Lru.find_or_add c "child" no_build) in
+  let waited = held && waiters c 1 in
+  Atomic.set release true;
+  let d = value derived and f = value found in
+  Alcotest.(check bool) "find_or_add waited for derive" true waited;
+  Alcotest.(check derivation) "derive installed the child" Lru.Derived d;
+  Alcotest.(check (pair bool int)) "find_or_add hit the derived value"
+    (true, 2) f;
+  let st = Lru.stats c in
+  Alcotest.(check int) "one derived" 1 st.derived;
+  Alcotest.(check int) "only the parent was built" 1 st.builds;
+  check_idle c
 
 (* --- clock ------------------------------------------------------------ *)
 
@@ -680,14 +855,23 @@ let () =
             test_lru_rejects_bad_capacity;
           Alcotest.test_case "evicts the least recent" `Quick
             test_lru_evicts_least_recent;
-          Alcotest.test_case "put replaces in place" `Quick
-            test_lru_put_replaces;
           Alcotest.test_case "find_or_add builds once" `Quick
             test_lru_find_or_add;
-          Alcotest.test_case "peek leaves recency and counters alone" `Quick
-            test_lru_peek_leaves_state_alone;
+          Alcotest.test_case "derive leaves parent alone" `Quick
+            test_lru_derive_leaves_parent_alone;
         ] );
       qsuite "lru-properties" [ prop_lru_keeps_most_recent ];
+      ( "lru-domains",
+        [
+          Alcotest.test_case "two misses build once" `Quick
+            test_lru_domains_build_once;
+          Alcotest.test_case "other keys proceed" `Quick
+            test_lru_other_keys_proceed;
+          Alcotest.test_case "failed build wakes waiter" `Quick
+            test_lru_failed_build_wakes_waiter;
+          Alcotest.test_case "derive races find_or_add" `Quick
+            test_lru_derive_races_find_or_add;
+        ] );
       ( "clock",
         [
           Alcotest.test_case "monotone nondecreasing" `Quick

@@ -573,13 +573,31 @@ let test_engine_fabric_limits () =
       ({|"k":50|}, "48");
       ({|"k":34,"weighted":true|}, "32");
       ({|"k":4,"l":1000001|}, "1000000");
+      ({|"k":4,"n":21|}, "20");
     ];
+  (* The refused loads left nothing to place on and built no matrix. *)
+  Alcotest.(check string) "nothing to place after a refused load"
+    "unknown_session"
+    (expect_error
+       (Engine.handle_line e
+          {|{"id":2,"method":"place","params":{"session":"big"}}|}));
+  let stats = expect_ok (Engine.handle_line e {|{"id":0,"method":"stats"}|}) in
+  Alcotest.(check (float 0.0)) "no matrix built" 0.0
+    (num_field (Option.get (Json.member "cache" stats)) "misses");
   let big = load e ~session:"big" ~k:48 ~l:10 () in
   Alcotest.(check int) "unit k=48 hosts" 27648
     (match Json.member "hosts" big with
     | Some (Json.Num n) -> int_of_float n
     | _ -> Alcotest.fail "load_topology without hosts");
-  Alcotest.(check int) "unit k=48 is a session" 2 (sessions ())
+  Alcotest.(check int) "unit k=48 is a session" 2 (sessions ());
+  (* A chain of all 20 switches of k=4 fits. *)
+  ignore (load e ~session:"long" ~n:20 ());
+  Alcotest.(check bool) "n=20 places" true
+    (Option.is_some
+       (Json.member "placement"
+          (expect_ok
+             (Engine.handle_line e
+                {|{"id":3,"method":"place","params":{"session":"long"}}|}))))
 
 (* --- protocol fuzzing -------------------------------------------------- *)
 

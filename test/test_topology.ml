@@ -160,6 +160,27 @@ let test_fat_tree_rejects_odd_k () =
        false
      with Invalid_argument _ -> true)
 
+(* The weighted recipe draws from one split of the caller's stream, so
+   the caller's later draws (the flows) match a plain split, and every
+   delay lies in the uniform draw's range. *)
+let test_fat_tree_weighted () =
+  let rng = Rng.create 7 and twin = Rng.create 7 in
+  let ft = Fat_tree.build_weighted ~rng 8 in
+  ignore (Rng.split twin);
+  Alcotest.(check int64) "advanced by exactly one split" (Rng.bits64 twin)
+    (Rng.bits64 rng);
+  let lo = 1.5 -. sqrt 1.5 and hi = 1.5 +. sqrt 1.5 in
+  let weights = List.map (fun (_, _, w) -> w) (Graph.edges ft.graph) in
+  Alcotest.(check int) "one delay per link" (Graph.num_edges ft.graph)
+    (List.length weights);
+  List.iter
+    (fun w ->
+      if Float.compare w lo < 0 || Float.compare w hi > 0 then
+        Alcotest.failf "delay %g outside [%g, %g]" w lo hi)
+    weights;
+  Alcotest.(check bool) "delays vary" true
+    (List.exists (fun w -> not (Float.equal w (List.hd weights))) weights)
+
 (* --- linear ------------------------------------------------------------ *)
 
 let test_linear_structure () =
@@ -449,6 +470,8 @@ let () =
           Alcotest.test_case "pod indexing" `Quick test_fat_tree_pods;
           Alcotest.test_case "hop distances" `Quick test_fat_tree_distances;
           Alcotest.test_case "odd k rejected" `Quick test_fat_tree_rejects_odd_k;
+          Alcotest.test_case "weighted recipe" `Quick
+            test_fat_tree_weighted;
         ] );
       ( "linear",
         [

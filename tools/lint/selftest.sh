@@ -19,9 +19,9 @@ BACKUP=$(mktemp /tmp/ppdc-selftest.XXXXXX)
 
 BASE=$(wc -l < "$TARGET")
 # Offsets into ci_seed.snippet (1-based, counting its leading blank
-# line): the R6 inversion is the seed_touch_cache call on line 7
-# (col 45) — cache re-acquired through a callee while the stats leaf
-# is held — the R7 leak is the bare Mutex.lock on line 10 (col 2).
+# line): the R6 inversion is the seed_touch_session call on line 7
+# (col 45) — a session lock taken through a callee while the stats
+# leaf is held — the R7 leak is the bare Mutex.lock on line 10 (col 2).
 R6_LOC="$TARGET:$((BASE + 7)):45 [R6-lock-order]"
 R7_LOC="$TARGET:$((BASE + 10)):2 [R7-unsafe-locking]"
 
