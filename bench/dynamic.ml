@@ -24,7 +24,7 @@
    9472² layout, where copying the 718 MB distance matrix dominated
    repair and the ratio read 2.4× to 3.6× on a shared 2-core VM. The
    leaf-factored k=32 matrix is 1792 stored rows of 1280 columns
-   (≈ 37 MB for both blocks), so repair is now bound by its 49 re-run
+   (≈ 23 MB for both blocks), so repair is now bound by its 49 re-run
    rows, and the ratio read about 16× on the same VM. *)
 
 module Bench = Bench_common

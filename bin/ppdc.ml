@@ -712,7 +712,7 @@ let serve_cmd =
   let cache_arg =
     let doc =
       "Capacity of the cost-matrix LRU cache (a unit k=16 entry is 448 \
-       stored rows × 320 columns, ≈2.3 MB; k=32 ≈37 MB; keyed by \
+       stored rows × 320 columns, ≈1.4 MB; k=32 ≈23 MB; keyed by \
        structural topology digest)."
     in
     Arg.(value & opt int 8 & info [ "cache" ] ~docv:"ENTRIES" ~doc)

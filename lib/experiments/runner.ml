@@ -7,10 +7,10 @@ open Ppdc_core
 
 (* The unweighted fat-tree and its all-pairs matrix depend only on k;
    cache them across trials (the k=16 matrix holds 448 stored rows ×
-   320 columns, about 2.3 MB, and Fig. 11 uses it hundreds of times).
+   320 columns, about 1.4 MB, and Fig. 11 uses it hundreds of times).
    The cache is an LRU bounded at [cost_matrix_cache_capacity] entries
    — an experiment sweeping many fabric sizes no longer accumulates one
-   matrix per k forever (k=32 is about 37 MB); any single experiment
+   matrix per k forever (k=32 is about 23 MB); any single experiment
    touches at most two or three ks, so trials still hit. Trials may run
    on several domains: concurrent misses for one k wait for its one
    build, and lookups of every other k proceed meanwhile. *)

@@ -4,7 +4,7 @@ val unweighted_fat_tree :
   int -> Ppdc_topology.Fat_tree.t * Ppdc_topology.Cost_matrix.t
 (** Memoized unit-weight fat-tree and its all-pairs matrix for a given
     k (the k=16 matrix holds 448 stored rows × 320 columns, about
-    2.3 MB, and the dynamic experiments reuse it hundreds of times).
+    1.4 MB, and the dynamic experiments reuse it hundreds of times).
     The memo is an LRU ({!Ppdc_prelude.Lru}) holding at most
     {!cost_matrix_cache_capacity} fabrics, so sweeping many ks cannot
     accumulate matrices without bound. Parallel trials build each k

@@ -5,7 +5,7 @@
     a full cache evicts the entry that has gone longest without a hit.
     Built for the cost-matrix caches of [Ppdc_experiments.Runner] and
     [Ppdc_server.Engine], whose values are megabytes (a unit k=32 cost
-    matrix is about 37 MB) and take milliseconds to seconds to build.
+    matrix is about 23 MB) and take milliseconds to seconds to build.
 
     One leaf mutex (lock class ["lru"]) is held only to look a key up,
     claim its build or install the value. A miss on a key whose build

@@ -213,9 +213,9 @@ let load_topology t params =
   if l < 1 then reject Invalid_params "l must be >= 1";
   if n < 1 then reject Invalid_params "n must be >= 1";
   (* The largest fabrics whose cost matrix the daemon can hold, refused
-     before anything is built: a unit k=48 matrix is ≈186 MB, and a
+     before anything is built: a unit k=48 matrix is ≈116 MB, and a
      weighted fabric gives every host its own leaf class, so weighted
-     k=32 (≈194 MB) is the same size. *)
+     k=32 (≈121 MB) is the same size. *)
   let max_k = if weighted then 32 else 48 in
   if k > max_k then
     reject Invalid_params "k must be <= %d%s" max_k
@@ -751,6 +751,20 @@ let stats t _params =
         ("rejections", num c.fairness_rejections);
       ]
   in
+  (* Process-wide GC counters: a worker domain and the main domain read
+     the same counts. A mix whose [major_collections] climb with every
+     request is paying for the bytes it allocates, off-heap rows
+     included (DESIGN.md §4f). *)
+  let runtime =
+    let g = Gc.quick_stat () in
+    Json.Obj
+      [
+        ("major_collections", num g.major_collections);
+        ("minor_collections", num g.minor_collections);
+        ("heap_words", num g.heap_words);
+        ("top_heap_words", num g.top_heap_words);
+      ]
+  in
   let server =
     match probe with
     | None -> []
@@ -783,6 +797,7 @@ let stats t _params =
        ("cache", cache);
        ("registry", registry_section);
        ("fairness", fairness_section);
+       ("runtime", runtime);
      ]
     @ server
     @ [ ("sessions", Json.List sessions) ])

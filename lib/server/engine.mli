@@ -62,7 +62,7 @@
 
     [load_topology] refuses, with [invalid_params] naming the limit,
     a fabric whose matrix the daemon could not hold: [k > 48], a
-    weighted [k > 32] (each about 190 MB of matrix), or [l > 1000000]
+    weighted [k > 32] (each about 120 MB of matrix), or [l > 1000000]
     flows.
 
     Every request is counted, and a request for a served method is
@@ -71,7 +71,10 @@
     latency is also aggregated into the [stats] result
     ([requests.by_method], [requests.latency_ms]). Requests naming a
     method the engine does not serve share one [unknown_method] entry
-    there, so clients cannot grow those tables.
+    there, so clients cannot grow those tables. Its [runtime] section
+    carries the process's GC counters from [Gc.quick_stat]
+    ([major_collections], [minor_collections], [heap_words],
+    [top_heap_words]), so a GC-bound mix shows from the daemon alone.
     A malformed or failing request produces a structured error
     response and leaves the engine serving — no handler exception
     escapes {!handle_line}.

@@ -26,7 +26,8 @@
 
    Both blocks are Bigarrays: off-heap, never scanned by the major GC,
    not initialized at allocation. [pred] is parallel to [dist] and holds
-   column ids; each row's source column is its own predecessor. *)
+   column ids in 16 bits ({!Shortest_paths.pred_row}); each row's source
+   column is its own predecessor. *)
 type rows = {
   dist : Shortest_paths.dist_row;
   base : int array;
@@ -185,9 +186,17 @@ let fill_row t r =
   done
 
 (* A matrix of [graph] over [layout] and its core adjacency whose rows
-   are not yet written. *)
+   are not yet written. Every build and repair allocates here, so this
+   is where a core too large for 16-bit predecessors is refused, before
+   its rows exist. *)
 let alloc graph layout core_graph =
   let m = Array.length layout.l_core in
+  if m > Shortest_paths.max_nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Cost_matrix: a core of %d nodes, but a predecessor row holds at \
+          most %d"
+         m Shortest_paths.max_nodes);
   let len = max 1 (m * (m + Array.length layout.l_class_col)) in
   let dist = Shortest_paths.alloc_dist_rows len in
   {

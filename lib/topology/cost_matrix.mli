@@ -15,9 +15,11 @@
     a Dijkstra from the attachment started at that weight. Entries with
     a leaf destination are derived, not stored, and every derived entry
     is bit-identical to the one a dense Dijkstra from the source
-    computes. Memory is |core| × (|core| + classes) entries of 16 bytes,
-    not Θ(|V|²): a unit k=32 fat-tree (9472 nodes) needs ≈ 37 MB, a
-    unit k=48 one ≈ 186 MB.
+    computes. Memory is |core| × (|core| + classes) entries of 10 bytes
+    (an 8-byte distance and a 16-bit predecessor), not Θ(|V|²): a unit
+    k=32 fat-tree (9472 nodes) needs ≈ 23 MB, a unit k=48 one ≈ 116 MB.
+    The 16-bit predecessors bound the core at
+    {!Shortest_paths.max_nodes} nodes; unit k=48 has 2880.
 
     Each row is one run of the {!Shortest_paths} kernel over the core,
     which allocates nothing, so a build's allocation is the two row
@@ -28,7 +30,8 @@ type t
 val compute : Graph.t -> t
 (** Run Dijkstra ({!Shortest_paths.dijkstra_into}) for every stored row,
     over the domain pool. Raises [Invalid_argument] if the graph is not
-    connected (a PPDC is always connected). *)
+    connected (a PPDC is always connected), or, before allocating any
+    row, if its core has more than {!Shortest_paths.max_nodes} nodes. *)
 
 val graph : t -> Graph.t
 
@@ -79,8 +82,8 @@ val repair_to : t -> Graph.t -> (t * int) option
     lists are identical; [Some (t', num_rows t')] when the leaf set
     changed and the matrix was rebuilt); [None] on a node/kind
     mismatch, in which case the caller should run a cold {!compute}.
-    Raises [Invalid_argument] if [g'] is disconnected (as {!compute}
-    would). *)
+    Raises [Invalid_argument] if [g'] is disconnected or its core too
+    large (as {!compute} would). *)
 
 val cost : t -> int -> int -> float
 (** [cost t u v] is [c(u, v)]; 0 when [u = v]. *)

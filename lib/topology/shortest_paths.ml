@@ -1,5 +1,6 @@
 type dist_row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type pred_row = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type pred_row =
+  (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type csr = { row_ptr : int array; targets : int array; weights : float array }
 
@@ -16,7 +17,19 @@ let csr g =
    whole matrix — ~700 MB per cycle on a k=32 fat-tree, which throttled
    the previous nested representation far below memory bandwidth.
    Bigarray storage is off-heap: never scanned, never moved, no
-   initialization cost at allocation. *)
+   initialization cost at allocation.
+
+   Predecessors are 16-bit: an entry is a node id or -1, and a store
+   silently keeps the low 16 bits, so every entry point refuses a graph
+   with more nodes than an entry can name before it allocates a row. *)
+let max_nodes = 32_767
+
+let check_nodes fn n =
+  if n > max_nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Shortest_paths.%s: %d nodes, but a predecessor row holds at most %d"
+         fn n max_nodes)
 
 (* The relaxation discipline:
 
@@ -104,6 +117,7 @@ let sift_down heap pos (dist : dist_row) base size i v =
 let dijkstra_into { row_ptr; targets; weights } ~src ~start ~(dist : dist_row)
     ~(pred : pred_row) ~base =
   let n = Array.length row_ptr - 1 in
+  check_nodes "dijkstra_into" n;
   if src < 0 || src >= n then invalid_arg "Shortest_paths.dijkstra: bad source";
   if
     base < 0
@@ -158,10 +172,11 @@ let alloc_dist_rows len : dist_row =
   Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
 
 let alloc_pred_rows len : pred_row =
-  Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
+  Bigarray.Array1.create Bigarray.int16_signed Bigarray.c_layout len
 
 let dijkstra g ~src =
   let n = Graph.num_nodes g in
+  check_nodes "dijkstra" n;
   let dist = alloc_dist_rows (max n 1) in
   let pred = alloc_pred_rows (max n 1) in
   dijkstra_into (csr g) ~src ~start:0.0 ~dist ~pred ~base:0;

@@ -20,8 +20,18 @@ type dist_row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1
     matrices live off the OCaml heap: never scanned by the major GC,
     never moved, no initialization cost at allocation. *)
 
-type pred_row = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Flat predecessor storage; same layout contract as {!dist_row}. *)
+type pred_row =
+  (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Flat predecessor storage, same layout contract as {!dist_row}, in
+    16-bit signed entries: a node id, or [-1] for unreached. Two bytes
+    rather than eight, because the bytes a row block allocates are what
+    paces the major GC (DESIGN.md §4f). A 16-bit store keeps only the
+    low 16 bits of what it is given, so the kernel refuses a graph of
+    more than {!max_nodes} nodes instead of wrapping an id. *)
+
+val max_nodes : int
+(** 32,767, the largest value a {!pred_row} entry holds: the most nodes
+    a graph may have for {!dijkstra} and {!dijkstra_into}. *)
 
 type csr = { row_ptr : int array; targets : int array; weights : float array }
 (** The adjacency the kernel reads, in {!Graph}'s CSR layout: the
@@ -44,7 +54,8 @@ val dijkstra : Graph.t -> src:int -> float array * int array
     [v]'s predecessor on one cheapest path ([src] for the source itself,
     [-1] if unreachable). Ties are broken deterministically towards the
     lowest-numbered predecessor, so extracted paths are stable across
-    runs. *)
+    runs. Raises [Invalid_argument] naming {!max_nodes} if [g] has more
+    nodes than that, before allocating anything. *)
 
 val dijkstra_into :
   csr ->
@@ -61,7 +72,8 @@ val dijkstra_into :
     weight is, entry for entry, the row Dijkstra from the leaf itself
     computes, since the leaf relaxes nothing but that one link.
     [Cost_matrix] calls this once per stored row on one shared
-    Bigarray. Raises [Invalid_argument] if the row does not fit. *)
+    Bigarray. Raises [Invalid_argument] if the row does not fit, or if
+    the graph has more than {!max_nodes} nodes. *)
 
 val path_from_pred :
   ?base:int -> pred:int array -> src:int -> dst:int -> unit -> int list option

@@ -599,6 +599,48 @@ let test_engine_fabric_limits () =
              (Engine.handle_line e
                 {|{"id":3,"method":"place","params":{"session":"long"}}|}))))
 
+(* [stats.runtime] carries the process's GC counters, so a mix whose
+   major collections climb with every request shows it from the daemon
+   alone. The counts are live, not a snapshot taken once: they never
+   fall across requests, and a forced major cycle moves them. *)
+let test_engine_stats_runtime () =
+  let e = eng () in
+  let runtime () =
+    let stats = expect_ok (Engine.handle_line e {|{"id":0,"method":"stats"}|}) in
+    match Json.member "runtime" stats with
+    | Some r ->
+        List.map (num_field r)
+          [ "major_collections"; "minor_collections"; "heap_words";
+            "top_heap_words" ]
+    | None -> Alcotest.fail "stats without runtime section"
+  in
+  let majors () = List.hd (runtime ()) in
+  let last = ref (majors ()) in
+  List.iter
+    (fun line ->
+      ignore (expect_ok (Engine.handle_line e line));
+      let now = majors () in
+      Alcotest.(check bool)
+        (Printf.sprintf "major_collections %g -> %g after %s" !last now line)
+        true (now >= !last);
+      last := now)
+    [
+      {|{"id":1,"method":"load_topology","params":{"session":"s","k":4,"l":6,"n":3}}|};
+      {|{"id":2,"method":"place","params":{"session":"s"}}|};
+      {|{"id":3,"method":"fail_links","params":{"session":"s","fraction":0.25}}|};
+      {|{"id":4,"method":"place","params":{"session":"s"}}|};
+      {|{"id":5,"method":"migrate","params":{"session":"s","mu":10}}|};
+    ];
+  Gc.full_major ();
+  Alcotest.(check bool) "a forced major cycle is counted" true
+    (majors () > !last);
+  match runtime () with
+  | [ _; minors; heap; top ] ->
+      Alcotest.(check bool) "minor collections counted" true (minors > 0.0);
+      Alcotest.(check bool) "heap within its peak" true
+        (heap > 0.0 && heap <= top)
+  | _ -> assert false
+
 (* --- protocol fuzzing -------------------------------------------------- *)
 
 (* Random request lines: valid templates, truncated JSON, arbitrary
@@ -879,6 +921,8 @@ let () =
             test_engine_simulate_every_policy;
           Alcotest.test_case "load_topology refuses fabrics it cannot hold"
             `Quick test_engine_fabric_limits;
+          Alcotest.test_case "stats carries GC counters" `Quick
+            test_engine_stats_runtime;
         ] );
       ( "fuzz",
         [

@@ -370,6 +370,59 @@ let test_disconnected_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* Predecessor rows hold 16-bit ids, so the kernel and the matrix refuse
+   a graph one node past [max_nodes] before allocating a row: every node
+   of a ring is core, and the rows of a 32,768-node ring would be 8.6 GB
+   of distances alone, so this test finishing in milliseconds shows the
+   refusal comes first. A star of pendant switches has a one-node core
+   and builds at once; chaining its leaves makes all 32,768 core, which
+   [repair_to] must refuse the same way. Just inside the bound, the
+   largest ids round-trip through a 16-bit row. *)
+let test_node_bound () =
+  let limit = Shortest_paths.max_nodes in
+  Alcotest.(check int) "the bound" 32_767 limit;
+  let graph n edges = Graph.make ~kinds:(Array.make n Graph.Switch) ~edges in
+  let ring n = graph n (List.init n (fun i -> (i, (i + 1) mod n, 1.0))) in
+  let star = List.init limit (fun i -> (0, i + 1, 1.0)) in
+  (* [by]: the module that must refuse, so a refusal the kernel makes
+     only after [Cost_matrix] has allocated its rows fails the test. *)
+  let refused what ~by f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted %d nodes" what (limit + 1)
+    | exception Invalid_argument msg ->
+        let has needle =
+          let n = String.length needle in
+          let rec go i =
+            i + n <= String.length msg
+            && (String.equal (String.sub msg i n) needle || go (i + 1))
+          in
+          go 0
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s names the limit in %S" what by msg)
+          true
+          (String.starts_with ~prefix:by msg && has "32767")
+  in
+  let big = ring (limit + 1) in
+  refused "dijkstra" ~by:"Shortest_paths" (fun () ->
+      ignore (Shortest_paths.dijkstra big ~src:0));
+  refused "compute" ~by:"Cost_matrix" (fun () ->
+      ignore (Cost_matrix.compute big));
+  let cm = Cost_matrix.compute (graph (limit + 1) star) in
+  Alcotest.(check int) "a star's rows: its hub and one leaf class" 2
+    (Cost_matrix.num_rows cm);
+  let chained =
+    graph (limit + 1)
+      (star @ List.init (limit - 1) (fun i -> (i + 1, i + 2, 1.0)))
+  in
+  refused "repair_to" ~by:"Cost_matrix" (fun () ->
+      ignore (Cost_matrix.repair_to cm chained));
+  let dist, pred = Shortest_paths.dijkstra (ring limit) ~src:0 in
+  Alcotest.(check int) "the last node hangs off the source" 0 pred.(limit - 1);
+  Alcotest.(check int) "the largest id is a predecessor" (limit - 1)
+    pred.(limit - 2);
+  Alcotest.(check (float 0.0)) "halfway round" 16383.0 dist.(limit / 2)
+
 let prop_dijkstra_tree_consistent =
   QCheck.Test.make ~name:"dijkstra distances obey edge relaxations" ~count:50
     QCheck.(int_bound 10_000)
@@ -506,6 +559,8 @@ let () =
           Alcotest.test_case "diameter" `Quick test_diameter;
           Alcotest.test_case "disconnected graphs rejected" `Quick
             test_disconnected_rejected;
+          Alcotest.test_case "16-bit predecessor bound" `Quick
+            test_node_bound;
         ] );
       ( "dot",
         [ Alcotest.test_case "graphviz export" `Quick test_dot_export ] );
