@@ -6,9 +6,9 @@
    interference only ever adds time — on the monotonic clock
    ({!Ppdc_prelude.Clock}; an NTP step mid-run must not fabricate a
    regression). The JSON artifact, the `--check` regression gate and
-   the CLI surface (`--out`/`--check`/`--tolerance`/`--quick`/
-   `--absolute`, PPDC_BENCH_MODE / PPDC_BENCH_TOLERANCE) are shared so
-   every bench gates the same way in CI.
+   the CLI surface (`--out`/`--check`, PPDC_BENCH_MODE=quick and
+   PPDC_BENCH_TOLERANCE) are shared so every bench gates the same way
+   in CI.
 
    Raw seconds are not comparable across machines, so `--check`
    normalizes every timed entry by the benchmark's reference entry
@@ -16,11 +16,10 @@
    time exceeds the baseline's normalized time by more than the
    tolerance (default 10%). A uniform machine-wide slowdown cancels
    out; a change that slows one path relative to the others fails the
-   gate. Pass `--absolute` on the machine that recorded the baseline
-   to gate on raw seconds as well. A deterministic entry (a cost or a
-   count, from [record_value]) is compared bit for bit instead: it
-   reproduces exactly on any machine, so any difference, in either
-   direction, is a behaviour change. *)
+   gate. A deterministic entry (a cost or a count, from
+   [record_value]) is compared bit for bit instead: it reproduces
+   exactly on any machine, so any difference, in either direction, is
+   a behaviour change. *)
 
 module Json = Ppdc_prelude.Json
 module Clock = Ppdc_prelude.Clock
@@ -101,7 +100,10 @@ let entries_of_json j =
 
 let find name l = List.find_opt (fun e -> String.equal e.name name) l
 
-let check ~reference ~tolerance ~absolute ~baseline entries =
+(* Report every baseline entry and return whether all of them passed;
+   the caller decides when to exit, so a bench's own [post] invariants
+   are judged in the same run. *)
+let check ~reference ~tolerance ~baseline entries =
   let reference_of l =
     match find reference l with
     | Some e when e.seconds > 0.0 -> e.seconds
@@ -130,30 +132,27 @@ let check ~reference ~tolerance ~absolute ~baseline entries =
             base.name "exact" base.seconds cur.seconds
       | Some cur ->
           incr compared;
-          let judge label base_v cur_v =
-            let limit = base_v *. (1.0 +. tolerance) in
-            if cur_v > limit then incr failures;
-            Printf.printf
-              "%-4s %-22s %-10s base %10.4f  now %10.4f  (limit %10.4f)\n"
-              (if cur_v > limit then "FAIL" else "ok")
-              base.name label base_v cur_v limit
-          in
-          judge "normalized" (base.seconds /. base_ref) (cur.seconds /. cur_ref);
-          if absolute then judge "seconds" base.seconds cur.seconds)
+          let base_v = base.seconds /. base_ref
+          and cur_v = cur.seconds /. cur_ref in
+          let limit = base_v *. (1.0 +. tolerance) in
+          if cur_v > limit then incr failures;
+          Printf.printf
+            "%-4s %-22s %-10s base %10.4f  now %10.4f  (limit %10.4f)\n"
+            (if cur_v > limit then "FAIL" else "ok")
+            base.name "normalized" base_v cur_v limit)
     baseline;
   if !compared = 0 then failwith "baseline and run share no entries";
-  if !failures > 0 then begin
+  if !failures > 0 then
     Printf.printf
       "bench-check: %d regression(s): an exact entry changed or a timed one \
        went beyond %.0f%% tolerance\n"
-      !failures (100.0 *. tolerance);
-    exit 1
-  end
+      !failures (100.0 *. tolerance)
   else
     Printf.printf
       "bench-check: ok (%d entries: exact ones identical, timed ones within \
        %.0f%%)\n"
-      !compared (100.0 *. tolerance)
+      !compared (100.0 *. tolerance);
+  !failures = 0
 
 let read_file path =
   let ic = open_in_bin path in
@@ -165,18 +164,17 @@ let read_file path =
    against a baseline, then let the bench enforce its own in-run
    invariants ([post] — e.g. the dynamic bench's repair-vs-rebuild
    speedup floor, which is a ratio within one run and therefore
-   machine-independent). *)
+   machine-independent). [post] runs even when the gate failed, and
+   the exit status is non-zero if either one failed. *)
 let main ~bench ~reference ?(baseline_filter = fun e -> e)
     ?(post = fun ~quick:_ _ -> ()) run =
   let out = ref None
   and check_path = ref None
-  and quick = ref (Sys.getenv_opt "PPDC_BENCH_MODE" = Some "quick")
-  and absolute = ref false
+  and quick = Sys.getenv_opt "PPDC_BENCH_MODE" = Some "quick"
   and tolerance =
-    ref
-      (match Sys.getenv_opt "PPDC_BENCH_TOLERANCE" with
-      | Some s -> float_of_string s
-      | None -> 0.10)
+    match Sys.getenv_opt "PPDC_BENCH_TOLERANCE" with
+    | Some s -> float_of_string s
+    | None -> 0.10
   in
   let rec parse = function
     | [] -> ()
@@ -186,28 +184,18 @@ let main ~bench ~reference ?(baseline_filter = fun e -> e)
     | "--check" :: path :: rest ->
         check_path := Some path;
         parse rest
-    | "--tolerance" :: v :: rest ->
-        tolerance := float_of_string v;
-        parse rest
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--absolute" :: rest ->
-        absolute := true;
-        parse rest
     | arg :: _ ->
         Printf.eprintf
-          "usage: %s [--quick] [--out FILE] [--check BASELINE] [--tolerance \
-           F] [--absolute]\nunknown argument: %s\n"
+          "usage: %s [--out FILE] [--check BASELINE]\nunknown argument: %s\n"
           bench arg;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
   Parallel.set_domains 1;
   Printf.eprintf "%s bench (%s, 1 domain):\n%!" bench
-    (if !quick then "quick" else "full");
+    (if quick then "quick" else "full");
   let recorder = { entries = [] } in
-  run ~quick:!quick recorder;
+  run ~quick recorder;
   let entries = List.rev recorder.entries in
   (* [baseline_filter] selects which entries land in the committed
      artifact: a bench whose run includes machine-class-dependent
@@ -221,16 +209,20 @@ let main ~bench ~reference ?(baseline_filter = fun e -> e)
       let oc = open_out path in
       output_string oc
         (Json.to_string
-           (to_json ~quick:!quick ~reference (baseline_filter entries)));
+           (to_json ~quick ~reference (baseline_filter entries)));
       output_char oc '\n';
       close_out oc
   | None -> ());
-  (match !check_path with
-  | Some path ->
-      check ~reference ~tolerance:!tolerance ~absolute:!absolute
-        ~baseline:(entries_of_json (Json.parse (read_file path)))
-        entries
-  | None ->
-      if !out = None then
-        print_endline (Json.to_string (to_json ~quick:!quick ~reference entries)));
-  post ~quick:!quick entries
+  let passed =
+    match !check_path with
+    | Some path ->
+        check ~reference ~tolerance
+          ~baseline:(entries_of_json (Json.parse (read_file path)))
+          entries
+    | None ->
+        if !out = None then
+          print_endline (Json.to_string (to_json ~quick ~reference entries));
+        true
+  in
+  post ~quick entries;
+  if not passed then exit 1

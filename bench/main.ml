@@ -19,6 +19,7 @@ module Flow = Ppdc_traffic.Flow
 module Workload = Ppdc_traffic.Workload
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Event_engine = Ppdc_sim.Event_engine
 open Ppdc_core
 
 let run_experiments mode =
@@ -89,7 +90,7 @@ let micro_tests mode =
     Test.make ~name:"simulated-day-mpareto"
       (Staged.stage (fun () ->
            ignore
-             (Engine.run_day (Scenario.make ~mu:1e4 problem)
+             (Event_engine.run_day (Scenario.make ~mu:1e4 problem)
                 ~policy:Engine.Mpareto)));
     Test.make ~name:"frontier-search-full"
       (Staged.stage (fun () ->

@@ -26,6 +26,7 @@ module Registry = Ppdc_experiments.Registry
 module Runner = Ppdc_experiments.Runner
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Event_engine = Ppdc_sim.Event_engine
 open Ppdc_core
 
 (* --- shared arguments -------------------------------------------------- *)
@@ -271,27 +272,13 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ k_arg $ l_arg $ seed_arg $ output_arg)
 
-(* The discrete-event variant of `simulate`: the same diurnal day as
-   an event stream, replayed by Event_engine under a when-to-migrate
-   trigger, optionally enriched with probe ticks and a failure
-   episode. *)
-let simulate_events ~problem ~trace_path ~seed ~mu ~policy ~trigger
-    ~probe_every ~failure_at =
+(* The per-event view of `simulate`: the day's trace as an event
+   stream, replayed by Event_engine under a when-to-migrate trigger,
+   optionally enriched with probe ticks and a failure episode. *)
+let simulate_events scenario ~trace ~seed ~policy ~trigger ~probe_every
+    ~failure_at =
   let module Events = Ppdc_traffic.Events in
-  let module Event_engine = Ppdc_sim.Event_engine in
-  let scenario, base =
-    match trace_path with
-    | None ->
-        let scenario = Scenario.make ~mu problem in
-        (scenario, Scenario.events_of_diurnal scenario)
-    | Some path ->
-        let trace = Ppdc_traffic.Trace.load ~path in
-        let problem =
-          Problem.make ~cm:(Problem.cm problem)
-            ~flows:trace.Ppdc_traffic.Trace.flows ~n:(Problem.n problem) ()
-        in
-        (Scenario.make ~mu problem, Events.of_trace trace)
-  in
+  let base = Events.of_trace trace in
   let stream = ref base in
   (match probe_every with
   | None -> ()
@@ -316,7 +303,7 @@ let simulate_events ~problem ~trace_path ~seed ~mu ~policy ~trigger
         (Printf.sprintf "event-driven day: %s, trigger %s (mu=%g)"
            (Engine.policy_name policy)
            (Event_engine.trigger_name trigger)
-           mu)
+           scenario.Scenario.mu)
       ~columns:[ "time"; "event"; "comm"; "fired"; "migration"; "moves" ]
   in
   Array.iter
@@ -340,14 +327,14 @@ let simulate_events ~problem ~trace_path ~seed ~mu ~policy ~trigger
 
 let trigger_conv =
   let parse s =
-    match Ppdc_sim.Event_engine.trigger_of_string s with
+    match Event_engine.trigger_of_string s with
     | t -> Ok t
     | exception Invalid_argument msg -> Error (`Msg msg)
   in
   Arg.conv
     ( parse,
       fun fmt t ->
-        Format.pp_print_string fmt (Ppdc_sim.Event_engine.trigger_name t) )
+        Format.pp_print_string fmt (Event_engine.trigger_name t) )
 
 let simulate_cmd =
   let run j k l n seed mu policy trace_path events trigger probe_every
@@ -355,25 +342,30 @@ let simulate_cmd =
     apply_domains j;
     with_metrics metrics @@ fun () ->
     let problem = problem_of ~weighted:false ~k ~l ~n ~seed in
-    if events || Option.is_some trigger then
-      simulate_events ~problem ~trace_path ~seed ~mu ~policy
-        ~trigger:
-          (Option.value ~default:(Ppdc_sim.Event_engine.Periodic 1.0) trigger)
+    (* The day to replay: the --trace file on this fabric, or the
+       diurnal model on the seeded workload. *)
+    let problem, trace =
+      match trace_path with
+      | None ->
+          ( problem,
+            Ppdc_traffic.Trace.of_diurnal Ppdc_traffic.Diurnal.default
+              ~flows:(Problem.flows problem) )
+      | Some path ->
+          let trace = Ppdc_traffic.Trace.load ~path in
+          ( Problem.make ~cm:(Problem.cm problem)
+              ~flows:trace.Ppdc_traffic.Trace.flows ~n:(Problem.n problem) (),
+            trace )
+    in
+    let scenario = Scenario.make ~mu problem in
+    if
+      events || Option.is_some trigger || Option.is_some probe_every
+      || Option.is_some failure_at
+    then
+      simulate_events scenario ~trace ~seed ~policy
+        ~trigger:(Option.value ~default:(Event_engine.Periodic 1.0) trigger)
         ~probe_every ~failure_at
     else begin
-      let scenario = Scenario.make ~mu problem in
-      let run =
-        match trace_path with
-        | None -> Engine.run_day scenario ~policy
-        | Some path ->
-            let trace = Ppdc_traffic.Trace.load ~path in
-            let flows = trace.Ppdc_traffic.Trace.flows in
-            let problem =
-              Problem.make ~cm:(Problem.cm problem) ~flows
-                ~n:(Problem.n problem) ()
-            in
-            Engine.run_trace (Scenario.make ~mu problem) ~policy ~trace
-      in
+      let run = Event_engine.run_trace scenario ~policy ~trace in
       let table =
         Table.create
           ~title:
@@ -403,10 +395,10 @@ let simulate_cmd =
   in
   let events_arg =
     let doc =
-      "Run the discrete-event simulator instead of the hour engine: the day \
-       becomes an event stream (one rate update per hour, or per trace \
-       epoch with $(b,--trace)) and reconfiguration is decided by \
-       $(b,--trigger). Implied by $(b,--trigger)."
+      "Print the day event by event instead of hour by hour: the day is an \
+       event stream (one rate update per hour, or per trace epoch with \
+       $(b,--trace)) and reconfiguration is decided by $(b,--trigger). \
+       Implied by $(b,--trigger), $(b,--probe-every) and $(b,--failure-at)."
     in
     Arg.(value & flag & info [ "events" ] ~doc)
   in
@@ -414,7 +406,7 @@ let simulate_cmd =
     let doc =
       "When-to-migrate trigger for $(b,--events): $(b,periodic:SPAN), \
        $(b,threshold:RATIO), $(b,hysteresis:UP,DOWN) or $(b,on-event). \
-       Default periodic:1 (which reproduces the hour engine exactly)."
+       Default periodic:1, the hourly day. Implies $(b,--events)."
     in
     Arg.(
       value
@@ -423,16 +415,16 @@ let simulate_cmd =
   in
   let probe_every_arg =
     let doc =
-      "With $(b,--events): add probe ticks every $(docv) hours so triggers \
-       can fire between state changes."
+      "Add probe ticks every $(docv) hours so triggers can fire between \
+       state changes. Implies $(b,--events)."
     in
     Arg.(
       value & opt (some float) None & info [ "probe-every" ] ~docv:"SPAN" ~doc)
   in
   let failure_at_arg =
     let doc =
-      "With $(b,--events): fail a random 5% of switch-switch links at \
-       $(docv) hours and repair them 1.5 hours later."
+      "Fail a random 5% of switch-switch links at $(docv) hours and \
+       repair them 1.5 hours later. Implies $(b,--events)."
     in
     Arg.(
       value & opt (some float) None & info [ "failure-at" ] ~docv:"T" ~doc)

@@ -16,6 +16,7 @@ module Workload = Ppdc_traffic.Workload
 module Diurnal = Ppdc_traffic.Diurnal
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Event_engine = Ppdc_sim.Event_engine
 open Ppdc_core
 open Ppdc_extensions
 
@@ -38,7 +39,7 @@ let () =
   in
   (* Migrating single-copy chain. *)
   let migration_day =
-    Engine.run_day
+    Event_engine.run_day
       (Scenario.make ~mu:3e3 ~initial:Scenario.Hour1 problem)
       ~policy:Engine.Mpareto
   in

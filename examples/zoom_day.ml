@@ -12,6 +12,7 @@
 module Table = Ppdc_prelude.Table
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Event_engine = Ppdc_sim.Event_engine
 open Ppdc_core
 
 let () =
@@ -25,8 +26,8 @@ let () =
     Problem.make ~cm ~flows ~n:4 ()
   in
   let scenario = Scenario.make ~mu:3e3 problem in
-  let mpareto = Engine.run_day scenario ~policy:Engine.Mpareto in
-  let frozen = Engine.run_day scenario ~policy:Engine.No_migration in
+  let mpareto = Event_engine.run_day scenario ~policy:Engine.Mpareto in
+  let frozen = Event_engine.run_day scenario ~policy:Engine.No_migration in
   let table =
     Table.create ~title:"a day of cloud conferencing (k=4, l=40, n=4, mu=3e3)"
       ~columns:

@@ -5,6 +5,7 @@ module Flow = Ppdc_traffic.Flow
 module Workload = Ppdc_traffic.Workload
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Event_engine = Ppdc_sim.Event_engine
 open Ppdc_core
 
 let rescore mode =
@@ -110,7 +111,7 @@ let mu mode =
     (fun mu ->
       let day policy ~seed =
         let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-        Engine.run_day (Scenario.make ~mu problem) ~policy
+        Event_engine.run_day (Scenario.make ~mu problem) ~policy
       in
       let mp =
         Runner.average ~trials (fun ~seed ->
@@ -196,7 +197,7 @@ let initial mode =
   in
   let day ~initial policy ~seed =
     let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-    Engine.run_day
+    Event_engine.run_day
       (Scenario.make ~mu:mu_val
          ~initial:(match initial with
            | `Uninformed -> Scenario.Uninformed seed
@@ -245,7 +246,7 @@ let lookahead mode =
   in
   let day policy ~seed =
     let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-    Engine.run_day
+    Event_engine.run_day
       (Scenario.make ~mu:mu_val ~initial:(Scenario.Uninformed seed) problem)
       ~policy
   in

@@ -146,7 +146,7 @@ let replication mode =
   in
   let mpareto_day ~seed =
     let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-    (Ppdc_sim.Engine.run_day
+    (Ppdc_sim.Event_engine.run_day
        (Ppdc_sim.Scenario.make ~mu ~initial:Ppdc_sim.Scenario.Hour1 problem)
        ~policy:Ppdc_sim.Engine.Mpareto)
       .Ppdc_sim.Engine.total_cost
@@ -282,7 +282,7 @@ let churn mode =
       Ppdc_traffic.Trace.churn ~rng:(Rng.create (seed * 37)) ~epochs
         (Problem.flows problem)
     in
-    Ppdc_sim.Engine.run_trace
+    Ppdc_sim.Event_engine.run_trace
       (Scenario.make ~mu ~initial:(Scenario.Uninformed seed) problem)
       ~policy ~trace
   in

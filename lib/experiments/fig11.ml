@@ -2,6 +2,7 @@ module Table = Ppdc_prelude.Table
 module Stats = Ppdc_prelude.Stats
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Event_engine = Ppdc_sim.Event_engine
 
 let scenario ~mode ~k ~l ~n ~mu ~seed =
   let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
@@ -14,7 +15,9 @@ let scenario ~mode ~k ~l ~n ~mu ~seed =
 let hourly ~mode ~k ~l ~n ~mu ~trials policy =
   let runs =
     Array.init trials (fun i ->
-        Engine.run_day (scenario ~mode ~k ~l ~n ~mu ~seed:(i + 1)) ~policy)
+        Event_engine.run_day
+          (scenario ~mode ~k ~l ~n ~mu ~seed:(i + 1))
+          ~policy)
   in
   let hours = Array.length runs.(0).Engine.hours in
   Array.init hours (fun h ->
@@ -30,7 +33,7 @@ let hourly ~mode ~k ~l ~n ~mu ~trials policy =
 
 let total ~mode ~k ~l ~n ~mu ~trials policy =
   Runner.average ~trials (fun ~seed ->
-      (Engine.run_day (scenario ~mode ~k ~l ~n ~mu ~seed) ~policy)
+      (Event_engine.run_day (scenario ~mode ~k ~l ~n ~mu ~seed) ~policy)
         .Engine.total_cost)
 
 let run mode =

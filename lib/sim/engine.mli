@@ -1,12 +1,14 @@
-(** Discrete-hour PPDC day simulator.
+(** Migration policies, one policy step, and the hourly report.
 
-    Realizes the paper's lifecycle: the SFC is deployed at hour 0 (per
-    {!Scenario.initial} — by default before any traffic exists, since
-    Eq. 9 has τ_0 = 0), then the chosen migration policy runs once per
-    hour against the diurnal rate vector (Eq. 9 with the east/west
-    offset), and every hour is charged its migration traffic plus one
-    hour of communication traffic. This is the harness behind the
-    Fig. 11 experiments.
+    The paper's lifecycle deploys the SFC at hour 0 (per
+    {!Scenario.initial}: by default before any traffic exists, since
+    Eq. 9 has τ_0 = 0), then runs the chosen migration policy once per
+    hour against that hour's rate vector, charging each hour its
+    migration traffic plus one hour of communication traffic. That day
+    is {!Event_engine.run_day}: a [Periodic 1.0] replay of the hourly
+    event stream, reported per hour as a {!run}. This module holds
+    what every replay shares: the policy table, {!step} and the
+    day-0 placement. It is the harness behind the Fig. 11 experiments.
 
     Policies:
     - [Mpareto] — Algo. 5 VNF migration (the paper's contribution);
@@ -17,21 +19,11 @@
       toward where the traffic is going rather than where it is. An
       upper-bound study of what prediction is worth (not in the paper).
       {b Horizon contract}: at the final epoch the "next hour" does not
-      exist; the forecast used there is the all-zero rate vector — the
-      day (or trace) simply ends. [run_day] and [run_trace] share this
-      contract (the engine substitutes the zero vector itself, in one
-      place), so replaying [Trace.of_diurnal] of a scenario's flows is
-      bit-identical to [run_day] under every policy, lookahead
-      included;
+      exist, and the forecast used there is the all-zero rate vector —
+      the vector {!Ppdc_traffic.Events.of_trace} places at the horizon;
     - [Plan] / [Mcf] — the VM-migration baselines: the VNFs stay at the
       initial placement and the VMs chase them;
-    - [No_migration] — the initial placement rides out the whole day.
-
-    Observability: when {!Ppdc_prelude.Obs} is enabled, every simulated
-    epoch emits a [sim.epoch] event (policy, hour, comm/migration cost,
-    moves, decision latency) and records the policy's decision time
-    under the [sim.step.<policy>] span; the layer is a no-op
-    otherwise. *)
+    - [No_migration] — the initial placement rides out the whole day. *)
 
 type policy = Mpareto | Optimal | Mpareto_lookahead | Plan | Mcf | No_migration
 
@@ -41,6 +33,11 @@ val policies : (string * policy) list
 (** Every policy under the name the CLI's [--policy] and the RPC
     [simulate_events] method accept: ["mpareto"], ["optimal"],
     ["forecast"], ["plan"], ["mcf"], ["none"]. *)
+
+(** {1 The hourly report}
+
+    What {!Event_engine.run_day} and {!Event_engine.run_trace} return:
+    one record per hour (trace epoch). *)
 
 type hour_record = {
   hour : int;
@@ -60,9 +57,8 @@ type run = {
 
 (** {1 Single-step interface}
 
-    The pieces {!Event_engine} reuses so that one policy step means
-    exactly the same thing at hour granularity and between arbitrary
-    events. *)
+    The pieces {!Event_engine.run} drives, at every event where its
+    trigger fires: the hourly day is the [Periodic 1.0] case. *)
 
 type state = {
   mutable placement : Ppdc_core.Placement.t;
@@ -90,18 +86,3 @@ val initial_placement_of :
 (** The day-0 placement per the scenario's {!Scenario.initial}:
     seeded-arbitrary for [Uninformed], Algo. 3 on [first_rates] for
     [Hour1]. *)
-
-val run_day : Scenario.t -> policy:policy -> run
-(** Simulate one day: choose the day-0 placement per the scenario's
-    {!Scenario.initial}, then let the policy act at every hour 1..N.
-    Deterministic given the scenario. *)
-
-val run_trace : Scenario.t -> policy:policy -> trace:Ppdc_traffic.Trace.t -> run
-(** Replay an arbitrary {!Ppdc_traffic.Trace} instead of the diurnal
-    model: the policy acts once per trace epoch. The trace's flows must
-    match the scenario's problem ([run_day scenario] is equivalent to
-    replaying [Trace.of_diurnal] of the scenario's flows). One caveat
-    for the VM-migration policies: the trace's *rates* are replayed
-    as-is, but the flow endpoints evolve with the policy's VM moves.
-    Raises [Invalid_argument] on a flow-count mismatch or empty
-    trace. *)

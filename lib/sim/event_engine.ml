@@ -1,5 +1,6 @@
 open Ppdc_core
 module Events = Ppdc_traffic.Events
+module Trace = Ppdc_traffic.Trace
 module Cost_matrix = Ppdc_topology.Cost_matrix
 module Graph = Ppdc_topology.Graph
 module Obs = Ppdc_prelude.Obs
@@ -147,12 +148,11 @@ let run scenario ~policy ~trigger ~events () =
   in
   (* [comm_rate] is the communication cost per unit of virtual time
      under the current (problem, rates, placement); each segment
-     between consecutive events is charged [dt *. comm_rate] — the
-     generalization of the hour engine's "one hour of C_a". After a
-     reconfiguration the policy's own comm evaluation becomes the
-     rate, exactly as [Engine.run_epochs] records it (the policies
-     differ from [Cost.comm_cost] in float association, so adopting
-     the step's value is what keeps hourly replay bit-identical). *)
+     between consecutive events is charged [dt *. comm_rate], so an
+     hour-long segment is "one hour of C_a". After a reconfiguration
+     the policy's own comm evaluation becomes the rate: the policies
+     differ from [Cost.comm_cost] in float association, and the hourly
+     report charges each hour exactly what the step returned. *)
   let comm_rate = ref (Cost.comm_cost state.problem ~rates state.placement) in
   let baseline = ref !comm_rate in
   let next_due = ref 0.0 in
@@ -198,9 +198,9 @@ let run scenario ~policy ~trigger ~events () =
   in
   (* Perfect short-range forecast: the rate vector after every stream
      event not yet replayed up to [t + 1], in stream order. An
-     [of_trace] stream carries its all-zero vector *at* the horizon
-     precisely so this scan reproduces the hour engine's zero-forecast
-     end-of-day contract. *)
+     [of_trace] stream carries its all-zero vector *at* the horizon, so
+     the forecast at the last epoch is the zero vector (the horizon
+     contract in engine.mli). *)
   let forecast t = rates_until rates !pending ~until:(t +. 1.0) in
   let rec replay () =
     match next () with
@@ -243,7 +243,9 @@ let run scenario ~policy ~trigger ~events () =
               Engine.step scenario state ~policy ~rates ~next_rates
             in
             if Obs.enabled () then begin
-              Obs.observe_span "sim.reconfig" (Obs.now () -. t0);
+              let dt = Obs.now () -. t0 in
+              Obs.observe_span "sim.reconfig" dt;
+              Obs.observe_span ("sim.step." ^ Engine.policy_name policy) dt;
               Obs.incr ("sim.trigger." ^ trigger_name trigger)
             end;
             comm_rate := comm;
@@ -293,3 +295,57 @@ let run scenario ~policy ~trigger ~events () =
     total_moves = !total_moves;
     reconfigurations = !reconfigs;
   }
+
+(* The hourly view of a [Periodic 1.0] replay of [Events.of_trace]:
+   every epoch's event fires, so hour [i] (0-based) takes its move from
+   record [i] and its C_a from the one-hour segment that record [i+1]
+   closes, or from the tail segment for the last hour. *)
+let run_trace scenario ~policy ~trace =
+  if Trace.num_flows trace <> Problem.num_flows scenario.Scenario.problem then
+    invalid_arg "Event_engine.run_trace: trace flow count mismatch";
+  (* [Events.of_trace] refuses an empty trace. *)
+  let r =
+    run scenario ~policy ~trigger:(Periodic 1.0)
+      ~events:(Events.of_trace trace) ()
+  in
+  let n = Array.length r.records in
+  let hours =
+    Array.mapi
+      (fun i (e : event_record) ->
+        let comm_cost =
+          if i + 1 < n then r.records.(i + 1).comm_charge else r.final_comm
+        in
+        if Obs.enabled () then
+          Obs.emit "sim.epoch"
+            [
+              ("policy", Obs.String (Engine.policy_name policy));
+              ("hour", Obs.Int (i + 1));
+              ("comm_cost", Obs.Float comm_cost);
+              ("migration_cost", Obs.Float e.migration_cost);
+              ("migrations", Obs.Int e.moved);
+            ];
+        {
+          Engine.hour = i + 1;
+          comm_cost;
+          migration_cost = e.migration_cost;
+          migrations = e.moved;
+          total_cost = comm_cost +. e.migration_cost;
+        })
+      r.records
+  in
+  {
+    Engine.policy;
+    initial_placement = r.initial_placement;
+    hours;
+    total_cost =
+      Array.fold_left
+        (fun acc (h : Engine.hour_record) -> acc +. h.total_cost)
+        0.0 hours;
+    total_migrations = r.total_moves;
+  }
+
+let run_day scenario ~policy =
+  run_trace scenario ~policy
+    ~trace:
+      (Trace.of_diurnal Ppdc_traffic.Diurnal.default
+         ~flows:(Problem.flows scenario.Scenario.problem))

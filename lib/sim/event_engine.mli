@@ -1,30 +1,33 @@
-(** Discrete-event reconfiguration simulator.
+(** Discrete-event reconfiguration simulator: the one loop that runs
+    the migration policies.
 
-    Generalizes {!Engine} from the hour grid to an arbitrary
-    {!Ppdc_traffic.Events} timeline: virtual time advances event by
-    event, communication cost accrues {e continuously} — each segment
-    between consecutive events is charged
-    [elapsed × C_a(current problem, rates, placement)], the limit of
-    which the per-hour charge is the unit-step special case — and
-    migration cost is charged per reconfiguration, exactly as
-    {!Engine.step} reports it. {e When} to reconfigure is a
-    first-class {!trigger} policy, decoupled from {e how} (the
-    {!Engine.policy} invoked when the trigger fires).
+    It replays a {!Ppdc_traffic.Events} timeline: virtual time
+    advances event by event, communication cost accrues
+    {e continuously} — each segment between consecutive events is
+    charged [elapsed × C_a(current problem, rates, placement)], so an
+    hour-long segment is one hour of C_a — and migration cost is
+    charged per reconfiguration, exactly as {!Engine.step} reports
+    it. {e When} to reconfigure is a first-class {!trigger} policy,
+    decoupled from {e how} (the {!Engine.policy} invoked when the
+    trigger fires).
 
     {b Determinism.} The engine replays the stream in place, in the
     order {!Ppdc_traffic.Events.make}'s stable sort gave it, so
     equal-time events replay in stream order on every machine and at
     every domain count. Every policy step is itself deterministic.
-    Replaying an [Events.of_trace] stream with [Periodic 1.0]
-    reproduces {!Engine.run_trace} (and hence [run_day] on diurnal
-    streams) bit-identically for all six policies — the regression in
-    [test/test_events.ml].
+
+    {b The hourly day.} The paper's day (Fig. 11, Eq. 8) is the
+    [Periodic 1.0] replay of an [Events.of_trace] stream: {!run_trace}
+    and {!run_day} run it and report it hour by hour.
 
     Observability: when {!Ppdc_prelude.Obs} is enabled, every
     processed event emits a [sim.event] event (kind, virtual time,
     whether the trigger fired, moves), each firing bumps the
     [sim.trigger.<name>] counter, and the invoked policy's decision
-    time lands in the [sim.reconfig] span. *)
+    time lands in both the [sim.reconfig] and the
+    [sim.step.<policy>] span. The hourly view also emits one
+    [sim.epoch] event per hour (policy, hour, comm and migration cost,
+    moves). With [Obs] off none of this allocates. *)
 
 type trigger =
   | Periodic of float
@@ -97,8 +100,7 @@ val run :
 
     The [Mpareto_lookahead] forecast is the rate vector after every
     pending stream event within [t, t + 1] — perfect one-hour
-    prediction, the continuous generalization of the hour engine's
-    next-hour vector.
+    prediction; on an hourly stream, the next hour's vector.
 
     Migrations are instantaneous, as in the paper's cost model (Eq. 8):
     a reconfiguration takes effect at the event that fired it, and its
@@ -108,3 +110,24 @@ val run :
     endpoint in the stream, a [Link_failure] naming an absent edge or
     one whose removal disconnects the fabric, or a [Link_repair] of a
     present edge. *)
+
+(** {1 The hourly view} *)
+
+val run_trace :
+  Scenario.t -> policy:Engine.policy -> trace:Ppdc_traffic.Trace.t -> Engine.run
+(** Replay a {!Ppdc_traffic.Trace}, one decision per epoch: [run] of
+    [Events.of_trace trace] under [Periodic 1.0], reported per hour.
+    Hour [i] takes its migration from record [i], and its C_a from
+    the one-hour segment that record [i+1] closes (or [final_comm] for
+    the last hour). [total_cost] is the left fold of the hour totals.
+    The trace's flows must match the scenario's problem. One caveat
+    for the VM-migration policies: the trace's {e rates} are replayed
+    as-is, but the flow endpoints evolve with the policy's VM moves.
+    Raises [Invalid_argument] on a flow-count mismatch or an empty
+    trace. *)
+
+val run_day : Scenario.t -> policy:Engine.policy -> Engine.run
+(** The paper's 12-hour day: [run_trace] of
+    [Trace.of_diurnal Diurnal.default] on the scenario's flows. The
+    day-0 placement follows {!Scenario.initial}. Deterministic given
+    the scenario. *)

@@ -2,7 +2,6 @@ type initial = Uninformed of int | Hour1
 
 type t = {
   problem : Ppdc_core.Problem.t;
-  diurnal : Ppdc_traffic.Diurnal.t;
   mu : float;
   pair_limit : int option;
   opt_budget : int;
@@ -11,19 +10,13 @@ type t = {
 
 let make ?(mu = 1e4) ?pair_limit ?(opt_budget = 2_000_000)
     ?(initial = Uninformed 0) problem =
-  {
-    problem;
-    diurnal = Ppdc_traffic.Diurnal.default;
-    mu;
-    pair_limit;
-    opt_budget;
-    initial;
-  }
+  { problem; mu; pair_limit; opt_budget; initial }
 
 module Events = Ppdc_traffic.Events
 
 let events_of_diurnal t =
-  Events.of_diurnal t.diurnal ~flows:(Ppdc_core.Problem.flows t.problem)
+  Events.of_diurnal Ppdc_traffic.Diurnal.default
+    ~flows:(Ppdc_core.Problem.flows t.problem)
 
 let failure_episode ~rng ~at ~duration ~fraction t =
   if not (Float.is_finite at) || at < 0.0 then

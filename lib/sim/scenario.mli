@@ -1,8 +1,10 @@
 (** Configuration of one simulated PPDC day.
 
-    Bundles the problem instance with the dynamic-traffic model and the
-    cost coefficients so every migration policy is charged identically.
-    A scenario is immutable; the engine copies what it mutates. *)
+    Bundles the problem instance with the cost coefficients and the
+    day-0 deployment, so every migration policy is charged identically.
+    The traffic comes separately, as a trace or an event stream; the
+    paper's day is {!Ppdc_traffic.Diurnal.default}. A scenario is
+    immutable; the engine copies what it mutates. *)
 
 type initial =
   | Uninformed of int
@@ -18,7 +20,6 @@ type initial =
 
 type t = {
   problem : Ppdc_core.Problem.t;
-  diurnal : Ppdc_traffic.Diurnal.t;
   mu : float;
       (** migration coefficient (paper: 10^4–10^5), charged per moved
           VNF and, under the PLAN/MCF baselines, per moved VM:
@@ -39,9 +40,8 @@ val make :
   ?initial:initial ->
   Ppdc_core.Problem.t ->
   t
-(** The diurnal model is the paper's 12-hour one. Defaults: [mu = 1e4],
-    no pair limit, 2-million-node optimal budget,
-    [Uninformed 0] deployment. *)
+(** Defaults: [mu = 1e4], no pair limit, 2-million-node optimal
+    budget, [Uninformed 0] deployment. *)
 
 (** {1 Event-stream constructors}
 
@@ -50,9 +50,9 @@ val make :
     churn, probes) live in {!Ppdc_traffic.Events}. *)
 
 val events_of_diurnal : t -> Ppdc_traffic.Events.t
-(** The scenario's diurnal day as an hourly event stream —
-    [Events.of_diurnal] of its own model and flows. Replaying it with
-    [Periodic 1.0] is bit-identical to {!Engine.run_day}. *)
+(** The paper's diurnal day on the scenario's flows as an hourly event
+    stream: [Events.of_diurnal Diurnal.default]. Its [Periodic 1.0]
+    replay is {!Event_engine.run_day}. *)
 
 val failure_episode :
   rng:Ppdc_prelude.Rng.t ->

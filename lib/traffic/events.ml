@@ -67,9 +67,9 @@ let length t = Array.length t.events
 (* One full-vector rate event per trace epoch, at integer times
    0 .. epochs-1, plus a final all-zero vector at [t = epochs]. The
    horizon equals [epochs], so the engine never *processes* the final
-   event — but a forecast scanning pending events does see it, which
-   reproduces the hour engine's horizon contract (the forecast one
-   epoch past the end is the zero vector). *)
+   event — but a forecast scanning pending events does see it: the
+   look-ahead policy's horizon contract (the forecast one epoch past
+   the end is the zero vector). *)
 let of_trace trace =
   let epochs = Trace.num_epochs trace in
   let l = Trace.num_flows trace in

@@ -50,11 +50,10 @@ val length : t -> int
 val of_trace : Trace.t -> t
 (** One atomic full-vector [Rate_update] per trace epoch at times
     [0 .. epochs-1], horizon [epochs], plus a final all-zero vector
-    {e at} the horizon — never processed, but visible to forecasts
-    (the hour engine's zero-forecast horizon contract). Replaying this
-    stream with a [Periodic 1.0] trigger is bit-identical to
-    {!Ppdc_sim.Engine.run_trace} — see [test/test_events.ml]. Raises
-    [Invalid_argument] on an empty trace. *)
+    {e at} the horizon — never processed, but visible to forecasts:
+    the zero forecast past the last epoch. Its [Periodic 1.0] replay
+    is {!Ppdc_sim.Event_engine.run_trace}. Raises [Invalid_argument]
+    on an empty trace. *)
 
 val of_diurnal : Diurnal.t -> flows:Flow.t array -> t
 (** [of_trace (Trace.of_diurnal diurnal ~flows)]. *)
