@@ -278,24 +278,42 @@ let trace_cmd =
 let simulate_events scenario ~trace ~seed ~policy ~trigger ~probe_every
     ~failure_at =
   let module Events = Ppdc_traffic.Events in
+  let refuse msg =
+    Printf.eprintf "ppdc simulate: %s\n" msg;
+    exit 1
+  in
   let base = Events.of_trace trace in
+  let horizon = Events.horizon base in
   let stream = ref base in
   (match probe_every with
   | None -> ()
   | Some every -> (
-      match Events.probes ~every ~horizon:(Events.horizon base) with
+      match Events.probes ~every ~horizon with
       | probes -> stream := Events.merge !stream probes
-      | exception Invalid_argument msg ->
-          Printf.eprintf "ppdc simulate: %s\n" msg;
-          exit 1));
+      | exception Invalid_argument msg -> refuse msg));
   (match failure_at with
   | None -> ()
   | Some at ->
-      stream :=
-        Events.merge !stream
-          (Scenario.failure_episode
-             ~rng:(Rng.create (seed + 0xfa11))
-             ~at ~duration:1.5 ~fraction:0.05 scenario));
+      let duration = 1.5 in
+      let episode =
+        match
+          Scenario.failure_episode
+            ~rng:(Rng.create (seed + 0xfa11))
+            ~at ~duration ~fraction:0.05 scenario
+        with
+        | episode -> episode
+        | exception Invalid_argument msg -> refuse msg
+      in
+      (* The replay stops at the day's horizon: repairs at or past it
+         are never replayed, and the merged stream would take the
+         episode's later horizon and replay the day's closing vector. *)
+      if not (at +. duration < horizon) then
+        refuse
+          (Printf.sprintf
+             "--failure-at %g: the repairs at T + %g h must land before the \
+              day ends at %g h, so T must be below %g"
+             at duration horizon (horizon -. duration));
+      stream := Events.merge !stream episode);
   let r = Event_engine.run scenario ~policy ~trigger ~events:!stream () in
   let table =
     Table.create
@@ -424,7 +442,8 @@ let simulate_cmd =
   let failure_at_arg =
     let doc =
       "Fail a random 5% of switch-switch links at $(docv) hours and \
-       repair them 1.5 hours later. Implies $(b,--events)."
+       repair them 1.5 hours later, before the day ends (on the 12-hour \
+       day, $(docv) below 10.5). Implies $(b,--events)."
     in
     Arg.(
       value & opt (some float) None & info [ "failure-at" ] ~docv:"T" ~doc)

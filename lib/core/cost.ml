@@ -1,5 +1,6 @@
 module Flow = Ppdc_traffic.Flow
 module Cost_matrix = Ppdc_topology.Cost_matrix
+module Obs = Ppdc_prelude.Obs
 
 type attach = {
   a_in : float array;
@@ -26,10 +27,17 @@ let check_rates problem rates =
    depend on order, and the placement answers are pinned bit for bit.
    [a_out] reads c(s, dst), not c(dst, s): on weighted fabrics the two
    can differ in the last bit. A host is never a switch, so no pair
-   here is a node with itself. *)
-let attach problem ~rates =
+   here is a node with itself. The rows are zeroed first, so a reused
+   row reads 0.0 off the candidates, as a fresh one does. *)
+let attach_into problem ~rates ~a_in ~a_out =
   check_rates problem rates;
   let cm = Problem.cm problem in
+  let nodes = Cost_matrix.num_nodes cm in
+  if Array.length a_in <> nodes || Array.length a_out <> nodes then
+    invalid_arg "Cost.attach_into: rows must have one entry per node";
+  Obs.incr "cost.attach";
+  Array.fill a_in 0 nodes 0.0;
+  Array.fill a_out 0 nodes 0.0;
   let r = Cost_matrix.rows cm in
   let dist = r.dist in
   let flows = Problem.flows problem in
@@ -43,8 +51,6 @@ let attach problem ~rates =
     f_leaf.(i) <- r.leaf.(f.dst_host);
     f_rate.(i) <- rates.(f.id)
   done;
-  let a_in = Array.make (Cost_matrix.num_nodes cm) 0.0 in
-  let a_out = Array.make (Cost_matrix.num_nodes cm) 0.0 in
   let switches = Problem.switches problem in
   for j = 0 to Array.length switches - 1 do
     let s = switches.(j) in
@@ -71,6 +77,11 @@ let attach problem ~rates =
     a_out.(s) <- !sum_out
   done;
   { a_in; a_out; total_rate = Flow.total_rate rates }
+
+let attach problem ~rates =
+  let nodes = Cost_matrix.num_nodes (Problem.cm problem) in
+  attach_into problem ~rates ~a_in:(Array.make nodes 0.0)
+    ~a_out:(Array.make nodes 0.0)
 
 (* [c(u, v)] off the stored rows, so no float crosses a call. *)
 let[@inline] hop (r : Cost_matrix.rows) u v =

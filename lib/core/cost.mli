@@ -25,7 +25,20 @@ type attach = {
 
 val attach : Problem.t -> rates:float array -> attach
 (** O(l · |V_s|). Raises [Invalid_argument] if [rates] has a length other
-    than the number of flows or contains a negative or non-finite rate. *)
+    than the number of flows or contains a negative or non-finite rate.
+    [attach problem ~rates] is {!attach_into} on fresh rows. *)
+
+val attach_into :
+  Problem.t -> rates:float array -> a_in:float array -> a_out:float array ->
+  attach
+(** {!attach} written into the caller's rows, which become the result's
+    [a_in] and [a_out]: both are zeroed, then filled, so every entry off
+    the candidate switches reads 0.0, as from {!attach}. A caller that
+    keeps its attachment across rate changes reuses the rows instead of
+    allocating two |V|-float rows per change. Raises [Invalid_argument]
+    as {!attach} does, and if a row's length is not the matrix's node
+    count. Adds 1 to the [cost.attach] counter when
+    {!Ppdc_prelude.Obs} is on, as every {!attach} does. *)
 
 val chain_cost : Problem.t -> Placement.t -> float
 (** [Σ_{j<n} c(p(j), p(j+1))] — the chain-internal path cost, rate-free. *)

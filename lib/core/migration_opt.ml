@@ -12,7 +12,7 @@ let solve problem ~rates ~mu ~current ?(budget = 20_000_000) ?incumbent () =
   let seed =
     match incumbent with
     | Some m -> m
-    | None -> (Mpareto.migrate problem ~rates ~mu ~current ()).migration
+    | None -> (Mpareto.migrate_attached problem att ~mu ~current ()).migration
   in
   let r =
     Exact_search.run

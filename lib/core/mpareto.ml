@@ -17,10 +17,8 @@ type outcome = {
 
 module Obs = Ppdc_prelude.Obs
 
-let migrate problem ~rates ~mu ~current ?(collisions = `Skip) ?pair_limit () =
-  Obs.time "mpareto.migrate" @@ fun () ->
-  Placement.validate problem current;
-  let att = Cost.attach problem ~rates in
+(* Algo. 5 past the attachment: target, frontiers, cheapest row. *)
+let scan problem (att : Cost.attach) ~mu ~current ~collisions ~pair_limit =
   let target =
     (Placement_dp.solve_attached problem att ?pair_limit ()).placement
   in
@@ -79,3 +77,14 @@ let migrate problem ~rates ~mu ~current ?(collisions = `Skip) ?pair_limit () =
         target;
         points;
       }
+
+let migrate_attached problem att ~mu ~current ?(collisions = `Skip) ?pair_limit
+    () =
+  Obs.time "mpareto.migrate" @@ fun () ->
+  Placement.validate problem current;
+  scan problem att ~mu ~current ~collisions ~pair_limit
+
+let migrate problem ~rates ~mu ~current ?(collisions = `Skip) ?pair_limit () =
+  Obs.time "mpareto.migrate" @@ fun () ->
+  Placement.validate problem current;
+  scan problem (Cost.attach problem ~rates) ~mu ~current ~collisions ~pair_limit

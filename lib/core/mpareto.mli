@@ -46,3 +46,20 @@ val migrate :
     frontier. [collisions] (default [`Skip]) controls whether frontiers
     that co-locate two VNFs may be chosen (they are always *reported* in
     [points]); [pair_limit] is passed to {!Placement_dp}. *)
+
+val migrate_attached :
+  Problem.t ->
+  Cost.attach ->
+  mu:float ->
+  current:Placement.t ->
+  ?collisions:[ `Skip | `Allow ] ->
+  ?pair_limit:int ->
+  unit ->
+  outcome
+(** {!migrate} on attachment sums the caller already computed for this
+    problem and rate vector ({!Cost.attach} or {!Cost.attach_into}), so
+    every decision made on one rate vector — a session's [place] and
+    [migrate], or Algo. 6's incumbent — shares one attachment pass.
+    Same answers, bit for bit, and the same errors but the rate check,
+    which the attachment made. [migrate problem ~rates …] is
+    {!Cost.attach} followed by this scan. *)

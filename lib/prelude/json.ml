@@ -181,14 +181,28 @@ let escape_into buffer s =
     s;
   Buffer.add_char buffer '"'
 
+(* The C primitive behind [Printf]'s [%g] (and [string_of_float]):
+   [Printf.sprintf "%.12g" x] is [format_float "%.12g" x], less the
+   interpretation of the format on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Shortest of [%.12g] and [%.17g] that still round-trips. *)
+let format_shortest x =
+  let s = format_float "%.12g" x in
+  if Float.equal (float_of_string s) x then s else format_float "%.17g" x
+
+(* An integer below 10^12 has at most 12 digits, so [%.12g] prints it
+   as [string_of_int] does and it round-trips; -0.0, which [%.12g]
+   prints as "-0", keeps the general path. *)
 let float_repr x =
-  if not (Float.is_finite x) then "null"
-  else begin
-    (* Shortest representation that still round-trips. *)
-    let s = Printf.sprintf "%.12g" x in
-    if Float.equal (float_of_string s) x then s
-    else Printf.sprintf "%.17g" x
+  if Float.abs x < 1e12 then begin
+    let i = int_of_float x in
+    if Float.equal (float_of_int i) x && (i <> 0 || not (Float.sign_bit x))
+    then string_of_int i
+    else format_shortest x
   end
+  else if Float.is_finite x then format_shortest x
+  else "null"
 
 let rec to_buffer buffer = function
   | Null -> Buffer.add_string buffer "null"

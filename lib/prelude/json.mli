@@ -44,4 +44,9 @@ val escape_into : Buffer.t -> string -> unit
 
 val float_repr : float -> string
 (** Shortest decimal representation that round-trips through
-    [float_of_string]; ["null"] for non-finite values. *)
+    [float_of_string]; ["null"] for non-finite values. Byte-identical
+    to [Printf.sprintf "%.12g" x] when that round-trips, else to
+    [Printf.sprintf "%.17g" x]: an integer below 10{^12} other than
+    -0.0 prints through [string_of_int], and every other number calls
+    the primitive [Printf] reaches for [%g], without [Printf]'s format
+    interpretation. *)

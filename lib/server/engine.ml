@@ -29,8 +29,22 @@ open Ppdc_core
    cost-matrix cache is an {!Lru}, which takes its own leaf lock and
    builds a missing matrix outside it, under the session lock alone:
    a request for another fabric never waits behind a build, while
-   concurrent misses for the same digest wait for the one build. *)
+   concurrent misses for the same digest wait for the one build. The
+   session's attachment memo ([attached]) is read and replaced only
+   under [session.lock], like the rest of the session's state. *)
 [@@@ppdc.lock_order "shard session stats"]
+
+(* The attachment sums (A_in, A_out, Λ) of a session's last dp or
+   mpareto solve, and the three inputs they were computed from, each
+   held for an identity check: the matrix by its [Cost_matrix.id] (a
+   number, so an evicted matrix is not kept alive), the flows and the
+   rates by the arrays themselves. *)
+type attached = {
+  key_cm : int;
+  key_flows : Flow.t array;
+  key_rates : float array;
+  att : Cost.attach;
+}
 
 type session = {
   k : int;
@@ -48,6 +62,7 @@ type session = {
      a long failure stream quadratic. Readers use [failed_links]. *)
   mutable failed_rev : (int * int) list;
   mutable failed_count : int;
+  mutable attached : attached option;
 }
 
 let failed_links (s : session) = List.rev s.failed_rev
@@ -176,6 +191,34 @@ let problem_of t s =
   let hit, cm = resolve_cm t s in
   (hit, Problem.make ~cm ~flows:s.flows ~n:s.n ())
 
+(* The attachment sums of [problem], which [problem_of] built for [s]:
+   the memo's while the matrix, the flows and the rates are the ones it
+   was computed from, so every dp and mpareto decision on one rate
+   vector shares one pass. A handler that changes the flows or the
+   rates stores a new array, and a repaired or rebuilt matrix has a new
+   id, so any change misses. A miss writes into the memo's rows when
+   they fit the matrix: a row a session keeps is promoted to the major
+   heap, and fresh ones on every rate change would grow it. *)
+let attach_of (s : session) problem =
+  let cm = Problem.cm problem in
+  let key_cm = Cost_matrix.id cm in
+  match s.attached with
+  | Some m
+    when m.key_cm = key_cm && m.key_flows == s.flows && m.key_rates == s.rates
+    ->
+      m.att
+  | memo ->
+      let att =
+        match memo with
+        | Some { att = { a_in; a_out; _ }; _ }
+          when Array.length a_in = Cost_matrix.num_nodes cm ->
+            Cost.attach_into problem ~rates:s.rates ~a_in ~a_out
+        | _ -> Cost.attach problem ~rates:s.rates
+      in
+      s.attached <-
+        Some { key_cm; key_flows = s.flows; key_rates = s.rates; att };
+      att
+
 (* --- handlers ----------------------------------------------------------- *)
 
 let health t _params =
@@ -245,6 +288,7 @@ let load_topology t params =
       placement = None;
       failed_rev = [];
       failed_count = 0;
+      attached = None;
     }
   in
   (* The session was fully constructed above, outside every lock: the
@@ -345,7 +389,10 @@ let place t params =
   let placement, cost, extra =
     match algo with
     | "dp" ->
-        let o = Placement_dp.solve problem ~rates ?pair_limit () in
+        let o =
+          Placement_dp.solve_attached problem (attach_of s problem) ?pair_limit
+            ()
+        in
         (o.placement, o.cost, [ ("objective", fnum o.objective) ])
     | "optimal" ->
         let o = Placement_opt.solve problem ~rates ?budget () in
@@ -423,7 +470,9 @@ let migrate t params =
   let fields =
     match algo with
     | "mpareto" ->
-        let o = Mpareto.migrate problem ~rates ~mu ~current () in
+        let o =
+          Mpareto.migrate_attached problem (attach_of s problem) ~mu ~current ()
+        in
         vnf_result o.migration ~migration_cost:o.migration_cost
           ~comm_cost:o.comm_cost ~total_cost:o.total_cost
           [ ("frontiers", num (List.length o.points)) ]

@@ -380,6 +380,29 @@ let test_json_nonfinite_prints_null () =
   Alcotest.(check string) "inf" "[null]"
     (Json.to_string (Json.List [ Json.Num Float.infinity ]))
 
+(* The encoder [Json.float_repr] replaced, kept as the reference: [%.12g]
+   when it round-trips, else [%.17g]. *)
+let printf_float_repr x =
+  if not (Float.is_finite x) then "null"
+  else
+    let s = Printf.sprintf "%.12g" x in
+    if Float.equal (float_of_string s) x then s else Printf.sprintf "%.17g" x
+
+let check_float_repr x =
+  Alcotest.(check string)
+    (Printf.sprintf "%h" x) (printf_float_repr x) (Json.float_repr x)
+
+let test_json_float_repr_edges () =
+  List.iter check_float_repr
+    [
+      0.0; -0.0; 1.0; -1.0; 0.5; -0.5; 0.1; 1e11; 1e12 -. 1.0;
+      -.(1e12 -. 1.0); 1e12; -1e12; 1e12 +. 1.0; 1e12 -. 0.5;
+      2.0 ** 53.0; -.(2.0 ** 53.0); 2.0 ** 62.0; 2.0 ** 63.0;
+      Float.max_float; -.Float.max_float; Float.min_float; 5e-324;
+      -5e-324; Float.epsilon; Float.nan; Float.infinity;
+      Float.neg_infinity;
+    ]
+
 let test_json_member () =
   let v = Json.parse {| {"a": 1, "b": [true, null]} |} in
   (match Json.member "b" v with
@@ -430,6 +453,24 @@ let prop_json_print_parse_roundtrip =
   QCheck.Test.make ~name:"print/parse round-trip" ~count:300
     (QCheck.make ~print:Json.to_string json_gen)
     (fun v -> Json.equal v (Json.parse (Json.to_string v)))
+
+(* Random 64-bit patterns cover every exponent, sign and NaN payload;
+   integers around the 10^12 cut and uniform draws cover the numbers
+   answers carry. *)
+let prop_float_repr_matches_printf =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map Int64.float_of_bits int64;
+          map float_of_int (int_range (-1_000_000_000_001) 1_000_000_000_001);
+          map float_of_int (int_range (-1000) 1000);
+          float_range 0.0 1e7;
+        ])
+  in
+  QCheck.Test.make ~name:"float_repr = Printf %.12g/%.17g" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun x -> String.equal (Json.float_repr x) (printf_float_repr x))
 
 (* --- lru -------------------------------------------------------------- *)
 
@@ -847,8 +888,11 @@ let () =
           Alcotest.test_case "non-finite numbers print as null" `Quick
             test_json_nonfinite_prints_null;
           Alcotest.test_case "member lookup" `Quick test_json_member;
+          Alcotest.test_case "float_repr = Printf on edge cases" `Quick
+            test_json_float_repr_edges;
         ] );
-      qsuite "json-properties" [ prop_json_print_parse_roundtrip ];
+      qsuite "json-properties"
+        [ prop_json_print_parse_roundtrip; prop_float_repr_matches_printf ];
       ( "lru",
         [
           Alcotest.test_case "rejects capacity < 1" `Quick

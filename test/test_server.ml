@@ -7,6 +7,7 @@
 module Json = Ppdc_prelude.Json
 module Clock = Ppdc_prelude.Clock
 module Engine = Ppdc_server.Engine
+module Obs = Ppdc_prelude.Obs
 
 (* --- response helpers ------------------------------------------------- *)
 
@@ -641,6 +642,115 @@ let test_engine_stats_runtime () =
         (heap > 0.0 && heap <= top)
   | _ -> assert false
 
+(* A session keeps the attachment sums of its last dp or mpareto solve,
+   keyed on the matrix, the flows and the rates. Each step below gives
+   the number of attachment passes ([cost.attach]) it must add: one rate
+   vector is attached once however many decisions use it, and each
+   change of an input costs exactly one pass at the next solve. Every
+   answer must equal the one a fresh engine gives after replaying the
+   steps before it and, before a solve, refreshing the session's rates
+   to an equal new array ([scale] 1), which makes that engine attach
+   afresh, so a stale memo shows in the answer as well as in the count.
+   Capacity 1 and two fabrics make the last steps evict and rebuild a's
+   matrix. *)
+let memo_steps =
+  [
+    ("load_topology", "a", "", 0);
+    ("place", "a", "", 1);
+    ("load_topology", "a", "", 0);
+    ("place", "a", "", 1);
+    ("migrate", "a", {|,"mu":10|}, 0);
+    ("place", "a", "", 0);
+    ("rates_update", "a", {|,"rates":[1,2,3,4,5,6]|}, 0);
+    ("place", "a", "", 1);
+    ("migrate", "a", {|,"mu":10|}, 0);
+    ("rates_update", "a", {|,"seed":7|}, 0);
+    ("migrate", "a", {|,"mu":10|}, 1);
+    ("rates_update", "a", {|,"scale":0.5|}, 0);
+    ("place", "a", "", 1);
+    ("migrate", "a", {|,"algo":"plan","mu":10|}, 0);
+    ("place", "a", "", 1);
+    ("migrate", "a", {|,"algo":"mcf","mu":10|}, 0);
+    ("migrate", "a", {|,"mu":10|}, 1);
+    ("fail_links", "a", {|,"fraction":0.25|}, 0);
+    ("place", "a", "", 1);
+    ("migrate", "a", {|,"mu":10|}, 0);
+    ("load_topology", "b", {|,"weighted":true|}, 0);
+    ("place", "b", "", 1);
+    ("place", "a", "", 1);
+    ("migrate", "a", {|,"mu":10|}, 0);
+  ]
+
+let step_line (meth, session, extra, _) =
+  let extra =
+    if meth = "load_topology" then {|,"k":4,"l":6,"n":3|} ^ extra else extra
+  in
+  Printf.sprintf {|{"id":1,"method":%S,"params":{"session":%S%s}}|} meth
+    session extra
+
+(* Obs state is global: turn it on from a clean slate, then off. *)
+let with_metrics f =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled false)
+    f
+
+let test_engine_attach_memo () =
+  let engine () = Engine.create ~cache_capacity:1 () in
+  let passes () =
+    Option.value ~default:0
+      (List.assoc_opt "cost.attach" (Obs.snapshot ()).Obs.counters)
+  in
+  let rec strip = function
+    | Json.Obj fields ->
+        Json.Obj
+          (List.filter_map
+             (fun (k, v) -> if k = "elapsed_ms" then None else Some (k, strip v))
+             fields)
+    | Json.List xs -> Json.List (List.map strip xs)
+    | v -> v
+  in
+  let answer e line =
+    Json.to_string (strip (Json.parse (Engine.handle_line e line)))
+  in
+  with_metrics @@ fun () ->
+  let e = engine () in
+  let answers =
+    List.mapi
+      (fun i ((_, _, _, expected) as step) ->
+        let line = step_line step in
+        let before = passes () in
+        let a = answer e line in
+        ignore (expect_ok a);
+        Alcotest.(check int)
+          (Printf.sprintf "step %d adds %d passes: %s" i expected line)
+          expected (passes () - before);
+        a)
+      memo_steps
+  in
+  Alcotest.(check bool) "the eviction rebuilt a's matrix" false
+    (bool_field (expect_ok (List.nth answers 22)) "cache_hit");
+  List.iteri
+    (fun i a ->
+      let fresh = engine () in
+      List.iteri
+        (fun j step ->
+          if j < i then ignore (Engine.handle_line fresh (step_line step)))
+        memo_steps;
+      let ((meth, session, _, _) as step) = List.nth memo_steps i in
+      if meth = "place" || meth = "migrate" then
+        ignore
+          (expect_ok
+             (Engine.handle_line fresh
+                (step_line ("rates_update", session, {|,"scale":1|}, 0))));
+      Alcotest.(check string)
+        (Printf.sprintf "step %d answers as a fresh engine" i)
+        (answer fresh (step_line step)) a)
+    answers
+
 (* --- protocol fuzzing -------------------------------------------------- *)
 
 (* Random request lines: valid templates, truncated JSON, arbitrary
@@ -923,6 +1033,8 @@ let () =
             `Quick test_engine_fabric_limits;
           Alcotest.test_case "stats carries GC counters" `Quick
             test_engine_stats_runtime;
+          Alcotest.test_case "attachment memo misses on every change" `Quick
+            test_engine_attach_memo;
         ] );
       ( "fuzz",
         [
