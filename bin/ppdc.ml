@@ -31,17 +31,38 @@ open Ppdc_core
 
 (* --- shared arguments -------------------------------------------------- *)
 
+(* [conv] restricted to the values [ok] accepts: a value the library
+   would refuse stops when the arguments are parsed (exit 124, with
+   [msg]), not as an uncaught exception or a nan answer later. *)
+let checked conv ok msg =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg msg)
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let at_least_one what =
+  checked Arg.int (fun v -> v >= 1) ("expected " ^ what ^ " of at least 1")
+
 let k_arg =
   let doc = "Fat-tree arity k (even). k=8 gives 128 hosts, k=16 gives 1024." in
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
+  let arity =
+    checked Arg.int (fun k -> k >= 2 && k mod 2 = 0)
+      "k must be even and at least 2"
+  in
+  Arg.(value & opt arity 8 & info [ "k" ] ~docv:"K" ~doc)
 
 let l_arg =
   let doc = "Number of communicating VM pairs." in
-  Arg.(value & opt int 100 & info [ "l"; "flows" ] ~docv:"L" ~doc)
+  let count = at_least_one "a flow count" in
+  Arg.(value & opt count 100 & info [ "l"; "flows" ] ~docv:"L" ~doc)
 
 let n_arg =
   let doc = "SFC length (number of VNFs)." in
-  Arg.(value & opt int 5 & info [ "n"; "vnfs" ] ~docv:"N" ~doc)
+  let length = at_least_one "a chain length" in
+  Arg.(value & opt length 5 & info [ "n"; "vnfs" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed (workloads are fully reproducible)." in
@@ -49,7 +70,11 @@ let seed_arg =
 
 let mu_arg =
   let doc = "VNF migration coefficient mu (paper: 1e4..1e5)." in
-  Arg.(value & opt float 1e4 & info [ "mu" ] ~docv:"MU" ~doc)
+  let coefficient =
+    checked Arg.float (fun mu -> Float.is_finite mu && mu >= 0.0)
+      "mu must be finite and non-negative"
+  in
+  Arg.(value & opt coefficient 1e4 & info [ "mu" ] ~docv:"MU" ~doc)
 
 let weighted_arg =
   let doc = "Use uniform link delays (mean 1.5, variance 0.5) instead of hop counts." in
@@ -63,18 +88,9 @@ let domains_arg =
      forces the exact-sequential path. Results are identical for every \
      value."
   in
-  let domain_count =
-    let parse s =
-      match int_of_string_opt s with
-      | Some d when d >= 1 -> Ok d
-      | Some _ -> Error (`Msg "expected a domain count of at least 1")
-      | None -> Error (`Msg "expected an integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt (some domain_count) None
+    & opt (some (at_least_one "a domain count")) None
     & info [ "j"; "domains" ] ~docv:"DOMAINS" ~doc)
 
 let apply_domains = function
@@ -103,8 +119,18 @@ let with_metrics metrics f =
           Printf.eprintf "metrics written to %s\n%!" path)
         f
 
-let problem_of ~weighted ~k ~l ~n ~seed =
-  Runner.fat_tree_problem ~weighted ~k ~l ~n ~seed ()
+(* Refuse what the arguments alone could not rule out: the message on
+   stderr, exit code 1. *)
+let refuse cmd msg =
+  Printf.eprintf "ppdc %s: %s\n" cmd msg;
+  exit 1
+
+(* The converters check k, l and n one by one; an n above the fabric's
+   switch count is refused here. *)
+let problem_of cmd ~weighted ~k ~l ~n ~seed =
+  match Runner.fat_tree_problem ~weighted ~k ~l ~n ~seed () with
+  | problem -> problem
+  | exception Invalid_argument msg -> refuse cmd msg
 
 (* --- topology ----------------------------------------------------------- *)
 
@@ -150,7 +176,7 @@ let place_cmd =
   let run j k l n seed weighted algo metrics =
     apply_domains j;
     with_metrics metrics @@ fun () ->
-    let problem = problem_of ~weighted ~k ~l ~n ~seed in
+    let problem = problem_of "place" ~weighted ~k ~l ~n ~seed in
     let rates = Flow.base_rates (Problem.flows problem) in
     let name, placement, cost =
       match algo with
@@ -195,7 +221,7 @@ let migrate_cmd =
   let run j k l n seed weighted mu algo metrics =
     apply_domains j;
     with_metrics metrics @@ fun () ->
-    let problem = problem_of ~weighted ~k ~l ~n ~seed in
+    let problem = problem_of "migrate" ~weighted ~k ~l ~n ~seed in
     let rates0 = Flow.base_rates (Problem.flows problem) in
     let current = (Placement_dp.solve problem ~rates:rates0 ()).placement in
     let rng = Rng.create (seed + 1000) in
@@ -278,10 +304,7 @@ let trace_cmd =
 let simulate_events scenario ~trace ~seed ~policy ~trigger ~probe_every
     ~failure_at =
   let module Events = Ppdc_traffic.Events in
-  let refuse msg =
-    Printf.eprintf "ppdc simulate: %s\n" msg;
-    exit 1
-  in
+  let refuse = refuse "simulate" in
   let base = Events.of_trace trace in
   let horizon = Events.horizon base in
   let stream = ref base in
@@ -359,7 +382,7 @@ let simulate_cmd =
       failure_at metrics =
     apply_domains j;
     with_metrics metrics @@ fun () ->
-    let problem = problem_of ~weighted:false ~k ~l ~n ~seed in
+    let problem = problem_of "simulate" ~weighted:false ~k ~l ~n ~seed in
     (* The day to replay: the --trace file on this fabric, or the
        diurnal model on the seeded workload. *)
     let problem, trace =
@@ -409,7 +432,8 @@ let simulate_cmd =
   in
   let trace_arg =
     let doc = "Replay a trace file (from $(b,ppdc trace)) instead of the built-in diurnal model; -l and --seed are then ignored for the workload." in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+    Arg.(
+      value & opt (some non_dir_file) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let events_arg =
     let doc =
@@ -459,7 +483,7 @@ let simulate_cmd =
 
 let ilp_cmd =
   let run k l n seed mu tom output =
-    let problem = problem_of ~weighted:false ~k ~l ~n ~seed in
+    let problem = problem_of "ilp" ~weighted:false ~k ~l ~n ~seed in
     let rates = Flow.base_rates (Problem.flows problem) in
     let lp =
       if tom then begin

@@ -30,8 +30,6 @@ val make :
     the chains jointly need more switches than exist, or [flows] is
     empty. *)
 
-val num_chains : t -> int
-
 val flows_of_chain : t -> int -> Ppdc_traffic.Flow.t array
 (** The flows bound to a chain (their ids keep indexing the global rate
     vector). *)

@@ -28,9 +28,6 @@ val to_string : t -> string
     never contains a raw newline (strings are escaped), so it is safe as
     one NDJSON line. *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** [to_string] into an existing buffer. *)
-
 val member : string -> t -> t option
 (** Field lookup on [Obj] (first match); [None] otherwise. *)
 

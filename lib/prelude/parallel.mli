@@ -47,7 +47,3 @@ val map_reduce :
     in parallel, then folds [combine] over the results **in index
     order** on the calling domain — equivalent to
     [Array.fold_left combine init (Array.init n map)]. *)
-
-val shutdown : unit -> unit
-(** Join all pool workers (idempotent; also registered via [at_exit]).
-    Only needed by embedders that fork or want a quiet teardown. *)

@@ -18,8 +18,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance; 0 when fewer than two points. *)
 
-val stddev : float array -> float
-
 val summary : float array -> summary
 (** Full summary. The confidence interval uses Student's t critical value
     for small n (two-sided 95%), converging to 1.96 for large n. Raises

@@ -42,9 +42,6 @@ type error_code =
           arrival (it spent the whole budget queued) *)
   | Internal_error  (** handler raised; the message carries details *)
 
-val code_slug : error_code -> string
-(** Stable wire name, e.g. [Parse_error] -> ["parse_error"]. *)
-
 type request = {
   id : Ppdc_prelude.Json.t;  (** [Null] when absent *)
   meth : string;

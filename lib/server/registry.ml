@@ -218,14 +218,16 @@ let drop_if_idle sh tenant ts =
 
 (* --- eviction ------------------------------------------------------------ *)
 
-(* Remove [name] if its stamp still equals [stamp] (i.e. it was not
-   touched since the victim scan); returns the node's byte size. *)
-let remove_if_unstamped t name stamp =
+(* Unlink and tombstone [name], then release its tenant's share;
+   returns the tenant. With [stamp], only if the entry was not touched
+   since the victim scan that read that stamp. *)
+let remove ?stamp t name =
   let sh = shard_of t name in
   let removed =
     Mutexes.with_lock sh.mutex (fun () ->
         match Hashtbl.find_opt sh.table name with
-        | Some node when node.stamp = stamp ->
+        | Some node
+          when Option.fold ~none:true ~some:(Int.equal node.stamp) stamp ->
             unlink sh node;
             Hashtbl.remove sh.table name;
             add_tombstone sh name;
@@ -286,7 +288,7 @@ let evict_one t ?tenant ~keep ~reason () =
       match victim_scan t ?tenant ~keep () with
       | None -> None
       | Some (stamp, name, victim_tenant) -> (
-          match remove_if_unstamped t name stamp with
+          match remove ~stamp t name with
           | Some _ ->
               (match reason with
               | Budget -> Atomic.incr t.evicted_budget
@@ -383,29 +385,7 @@ let find t name =
 (* Explicit removal (administrative, and the model test's op set).
    Tombstones like an eviction — a later request for the name answers
    session_evicted, not unknown_session. *)
-let evict t name =
-  let sh = shard_of t name in
-  let removed =
-    Mutexes.with_lock sh.mutex (fun () ->
-        match Hashtbl.find_opt sh.table name with
-        | Some node ->
-            unlink sh node;
-            Hashtbl.remove sh.table name;
-            add_tombstone sh name;
-            Some (node.tenant, node.bytes)
-        | None -> None)
-  in
-  match removed with
-  | None -> false
-  | Some (tenant, bytes) ->
-      let home = home_of t tenant in
-      Mutexes.with_lock home.mutex (fun () ->
-          let ts = tenant_state home tenant in
-          ts.t_sessions <- ts.t_sessions - 1;
-          ts.t_bytes <- ts.t_bytes - bytes;
-          drop_if_idle home tenant ts);
-      ignore (Atomic.fetch_and_add t.total (-1));
-      true
+let evict t name = Option.is_some (remove t name)
 
 let length t = Atomic.get t.total
 

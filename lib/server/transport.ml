@@ -103,8 +103,6 @@ let serve_unix ?max_line ?workers ?(max_pending = default_max_pending)
     match workers with Some w -> w | None -> Parallel.domain_count ()
   in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let active = Atomic.make 0 in
-  let rejected = Atomic.make 0 in
   (* Everything past socket creation — bind, listen, pool setup, the
      accept loop — runs inside one protect, so the socket file is
      removed however this function exits, normal return or exception. *)
@@ -116,11 +114,8 @@ let serve_unix ?max_line ?workers ?(max_pending = default_max_pending)
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 64;
       let serve_connection (fd, accepted_at) =
-        Atomic.incr active;
         Fun.protect
-          ~finally:(fun () ->
-            Atomic.decr active;
-            try Unix.close fd with Unix.Unix_error _ -> ())
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
             let ic = Unix.in_channel_of_descr fd in
             let oc = Unix.out_channel_of_descr fd in
@@ -135,9 +130,9 @@ let serve_unix ?max_line ?workers ?(max_pending = default_max_pending)
       Engine.set_load_probe engine (fun () ->
           {
             Engine.workers;
-            active_connections = Atomic.get active;
+            active_connections = Work_queue.active queue;
             queue_depth = Work_queue.depth queue;
-            rejected_connections = Atomic.get rejected;
+            rejected_connections = Work_queue.rejected queue;
           });
       (* Graceful shutdown: stop accepting the moment the engine stops,
          then drain — the queue runs every accepted connection, whose
@@ -159,11 +154,10 @@ let serve_unix ?max_line ?workers ?(max_pending = default_max_pending)
                 Obs.observe "server.queue.depth"
                   (float_of_int (Work_queue.depth queue));
                 Obs.observe "server.connections.active"
-                  (float_of_int (Atomic.get active));
+                  (float_of_int (Work_queue.active queue));
                 match Work_queue.push queue (fd, Clock.now ()) with
                 | Work_queue.Accepted -> ()
                 | Work_queue.Overloaded | Work_queue.Stopped ->
-                    Atomic.incr rejected;
                     Obs.incr "server.rejected";
                     reject_connection fd)
           done))

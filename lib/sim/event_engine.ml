@@ -90,35 +90,17 @@ type run = {
   reconfigurations : int;
 }
 
-(* Apply a rate event to [rates]; other kinds carry none. A flow id
-   outside the vector raises on the live vector ([strict]) and is
-   skipped by the look-ahead scans below. *)
-let apply_rates ~strict rates (kind : Events.kind) =
-  let l = Array.length rates in
-  let set flow r =
-    if flow >= 0 && flow < l then rates.(flow) <- r
-    else if strict then
-      invalid_arg
-        (Printf.sprintf
-           "Event_engine.run: flow %d out of range (have %d flows)" flow l)
-  in
-  match kind with
-  | Events.Flow_arrival { flow; rate } -> set flow rate
-  | Events.Flow_departure { flow } -> set flow 0.0
-  | Events.Rate_update updates -> List.iter (fun (f, r) -> set f r) updates
-  | Events.Link_failure _ | Events.Link_repair _ | Events.Probe -> ()
-
-(* A copy of [rates] after the events at the head of [pending] whose
-   time is at most [until], in stream order. *)
-let rates_until rates pending ~until =
-  let rates = Array.copy rates in
-  let rec go = function
+(* The rate vector in force at [until]: the last [Rate_update] among
+   the events at the head of [pending] whose time is at most [until],
+   else [rates]. A rate event carries every flow's rate, so this equals
+   applying each of them in stream order. *)
+let rates_at rates pending ~until =
+  let rec go acc = function
     | (e : Events.event) :: rest when Float.compare e.time until <= 0 ->
-        apply_rates ~strict:false rates e.kind;
-        go rest
-    | _ -> rates
+        go (match e.kind with Events.Rate_update v -> v | _ -> acc) rest
+    | _ -> acc
   in
-  go pending
+  go rates pending
 
 let run scenario ~policy ~trigger ~events () =
   validate_trigger trigger;
@@ -129,6 +111,17 @@ let run scenario ~policy ~trigger ~events () =
   (* The timeline is the sorted stream: [pending] holds the events not
      yet replayed. *)
   let pending = ref (Events.events events) in
+  List.iter
+    (fun (e : Events.event) ->
+      match e.kind with
+      | Events.Rate_update v when Array.length v <> l ->
+          invalid_arg
+            (Printf.sprintf
+               "Event_engine.run: the rate vector at t = %g has %d entries \
+                (have %d flows)"
+               e.time (Array.length v) l)
+      | _ -> ())
+    !pending;
   let next () =
     match !pending with
     | e :: rest when Float.compare e.Events.time horizon < 0 ->
@@ -136,11 +129,11 @@ let run scenario ~policy ~trigger ~events () =
         Some e
     | _ -> None
   in
-  (* An [Hour1] deployment sees the rates the stream leaves in place
-     after every event at its earliest timestamp. *)
+  (* An [Hour1] deployment sees the rates in force at the stream's
+     earliest timestamp. *)
   let first_rates =
     let until = match !pending with [] -> 0.0 | e :: _ -> e.time in
-    rates_until rates !pending ~until
+    rates_at rates !pending ~until
   in
   let initial_placement = Engine.initial_placement_of scenario ~first_rates in
   let state =
@@ -194,14 +187,14 @@ let run scenario ~policy ~trigger ~events () =
             kept)
     | Events.Link_repair { u; v; weight } ->
         relink (fun edges -> (min u v, max u v, weight) :: edges)
-    | kind -> apply_rates ~strict:true rates kind
+    | Events.Rate_update v -> Array.blit v 0 rates 0 l
+    | Events.Probe -> ()
   in
-  (* Perfect short-range forecast: the rate vector after every stream
-     event not yet replayed up to [t + 1], in stream order. An
-     [of_trace] stream carries its all-zero vector *at* the horizon, so
-     the forecast at the last epoch is the zero vector (the horizon
+  (* Perfect short-range forecast: the rate vector in force at [t + 1].
+     An [of_trace] stream carries its all-zero vector *at* the horizon,
+     so the forecast at the last epoch is the zero vector (the horizon
      contract in engine.mli). *)
-  let forecast t = rates_until rates !pending ~until:(t +. 1.0) in
+  let forecast t = rates_at rates !pending ~until:(t +. 1.0) in
   let rec replay () =
     match next () with
     | None -> ()

@@ -90,26 +90,29 @@ val run :
   unit ->
   run
 (** Replay the stream against the scenario's problem. Flows start at
-    rate zero; the initial placement follows {!Scenario.initial}
-    (an [Hour1] deployment sees the rate vector left by the events at
-    the stream's earliest timestamp). Only events strictly before the
-    horizon are processed. [Link_failure]/[Link_repair] events evolve
-    the problem's cost matrix incrementally: the engine removes or adds
-    the link and derives the new matrix with
-    {!Ppdc_topology.Cost_matrix.repair_to}.
+    rate zero, and a [Rate_update] replaces every flow's rate; the
+    engine copies the event's values, so a stream replays identically
+    any number of times. The initial placement follows
+    {!Scenario.initial} (an [Hour1] deployment sees the last rate
+    vector at or before the stream's earliest timestamp). Only events
+    strictly before the horizon are processed.
+    [Link_failure]/[Link_repair] events evolve the problem's cost
+    matrix incrementally: the engine removes or adds the link and
+    derives the new matrix with {!Ppdc_topology.Cost_matrix.repair_to}.
 
-    The [Mpareto_lookahead] forecast is the rate vector after every
-    pending stream event within [t, t + 1] — perfect one-hour
-    prediction; on an hourly stream, the next hour's vector.
+    The [Mpareto_lookahead] forecast at time [t] is the last rate
+    vector at or before [t + 1] — perfect one-hour prediction; on an
+    hourly stream, the next hour's vector.
 
     Migrations are instantaneous, as in the paper's cost model (Eq. 8):
     a reconfiguration takes effect at the event that fired it, and its
     migration cost is charged there.
 
-    Raises [Invalid_argument] on an out-of-range flow id or link
-    endpoint in the stream, a [Link_failure] naming an absent edge or
-    one whose removal disconnects the fabric, or a [Link_repair] of a
-    present edge. *)
+    Raises [Invalid_argument], before replaying any event, on a rate
+    vector whose length is not the problem's flow count; and, when the
+    event is replayed, on an out-of-range link endpoint, a
+    [Link_failure] naming an absent edge or one whose removal
+    disconnects the fabric, or a [Link_repair] of a present edge. *)
 
 (** {1 The hourly view} *)
 

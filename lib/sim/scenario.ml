@@ -15,8 +15,9 @@ let make ?(mu = 1e4) ?pair_limit ?(opt_budget = 2_000_000)
 module Events = Ppdc_traffic.Events
 
 let events_of_diurnal t =
-  Events.of_diurnal Ppdc_traffic.Diurnal.default
-    ~flows:(Ppdc_core.Problem.flows t.problem)
+  Events.of_trace
+    (Ppdc_traffic.Trace.of_diurnal Ppdc_traffic.Diurnal.default
+       ~flows:(Ppdc_core.Problem.flows t.problem))
 
 let failure_episode ~rng ~at ~duration ~fraction t =
   if not (Float.is_finite at) || at < 0.0 then

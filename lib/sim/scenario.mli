@@ -46,13 +46,13 @@ val make :
 (** {1 Event-stream constructors}
 
     The graph-aware bridges into the discrete-event simulator
-    ({!Event_engine}); the pure-data constructors (traces, Poisson
-    churn, probes) live in {!Ppdc_traffic.Events}. *)
+    ({!Event_engine}); the pure-data constructors (traces, probes)
+    live in {!Ppdc_traffic.Events}. *)
 
 val events_of_diurnal : t -> Ppdc_traffic.Events.t
 (** The paper's diurnal day on the scenario's flows as an hourly event
-    stream: [Events.of_diurnal Diurnal.default]. Its [Periodic 1.0]
-    replay is {!Event_engine.run_day}. *)
+    stream: [Events.of_trace (Trace.of_diurnal Diurnal.default)]. Its
+    [Periodic 1.0] replay is {!Event_engine.run_day}. *)
 
 val failure_episode :
   rng:Ppdc_prelude.Rng.t ->

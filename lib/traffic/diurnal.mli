@@ -29,9 +29,6 @@ val default : t
 val tau : t -> int -> float
 (** [tau m h] is τ_h; zero outside [1, N]. *)
 
-val coast_offset_hours : int
-(** Hours by which west-coast activity lags east-coast activity (3). *)
-
 val scale : t -> coast:Flow.coast -> hour:int -> float
 (** Traffic scale of a flow at the given hour: [τ_h] for east-coast
     flows, [τ_{h−3 mod N}] for west-coast (the offset wraps around the

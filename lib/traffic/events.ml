@@ -1,7 +1,5 @@
 type kind =
-  | Flow_arrival of { flow : int; rate : float }
-  | Flow_departure of { flow : int }
-  | Rate_update of (int * float) list
+  | Rate_update of float array
   | Link_failure of { u : int; v : int }
   | Link_repair of { u : int; v : int; weight : float }
   | Probe
@@ -11,29 +9,18 @@ type event = { time : float; kind : kind }
 type t = { events : event array; horizon : float }
 
 let kind_name = function
-  | Flow_arrival _ -> "flow_arrival"
-  | Flow_departure _ -> "flow_departure"
   | Rate_update _ -> "rate_update"
   | Link_failure _ -> "link_failure"
   | Link_repair _ -> "link_repair"
   | Probe -> "probe"
 
-let check_rate what r =
-  if not (Float.is_finite r) || r < 0.0 then
-    invalid_arg (Printf.sprintf "Events.make: %s rate must be finite >= 0" what)
-
 let check_kind = function
-  | Flow_arrival { flow; rate } ->
-      if flow < 0 then invalid_arg "Events.make: negative flow id";
-      check_rate "arrival" rate
-  | Flow_departure { flow } ->
-      if flow < 0 then invalid_arg "Events.make: negative flow id"
-  | Rate_update updates ->
-      List.iter
-        (fun (flow, rate) ->
-          if flow < 0 then invalid_arg "Events.make: negative flow id";
-          check_rate "update" rate)
-        updates
+  | Rate_update rates ->
+      Array.iter
+        (fun r ->
+          if not (Float.is_finite r) || r < 0.0 then
+            invalid_arg "Events.make: update rate must be finite >= 0")
+        rates
   | Link_failure { u; v } ->
       if u < 0 || v < 0 || u = v then invalid_arg "Events.make: bad link"
   | Link_repair { u; v; weight } ->
@@ -69,68 +56,25 @@ let length t = Array.length t.events
    horizon equals [epochs], so the engine never *processes* the final
    event — but a forecast scanning pending events does see it: the
    look-ahead policy's horizon contract (the forecast one epoch past
-   the end is the zero vector). *)
+   the end is the zero vector). [Trace.rates_at] returns a fresh
+   vector, which the stream then owns. *)
 let of_trace trace =
   let epochs = Trace.num_epochs trace in
-  let l = Trace.num_flows trace in
   if epochs = 0 then invalid_arg "Events.of_trace: empty trace";
-  let full_vector rates = List.init l (fun i -> (i, rates.(i))) in
   let per_epoch =
     List.init epochs (fun e ->
         {
           time = float_of_int e;
-          kind = Rate_update (full_vector (Trace.rates_at trace ~epoch:e));
+          kind = Rate_update (Trace.rates_at trace ~epoch:e);
         })
   in
   let final =
     {
       time = float_of_int epochs;
-      kind = Rate_update (List.init l (fun i -> (i, 0.0)));
+      kind = Rate_update (Array.make (Trace.num_flows trace) 0.0);
     }
   in
   make ~horizon:(float_of_int epochs) (per_epoch @ [ final ])
-
-let of_diurnal diurnal ~flows = of_trace (Trace.of_diurnal diurnal ~flows)
-
-let exponential rng ~mean =
-  (* Inverse-CDF sample; [uniform] never returns exactly [hi], so the
-     log argument stays positive. *)
-  let u = Ppdc_prelude.Rng.uniform rng ~lo:0.0 ~hi:1.0 in
-  -.mean *. log (1.0 -. u)
-
-let poisson ~rng ~horizon ~mean_active flows =
-  if not (Float.is_finite horizon) || horizon <= 0.0 then
-    invalid_arg "Events.poisson: horizon must be finite positive";
-  if not (Float.is_finite mean_active) || mean_active <= 0.0 then
-    invalid_arg "Events.poisson: mean_active must be finite positive";
-  let l = Array.length flows in
-  if l = 0 then invalid_arg "Events.poisson: no flows";
-  (* Flows join as a Poisson process: exponential inter-arrivals with
-     the full population spread over the first half of the horizon (so
-     the tail still has traffic to observe), each session staying
-     Exponential(mean_active). Departures past the horizon are dropped —
-     the run ends with the flow still active, which is fine: nothing
-     after the horizon is ever processed. *)
-  let inter_mean = horizon /. 2.0 /. float_of_int l in
-  let clock = ref 0.0 in
-  let evs = ref [] in
-  Array.iter
-    (fun (f : Flow.t) ->
-      clock := !clock +. exponential rng ~mean:inter_mean;
-      let arrival = !clock in
-      if arrival < horizon then begin
-        let rate = f.base_rate *. Ppdc_prelude.Rng.uniform rng ~lo:0.8 ~hi:1.2 in
-        evs :=
-          { time = arrival; kind = Flow_arrival { flow = f.id; rate } }
-          :: !evs;
-        let departure = arrival +. exponential rng ~mean:mean_active in
-        if departure < horizon then
-          evs :=
-            { time = departure; kind = Flow_departure { flow = f.id } }
-            :: !evs
-      end)
-    flows;
-  make ~horizon (List.rev !evs)
 
 (* Each tick is an event a run replays, and under [On_event] a
    decision, so a tiny period would hang its caller and exhaust memory;

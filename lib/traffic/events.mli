@@ -1,8 +1,8 @@
 (** Typed event timelines for the discrete-event simulator.
 
     An event stream is the dynamic half of a scenario freed from the
-    hour grid: flows arrive, depart, and change rate, links fail and
-    come back — each at an arbitrary virtual time in [0, horizon).
+    hour grid: the traffic-rate vector changes, links fail and come
+    back — each at an arbitrary virtual time in [0, horizon).
     The stream itself is pure data (no graph or problem attached);
     {!Ppdc_sim.Event_engine} interprets it against a scenario, and
     {!Ppdc_sim.Scenario} builds the graph-dependent streams (failure
@@ -15,12 +15,11 @@
     count. *)
 
 type kind =
-  | Flow_arrival of { flow : int; rate : float }
-      (** flow [flow] starts sending at [rate] *)
-  | Flow_departure of { flow : int }  (** flow's rate drops to zero *)
-  | Rate_update of (int * float) list
-      (** batched rate changes, applied atomically: the engine sees one
-          event (and evaluates its trigger once), not one per flow *)
+  | Rate_update of float array
+      (** every flow's rate from this time on, indexed by flow id (the
+          paper's λ of Eq. 8 changes as a whole): one event, so the
+          engine evaluates its trigger once. The engine copies the
+          values and never writes into the array. *)
   | Link_failure of { u : int; v : int }
   | Link_repair of { u : int; v : int; weight : float }
   | Probe  (** no state change; gives periodic triggers a tick *)
@@ -32,13 +31,13 @@ type t
 
 val make : horizon:float -> event list -> t
 (** Stable-sorts by time. Raises [Invalid_argument] on a non-finite or
-    negative time/horizon, negative flow id, non-finite or negative
-    rate, self-loop link, or non-positive repair weight. (Flow ids and
+    negative time/horizon, a non-finite or negative rate, a self-loop
+    link, or a non-positive repair weight. (A rate vector's length and
     link endpoints are validated against the actual problem by the
     engine, which is where the graph lives.) *)
 
 val kind_name : kind -> string
-(** Stable lowercase tag ("flow_arrival", "link_repair", ...) used by
+(** Stable lowercase tag ("rate_update", "link_repair", ...) used by
     Obs events and the CLI. *)
 
 val events : t -> event list
@@ -48,30 +47,12 @@ val horizon : t -> float
 val length : t -> int
 
 val of_trace : Trace.t -> t
-(** One atomic full-vector [Rate_update] per trace epoch at times
+(** One [Rate_update] per trace epoch at times
     [0 .. epochs-1], horizon [epochs], plus a final all-zero vector
     {e at} the horizon — never processed, but visible to forecasts:
     the zero forecast past the last epoch. Its [Periodic 1.0] replay
     is {!Ppdc_sim.Event_engine.run_trace}. Raises [Invalid_argument]
     on an empty trace. *)
-
-val of_diurnal : Diurnal.t -> flows:Flow.t array -> t
-(** [of_trace (Trace.of_diurnal diurnal ~flows)]. *)
-
-val poisson :
-  rng:Ppdc_prelude.Rng.t ->
-  horizon:float ->
-  mean_active:float ->
-  Flow.t array ->
-  t
-(** Session churn as a Poisson process: flows arrive with exponential
-    inter-arrival times (population spread over the first half of the
-    horizon), each at its base rate scaled by a uniform factor in
-    [0.8, 1.2], and stay active for an Exponential([mean_active])
-    duration before departing. Departures past the horizon are dropped
-    (the run ends first). Deterministic given the rng seed. Raises
-    [Invalid_argument] on a non-positive horizon or [mean_active], or
-    no flows. *)
 
 val probes : every:float -> horizon:float -> t
 (** [Probe] ticks at [every, 2·every, ...) below the horizon — gives a

@@ -163,18 +163,27 @@ let kinds_of (run : Event_engine.run) =
     (Array.map (fun (r : Event_engine.event_record) -> r.kind)
        run.Event_engine.records)
 
-(* Events at one time replay in the order the stream lists them. *)
+(* Events at one time replay in the order the stream lists them: the
+   kinds come back in stream order, and the later of two equal-time rate
+   vectors is the one in force afterwards. *)
 let test_equal_times_keep_stream_order () =
   let sc = scenario ~seed:3 () in
+  let l = Problem.num_flows sc.Scenario.problem in
+  let vector flow rate =
+    let v = Array.make l 0.0 in
+    v.(flow) <- rate;
+    v
+  in
+  let first = vector 0 5.0 and second = vector 1 2.0 in
   let at kind = { Events.time = 0.5; kind } in
   let stream =
     Events.make ~horizon:1.0
       [
         at Events.Probe;
-        at (Events.Flow_arrival { flow = 0; rate = 5.0 });
+        at (Events.Rate_update first);
         at Events.Probe;
-        at (Events.Rate_update [ (1, 2.0) ]);
-        at (Events.Flow_departure { flow = 0 });
+        at (Events.Rate_update second);
+        at Events.Probe;
       ]
   in
   let run =
@@ -182,8 +191,13 @@ let test_equal_times_keep_stream_order () =
       ~trigger:Event_engine.On_event ~events:stream ()
   in
   Alcotest.(check (list string)) "stream order"
-    [ "probe"; "flow_arrival"; "probe"; "rate_update"; "flow_departure" ]
-    (kinds_of run)
+    [ "probe"; "rate_update"; "probe"; "rate_update"; "probe" ]
+    (kinds_of run);
+  check_bits "the later vector is charged over the tail"
+    (0.5
+    *. Cost.comm_cost sc.Scenario.problem ~rates:second
+         run.Event_engine.initial_placement)
+    run.Event_engine.final_comm
 
 (* A link event the fabric cannot take is refused, not replayed. *)
 let test_link_errors () =
@@ -216,19 +230,19 @@ let test_link_errors () =
 let test_elapsed_time_charging () =
   let sc = scenario ~seed:6 () in
   let l = Problem.num_flows sc.Scenario.problem in
+  let rates = Array.make l 0.0 in
+  rates.(0) <- 50.0;
   let stream =
     Events.make ~horizon:1.0
       [
-        { Events.time = 0.25; kind = Events.Flow_arrival { flow = 0; rate = 50.0 } };
-        { Events.time = 0.75; kind = Events.Flow_departure { flow = 0 } };
+        { Events.time = 0.25; kind = Events.Rate_update rates };
+        { Events.time = 0.75; kind = Events.Rate_update (Array.make l 0.0) };
       ]
   in
   let run =
     Event_engine.run sc ~policy:Engine.No_migration
       ~trigger:Event_engine.On_event ~events:stream ()
   in
-  let rates = Array.make l 0.0 in
-  rates.(0) <- 50.0;
   let c =
     Cost.comm_cost sc.Scenario.problem ~rates run.Event_engine.initial_placement
   in
@@ -290,67 +304,30 @@ let test_of_trace_structure () =
   check_bits "horizon = epochs"
     (float_of_int (Trace.num_epochs trace))
     (Events.horizon stream);
-  match List.rev (Events.events stream) with
-  | last :: _ ->
-      check_bits "final vector sits at the horizon" (Events.horizon stream)
-        last.Events.time;
-      (match last.Events.kind with
-      | Events.Rate_update updates ->
-          Alcotest.(check bool) "and is all-zero" true
-            (List.for_all (fun (_, r) -> Float.compare r 0.0 = 0) updates)
-      | _ -> Alcotest.fail "expected a Rate_update at the horizon")
-  | [] -> Alcotest.fail "empty stream"
-
-let test_poisson_stream () =
-  let sc = scenario ~seed:8 () in
-  let flows = Problem.flows sc.Scenario.problem in
-  let make seed =
-    Events.poisson ~rng:(Rng.create seed) ~horizon:12.0 ~mean_active:4.0 flows
+  let vector (e : Events.event) =
+    match e.kind with
+    | Events.Rate_update v -> v
+    | _ -> Alcotest.fail "of_trace emits only rate vectors"
   in
-  let a = make 5 and b = make 5 and c = make 6 in
-  Alcotest.(check int) "seeded determinism" (Events.length a) (Events.length b);
-  List.iter2
-    (fun (x : Events.event) (y : Events.event) ->
-      check_bits "same times" x.time y.time)
-    (Events.events a) (Events.events b);
-  Alcotest.(check bool) "different seeds differ" true
-    (Events.length a <> Events.length c
-    || List.exists2
-         (fun (x : Events.event) (y : Events.event) ->
-           Float.compare x.time y.time <> 0)
-         (Events.events a) (Events.events c));
-  (* Per-flow ordering: arrival strictly before departure, both inside
-     the horizon. *)
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Events.event) ->
-      Alcotest.(check bool) "inside horizon" true
-        (e.time >= 0.0 && e.time < 12.0);
-      match e.kind with
-      | Events.Flow_arrival { flow; rate } ->
-          Alcotest.(check bool) "positive rate" true (rate > 0.0);
-          Hashtbl.replace seen flow e.time
-      | Events.Flow_departure { flow } ->
-          Alcotest.(check bool) "departure after arrival" true
-            (match Hashtbl.find_opt seen flow with
-            | Some t -> e.time > t
-            | None -> false)
-      | _ -> Alcotest.fail "unexpected kind in a poisson stream")
-    (Events.events a);
-  (* A poisson stream must drive the engine end to end. *)
-  let run =
-    Event_engine.run sc ~policy:Engine.Mpareto
-      ~trigger:(Event_engine.Threshold 1.3) ~events:a ()
-  in
-  Alcotest.(check bool) "engine consumed the stream" true
-    (Array.length run.Event_engine.records = Events.length a)
+  List.iteri
+    (fun i (e : Events.event) ->
+      check_bits "event i sits at time i" (float_of_int i) e.time;
+      let expected =
+        if i < Trace.num_epochs trace then Trace.rates_at trace ~epoch:i
+        else Array.make (Array.length flows) 0.0
+      in
+      Alcotest.(check (array int64))
+        "epoch i's vector, then the all-zero vector at the horizon"
+        (Array.map bits expected)
+        (Array.map bits (vector e)))
+    (Events.events stream)
 
 let test_merge_is_stable () =
   let ev t = { Events.time = t; kind = Events.Probe } in
   let a = Events.make ~horizon:2.0 [ ev 0.5; ev 1.0 ] in
   let b =
     Events.make ~horizon:3.0
-      [ { Events.time = 1.0; kind = Events.Flow_departure { flow = 0 } } ]
+      [ { Events.time = 1.0; kind = Events.Rate_update [| 0.0 |] } ]
   in
   let m = Events.merge a b in
   check_bits "horizon is the max" 3.0 (Events.horizon m);
@@ -358,7 +335,7 @@ let test_merge_is_stable () =
   | [ e1; e2; e3 ] ->
       check_bits "sorted" 0.5 e1.Events.time;
       (match (e2.Events.kind, e3.Events.kind) with
-      | Events.Probe, Events.Flow_departure _ -> ()
+      | Events.Probe, Events.Rate_update _ -> ()
       | _ -> Alcotest.fail "equal-time events must keep a-before-b order")
   | _ -> Alcotest.fail "expected three events"
 
@@ -394,23 +371,92 @@ let test_stream_validation () =
       Events.make ~horizon:1.0 [ { Events.time = -1.0; kind = Events.Probe } ]);
   reject "negative rate" (fun () ->
       Events.make ~horizon:1.0
-        [ { Events.time = 0.0;
-            kind = Events.Flow_arrival { flow = 0; rate = -1.0 } } ]);
+        [ { Events.time = 0.0; kind = Events.Rate_update [| 1.0; -1.0 |] } ]);
+  reject "nan rate" (fun () ->
+      Events.make ~horizon:1.0
+        [ { Events.time = 0.0; kind = Events.Rate_update [| Float.nan; 1.0 |] } ]);
   reject "self-loop link" (fun () ->
       Events.make ~horizon:1.0
         [ { Events.time = 0.0; kind = Events.Link_failure { u = 3; v = 3 } } ]);
   reject "nan horizon" (fun () -> Events.make ~horizon:Float.nan []);
   reject "nan time" (fun () ->
       Events.make ~horizon:1.0 [ { Events.time = Float.nan; kind = Events.Probe } ]);
+  (* A vector of the wrong length is refused before any event is
+     replayed: the failure of an absent link at t = 0 would raise a
+     different message if it were replayed first. A vector past the
+     horizon, which only a forecast reads, is refused too. *)
   let sc = scenario ~seed:1 () in
-  reject "out-of-range flow id at run time" (fun () ->
-      Event_engine.run sc ~policy:Engine.No_migration
-        ~trigger:Event_engine.On_event
-        ~events:
-          (Events.make ~horizon:1.0
-             [ { Events.time = 0.0;
-                 kind = Events.Flow_arrival { flow = 9999; rate = 1.0 } } ])
-        ())
+  let l = Problem.num_flows sc.Scenario.problem in
+  let ft = Fat_tree.build 4 in
+  let absent = Events.Link_failure { u = ft.core.(0); v = ft.core.(1) } in
+  List.iter
+    (fun (name, time, len) ->
+      let events =
+        Events.make ~horizon:1.0
+          [
+            { Events.time = 0.0; kind = absent };
+            { Events.time; kind = Events.Rate_update (Array.make len 1.0) };
+          ]
+      in
+      match
+        Event_engine.run sc ~policy:Engine.No_migration
+          ~trigger:Event_engine.On_event ~events ()
+      with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (name ^ " refused before the replay: " ^ msg)
+            true
+            (String.starts_with ~prefix:"Event_engine.run: the rate vector"
+               msg))
+    [
+      ("a short vector", 0.5, l - 1);
+      ("a long vector", 0.5, l + 1);
+      ("a short vector past the horizon", 2.0, l - 1);
+    ]
+
+(* One stream replays identically any number of times: the engine
+   copies a rate event's values into its own vector and never writes
+   into the stream's. Covers the live vector, the [Hour1] deployment's
+   first vector and the look-ahead forecast. *)
+let test_replay_leaves_stream_intact () =
+  let sc =
+    Scenario.make ~mu:1e3 ~initial:Scenario.Hour1 (problem ~seed:4 ())
+  in
+  let stream =
+    Events.merge (Scenario.events_of_diurnal sc)
+      (Events.probes ~every:0.5 ~horizon:12.0)
+  in
+  let vectors () =
+    List.filter_map
+      (fun (e : Events.event) ->
+        match e.kind with
+        | Events.Rate_update v -> Some (Array.map bits v)
+        | _ -> None)
+      (Events.events stream)
+  in
+  let before = vectors () in
+  let records () =
+    let run =
+      Event_engine.run sc ~policy:Engine.Mpareto_lookahead
+        ~trigger:(Event_engine.Threshold 1.1) ~events:stream ()
+    in
+    Array.to_list
+      (Array.map
+         (fun (r : Event_engine.event_record) ->
+           Printf.sprintf "%h %s %h %b %h %d" r.time r.kind r.comm_charge
+             r.fired r.migration_cost r.moved)
+         run.Event_engine.records)
+    @ [
+        Printf.sprintf "%h %h" run.Event_engine.final_comm
+          run.Event_engine.total_cost;
+      ]
+  in
+  let first = records () in
+  Alcotest.(check (list string)) "second replay, record for record" first
+    (records ());
+  Alcotest.(check (list (array int64))) "the stream's vectors are unchanged"
+    before (vectors ())
 
 (* Events.probes refuses a schedule of more than 10,000 ticks instead
    of building it; the finest one in use, a quarter hour over the 12 h
@@ -499,9 +545,10 @@ let () =
       ( "streams",
         [
           Alcotest.test_case "of_trace structure" `Quick test_of_trace_structure;
-          Alcotest.test_case "poisson churn" `Quick test_poisson_stream;
           Alcotest.test_case "merge stability" `Quick test_merge_is_stable;
           Alcotest.test_case "stream validation" `Quick test_stream_validation;
+          Alcotest.test_case "replay leaves the stream intact" `Quick
+            test_replay_leaves_stream_intact;
           Alcotest.test_case "probe tick cap" `Quick test_probe_cap;
         ] );
       ( "observability",

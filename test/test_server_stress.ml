@@ -254,11 +254,25 @@ let test_concurrent_clients () =
 (* --- overload ----------------------------------------------------------- *)
 
 let test_overload_rejection () =
-  with_server ~workers:1 ~max_pending:0 "overload" @@ fun path ->
+  let engine = Engine.create ~cache_capacity:4 () in
+  (* A holds the only worker, so the gauges are read in-process. *)
+  let connections () =
+    let server =
+      member_exn
+        (expect_ok
+           (Engine.handle_line engine {|{"id":"s","method":"stats"}|}))
+        "server"
+    in
+    ( int_of_float (num_field (member_exn server "connections") "active"),
+      int_of_float (num_field server "rejected") )
+  in
+  with_server ~engine ~workers:1 ~max_pending:0 "overload" @@ fun path ->
   (* A occupies the only worker (a connection holds its worker until it
      closes)... *)
   with_connection path @@ fun a ->
   Unix.sleepf 0.3;
+  Alcotest.(check (pair int int)) "A active, none rejected" (1, 0)
+    (connections ());
   (* ...so B must be rejected — with a structured response, not a
      dropped connection. *)
   with_connection path (fun b ->
@@ -274,6 +288,8 @@ let test_overload_rejection () =
           Alcotest.(check int)
             "EOF after rejection" 0
             (Unix.read b (Bytes.create 1) 0 1));
+  Alcotest.(check (pair int int)) "A still active, B rejected" (1, 1)
+    (connections ());
   (* A was never disturbed and sees the rejection in the gauges. *)
   send_line a {|{"id":"a1","method":"stats"}|};
   let stats = expect_ok (recv_line a) in
