@@ -384,18 +384,27 @@ let simulate_cmd =
     with_metrics metrics @@ fun () ->
     let problem = problem_of "simulate" ~weighted:false ~k ~l ~n ~seed in
     (* The day to replay: the --trace file on this fabric, or the
-       diurnal model on the seeded workload. *)
+       diurnal model on the seeded workload. A file that does not parse,
+       whose flows are not host pairs of this fabric, or that holds no
+       epoch to replay is refused before anything runs. *)
     let problem, trace =
       match trace_path with
       | None ->
           ( problem,
             Ppdc_traffic.Trace.of_diurnal Ppdc_traffic.Diurnal.default
               ~flows:(Problem.flows problem) )
-      | Some path ->
-          let trace = Ppdc_traffic.Trace.load ~path in
-          ( Problem.make ~cm:(Problem.cm problem)
-              ~flows:trace.Ppdc_traffic.Trace.flows ~n:(Problem.n problem) (),
-            trace )
+      | Some path -> (
+          match
+            let trace = Ppdc_traffic.Trace.load ~path in
+            ( Problem.make ~cm:(Problem.cm problem)
+                ~flows:trace.Ppdc_traffic.Trace.flows ~n:(Problem.n problem) (),
+              trace )
+          with
+          | exception Invalid_argument msg -> refuse "simulate" msg
+          | _, trace when Ppdc_traffic.Trace.num_epochs trace = 0 ->
+              refuse "simulate"
+                (Printf.sprintf "--trace %s: no rates rows to replay" path)
+          | day -> day)
     in
     let scenario = Scenario.make ~mu problem in
     if

@@ -10,6 +10,10 @@ type t = {
   candidate : (int, unit) Hashtbl.t;
 }
 
+(* The node-kind lookups index by id, so an id is range-checked first. *)
+let in_range g v = v >= 0 && v < Graph.num_nodes g
+let is_host g v = in_range g v && Graph.is_host g v
+
 let validate cm flows n switch_ids =
   let g = Cost_matrix.graph cm in
   if n < 1 then invalid_arg "Problem.make: chain length must be positive";
@@ -18,14 +22,14 @@ let validate cm flows n switch_ids =
   if Array.length flows = 0 then invalid_arg "Problem.make: no flows";
   Array.iter
     (fun (f : Flow.t) ->
-      if not (Graph.is_host g f.src_host && Graph.is_host g f.dst_host) then
+      if not (is_host g f.src_host && is_host g f.dst_host) then
         invalid_arg
           (Printf.sprintf "Problem.make: flow %d endpoint is not a host" f.id))
     flows;
   let seen = Hashtbl.create (Array.length switch_ids) in
   Array.iter
     (fun s ->
-      if s < 0 || s >= Graph.num_nodes g || not (Graph.is_switch g s) then
+      if not (in_range g s && Graph.is_switch g s) then
         invalid_arg
           (Printf.sprintf "Problem.make: candidate %d is not a switch" s);
       if Hashtbl.mem seen s then

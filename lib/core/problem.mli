@@ -21,7 +21,8 @@ val make :
   t
 (** Raises [Invalid_argument] if [n < 1], if [n] exceeds the number of
     candidate switches (each VNF needs its own switch), if there are no
-    flows, if a flow endpoint is not a host of the graph, or if a
+    flows, if a flow endpoint is not a host of the graph (an id outside
+    its nodes included), or if a
     candidate is not a switch / appears twice. *)
 
 val cm : t -> Ppdc_topology.Cost_matrix.t

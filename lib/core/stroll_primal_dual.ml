@@ -295,3 +295,37 @@ let solve ~cm ~src ~dst ~n ?candidates () =
       iterations = !iters;
     }
   end
+
+(* --- whole-chain placement --------------------------------------------- *)
+
+let place problem ~rates =
+  let att = Cost.attach problem ~rates in
+  let sw = Problem.switches problem in
+  let argmin ?(exclude = -1) score =
+    let best = ref (-1) in
+    let best_v = ref infinity in
+    Array.iter
+      (fun s ->
+        if s <> exclude then begin
+          let v = score s in
+          if Float.compare v !best_v < 0 then begin
+            best := s;
+            best_v := v
+          end
+        end)
+      sw;
+    !best
+  in
+  let n = Problem.n problem in
+  if n = 1 then ([| argmin (fun s -> att.a_in.(s) +. att.a_out.(s)) |], None)
+  else begin
+    let p1 = argmin (fun s -> att.a_in.(s)) in
+    let pn = argmin ~exclude:p1 (fun s -> att.a_out.(s)) in
+    if n = 2 then ([| p1; pn |], None)
+    else
+      let o =
+        solve ~cm:(Problem.cm problem) ~src:p1 ~dst:pn ~n:(n - 2)
+          ~candidates:sw ()
+      in
+      (Array.concat [ [| p1 |]; o.switches; [| pn |] ], Some o)
+  end

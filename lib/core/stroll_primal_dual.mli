@@ -44,3 +44,12 @@ val solve :
     switches. [candidates] defaults to all switches except [src]/[dst];
     the binary search on π runs at most 40 iterations. Raises
     [Invalid_argument] if fewer than [n] candidates exist. *)
+
+val place : Problem.t -> rates:float array -> Placement.t * outcome option
+(** Algo. 1 lifted to a whole-chain placement: the ingress is the
+    switch of least traffic-weighted entry cost, the egress the other
+    switch of least exit cost, and {!solve} strolls from one to the
+    other through the middle [n - 2] candidates. For [n = 1] the one
+    VNF goes to the switch of least entry plus exit cost. Approximate
+    by construction. The stroll's outcome (its prize and iteration
+    count) comes back when [n >= 3]. *)

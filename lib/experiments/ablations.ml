@@ -70,17 +70,15 @@ let frontier mode =
         let rates = Workload.redraw_rates ~rng (Problem.flows problem) in
         Mpareto.migrate problem ~rates ~mu ~current ~collisions:policy ()
       in
-      let skip =
-        Runner.average ~trials (fun ~seed -> (run_with `Skip ~seed).total_cost)
-      in
+      let skipped = Runner.runs ~trials (run_with `Skip) in
+      let skip = Runner.summary skipped (fun o -> o.Mpareto.total_cost) in
       let allow =
         Runner.average ~trials (fun ~seed -> (run_with `Allow ~seed).total_cost)
       in
       let colliding =
-        Runner.average ~trials (fun ~seed ->
-            let out = run_with `Skip ~seed in
+        Runner.summary skipped (fun o ->
             float_of_int
-              (List.length (List.filter (fun p -> p.Mpareto.collides) out.points)))
+              (List.length (List.filter (fun p -> p.Mpareto.collides) o.points)))
       in
       Table.add_row table
         [
@@ -113,13 +111,10 @@ let mu mode =
         let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
         Event_engine.run_day (Scenario.make ~mu problem) ~policy
       in
-      let mp =
-        Runner.average ~trials (fun ~seed ->
-            (day Engine.Mpareto ~seed).Engine.total_cost)
-      in
+      let days = Runner.runs ~trials (day Engine.Mpareto) in
+      let mp = Runner.summary days (fun r -> r.Engine.total_cost) in
       let moves =
-        Runner.average ~trials (fun ~seed ->
-            float_of_int (day Engine.Mpareto ~seed).Engine.total_migrations)
+        Runner.summary days (fun r -> float_of_int r.Engine.total_migrations)
       in
       let stay =
         Runner.average ~trials (fun ~seed ->
@@ -251,9 +246,9 @@ let lookahead mode =
       ~policy
   in
   let summarize policy =
-    ( Runner.average ~trials (fun ~seed -> (day policy ~seed).Engine.total_cost),
-      Runner.average ~trials (fun ~seed ->
-          float_of_int (day policy ~seed).Engine.total_migrations) )
+    let days = Runner.runs ~trials (day policy) in
+    ( Runner.summary days (fun r -> r.Engine.total_cost),
+      Runner.summary days (fun r -> float_of_int r.Engine.total_migrations) )
   in
   let reactive, reactive_moves = summarize Engine.Mpareto in
   let forecast, forecast_moves = summarize Engine.Mpareto_lookahead in

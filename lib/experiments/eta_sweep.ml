@@ -22,136 +22,85 @@ let stream ~seed scenario =
   in
   Events.merge (Events.merge base probes) episode
 
-let scenario ~mu ~seed ~k ~l ~n =
-  let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-  Scenario.make ~mu ~initial:(Scenario.Uninformed seed) problem
-
 let replay ~mu ~trigger ~seed ~k ~l ~n =
-  let sc = scenario ~mu ~seed ~k ~l ~n in
+  let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
+  let sc = Scenario.make ~mu ~initial:(Scenario.Uninformed seed) problem in
   Event_engine.run sc ~policy:Engine.Mpareto ~trigger ~events:(stream ~seed sc)
     ()
 
-(* Averages over trials of one run statistic. *)
-let avg ~trials ~mu ~trigger ~k ~l ~n f =
-  Runner.average ~trials (fun ~seed -> f (replay ~mu ~trigger ~seed ~k ~l ~n))
-
-let mu_sweep mode =
+let run mode =
   let k = Mode.k_placement mode in
   let l = Mode.l_fixed mode in
   let n = Mode.n_dynamic mode in
   let trials = Mode.trials_dynamic mode in
-  let trigger = Event_engine.Threshold 1.2 in
-  let table =
-    Table.create
+  let mu, _ = Mode.mu_dynamic mode in
+  (* One table per sweep: a row per (label, mu, trigger), every column a
+     statistic of one set of seeded replays. *)
+  let sweep ~title ~first rows =
+    let table =
+      Table.create ~title
+        ~columns:[ first; "comm cost"; "VNF moves"; "reconfigs"; "day total" ]
+    in
+    List.iter
+      (fun (label, mu, trigger) ->
+        let runs =
+          Runner.runs ~trials (fun ~seed -> replay ~mu ~trigger ~seed ~k ~l ~n)
+        in
+        let stat f = Runner.summary runs f in
+        let count f = Printf.sprintf "%.1f" (stat f).Stats.mean in
+        Table.add_row table
+          [
+            label;
+            Runner.mean_cell (stat (fun r -> r.Event_engine.total_comm));
+            count (fun r -> float_of_int r.Event_engine.total_moves);
+            count (fun r -> float_of_int r.Event_engine.reconfigurations);
+            Runner.mean_cell (stat (fun r -> r.Event_engine.total_cost));
+          ])
+      rows;
+    table
+  in
+  let mu_sweep =
+    sweep
       ~title:
         (Printf.sprintf
            "Eta sweep: migration coefficient under a threshold trigger (k=%d, \
             l=%d, n=%d, eta=1.2)"
            k l n)
-      ~columns:
-        [ "mu"; "comm cost"; "VNF moves"; "reconfigs"; "day total" ]
+      ~first:"mu"
+      (List.map
+         (fun mu ->
+           ( Printf.sprintf "1e%d" (int_of_float (Float.log10 mu)),
+             mu,
+             Event_engine.Threshold 1.2 ))
+         [ 1e2; 1e3; 1e4; 1e5; 1e6 ])
   in
-  List.iter
-    (fun mu ->
-      let stat f = avg ~trials ~mu ~trigger ~k ~l ~n f in
-      let comm = stat (fun r -> r.Event_engine.total_comm) in
-      let moves =
-        stat (fun r -> float_of_int r.Event_engine.total_moves)
-      in
-      let reconfigs =
-        stat (fun r -> float_of_int r.Event_engine.reconfigurations)
-      in
-      let total = stat (fun r -> r.Event_engine.total_cost) in
-      Table.add_row table
-        [
-          Printf.sprintf "1e%d" (int_of_float (Float.log10 mu));
-          Runner.mean_cell comm;
-          Printf.sprintf "%.1f" moves.Stats.mean;
-          Printf.sprintf "%.1f" reconfigs.Stats.mean;
-          Runner.mean_cell total;
-        ])
-    [ 1e2; 1e3; 1e4; 1e5; 1e6 ];
-  table
-
-let eta_sweep mode =
-  let k = Mode.k_placement mode in
-  let l = Mode.l_fixed mode in
-  let n = Mode.n_dynamic mode in
-  let trials = Mode.trials_dynamic mode in
-  let mu, _ = Mode.mu_dynamic mode in
-  let table =
-    Table.create
+  let eta_sweep =
+    sweep
       ~title:
         (Printf.sprintf
            "Eta sweep: threshold drift ratio (k=%d, l=%d, n=%d, mu=%g)" k l n
            mu)
-      ~columns:
-        [ "eta"; "comm cost"; "VNF moves"; "reconfigs"; "day total" ]
+      ~first:"eta"
+      (List.map
+         (fun eta -> (Printf.sprintf "%.2f" eta, mu, Event_engine.Threshold eta))
+         [ 1.05; 1.1; 1.2; 1.5; 2.0 ])
   in
-  List.iter
-    (fun eta ->
-      let trigger = Event_engine.Threshold eta in
-      let stat f = avg ~trials ~mu ~trigger ~k ~l ~n f in
-      let comm = stat (fun r -> r.Event_engine.total_comm) in
-      let moves =
-        stat (fun r -> float_of_int r.Event_engine.total_moves)
-      in
-      let reconfigs =
-        stat (fun r -> float_of_int r.Event_engine.reconfigurations)
-      in
-      let total = stat (fun r -> r.Event_engine.total_cost) in
-      Table.add_row table
-        [
-          Printf.sprintf "%.2f" eta;
-          Runner.mean_cell comm;
-          Printf.sprintf "%.1f" moves.Stats.mean;
-          Printf.sprintf "%.1f" reconfigs.Stats.mean;
-          Runner.mean_cell total;
-        ])
-    [ 1.05; 1.1; 1.2; 1.5; 2.0 ];
-  table
-
-let triggers mode =
-  let k = Mode.k_placement mode in
-  let l = Mode.l_fixed mode in
-  let n = Mode.n_dynamic mode in
-  let trials = Mode.trials_dynamic mode in
-  let mu, _ = Mode.mu_dynamic mode in
-  let table =
-    Table.create
+  let triggers =
+    sweep
       ~title:
         (Printf.sprintf
            "Trigger policies over the composite day (k=%d, l=%d, n=%d, mu=%g)"
            k l n mu)
-      ~columns:
-        [ "trigger"; "comm cost"; "VNF moves"; "reconfigs"; "day total" ]
+      ~first:"trigger"
+      (List.map
+         (fun (label, trigger) -> (label, mu, trigger))
+         [
+           ("on-event", Event_engine.On_event);
+           ("periodic:1", Event_engine.Periodic 1.0);
+           ("periodic:3", Event_engine.Periodic 3.0);
+           ("threshold:1.2", Event_engine.Threshold 1.2);
+           ( "hysteresis:1.2,1.05",
+             Event_engine.Hysteresis { up = 1.2; down = 1.05 } );
+         ])
   in
-  List.iter
-    (fun (label, trigger) ->
-      let stat f = avg ~trials ~mu ~trigger ~k ~l ~n f in
-      let comm = stat (fun r -> r.Event_engine.total_comm) in
-      let moves =
-        stat (fun r -> float_of_int r.Event_engine.total_moves)
-      in
-      let reconfigs =
-        stat (fun r -> float_of_int r.Event_engine.reconfigurations)
-      in
-      let total = stat (fun r -> r.Event_engine.total_cost) in
-      Table.add_row table
-        [
-          label;
-          Runner.mean_cell comm;
-          Printf.sprintf "%.1f" moves.Stats.mean;
-          Printf.sprintf "%.1f" reconfigs.Stats.mean;
-          Runner.mean_cell total;
-        ])
-    [
-      ("on-event", Event_engine.On_event);
-      ("periodic:1", Event_engine.Periodic 1.0);
-      ("periodic:3", Event_engine.Periodic 3.0);
-      ("threshold:1.2", Event_engine.Threshold 1.2);
-      ("hysteresis:1.2,1.05", Event_engine.Hysteresis { up = 1.2; down = 1.05 });
-    ];
-  table
-
-let run mode = [ mu_sweep mode; eta_sweep mode; triggers mode ]
+  [ mu_sweep; eta_sweep; triggers ]

@@ -67,8 +67,7 @@ let multi_sfc mode =
         ]
   in
   let totals =
-    Ppdc_prelude.Parallel.init trials (fun i ->
-        let seed = i + 1 in
+    Runner.runs ~trials (fun ~seed ->
         let ft, cm = Runner.unweighted_fat_tree k in
         let rng = Rng.create seed in
         let flows = Workload.generate_on_fat_tree ~rng ~l ft in
@@ -86,7 +85,7 @@ let multi_sfc mode =
         in
         (placed.cost, stay, migrated.cost))
   in
-  let summarize f = Stats.summary (Array.map f totals) in
+  let summarize = Runner.summary totals in
   let initial = summarize (fun (a, _, _) -> a) in
   let stay = summarize (fun (_, b, _) -> b) in
   let migrated = summarize (fun (_, _, c) -> c) in
@@ -197,27 +196,15 @@ let failures mode =
         Failures.impact ~rng:(Rng.create (seed * 71)) ~fraction ~mu problem
           ~rates ~placement
       in
-      let before =
-        Runner.average ~trials (fun ~seed -> (episode ~seed).Failures.cost_before)
-      in
-      let after =
-        Runner.average ~trials (fun ~seed -> (episode ~seed).Failures.cost_after)
-      in
-      let migrated =
-        Runner.average ~trials (fun ~seed ->
-            (episode ~seed).Failures.cost_migrated)
-      in
-      let moves =
-        Runner.average ~trials (fun ~seed ->
-            float_of_int (episode ~seed).Failures.moved)
-      in
+      let stat = Runner.summary (Runner.runs ~trials episode) in
       Table.add_row table
         [
           Printf.sprintf "%.0f%%" (100.0 *. fraction);
-          Runner.mean_cell before;
-          Runner.mean_cell after;
-          Runner.mean_cell migrated;
-          Printf.sprintf "%.1f" moves.Stats.mean;
+          Runner.mean_cell (stat (fun e -> e.Failures.cost_before));
+          Runner.mean_cell (stat (fun e -> e.Failures.cost_after));
+          Runner.mean_cell (stat (fun e -> e.Failures.cost_migrated));
+          Printf.sprintf "%.1f"
+            (stat (fun e -> float_of_int e.Failures.moved)).Stats.mean;
         ])
     [ 0.1; 0.25; 0.4 ];
   [ table ]
@@ -243,12 +230,9 @@ let utilization mode =
         let p = (Placement_dp.solve problem ~rates ()).placement in
         Link_load.compute problem ~rates p
       in
-      let max_load =
-        Runner.average ~trials (fun ~seed -> Link_load.max_load (loads ~seed))
-      in
-      let mean_load =
-        Runner.average ~trials (fun ~seed -> Link_load.mean_load (loads ~seed))
-      in
+      let loads = Runner.runs ~trials loads in
+      let max_load = Runner.summary loads Link_load.max_load in
+      let mean_load = Runner.summary loads Link_load.mean_load in
       Table.add_row table
         [
           string_of_int n;
@@ -286,18 +270,18 @@ let churn mode =
       (Scenario.make ~mu ~initial:(Scenario.Uninformed seed) problem)
       ~policy ~trace
   in
-  let stay =
-    Runner.average ~trials (fun ~seed ->
-        (day Engine.No_migration ~seed).Engine.total_cost)
+  let days =
+    List.map
+      (fun policy -> (policy, Runner.runs ~trials (day policy)))
+      Engine.[ Mpareto; Plan; No_migration ]
   in
+  let cost days = Runner.summary days (fun r -> r.Engine.total_cost) in
+  let stay = cost (List.assoc Engine.No_migration days) in
   List.iter
-    (fun policy ->
-      let total =
-        Runner.average ~trials (fun ~seed -> (day policy ~seed).Engine.total_cost)
-      in
+    (fun (policy, days) ->
+      let total = cost days in
       let moves =
-        Runner.average ~trials (fun ~seed ->
-            float_of_int (day policy ~seed).Engine.total_migrations)
+        Runner.summary days (fun r -> float_of_int r.Engine.total_migrations)
       in
       Table.add_row table
         [
@@ -306,5 +290,5 @@ let churn mode =
           Printf.sprintf "%.1f" moves.Stats.mean;
           Printf.sprintf "%.1f%%" (100.0 *. total.Stats.mean /. stay.Stats.mean);
         ])
-    Engine.[ Mpareto; Plan; No_migration ];
+    days;
   [ table ]

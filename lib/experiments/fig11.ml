@@ -11,30 +11,20 @@ let scenario ~mode ~k ~l ~n ~mu ~seed =
     ~opt_budget:(Mode.opt_budget mode)
     ~initial:(Scenario.Uninformed seed) problem
 
+let day ~mode ~k ~l ~n ~mu policy ~seed =
+  Event_engine.run_day (scenario ~mode ~k ~l ~n ~mu ~seed) ~policy
+
 (* Average per-hour series of a policy across seeds. *)
 let hourly ~mode ~k ~l ~n ~mu ~trials policy =
-  let runs =
-    Array.init trials (fun i ->
-        Event_engine.run_day
-          (scenario ~mode ~k ~l ~n ~mu ~seed:(i + 1))
-          ~policy)
-  in
-  let hours = Array.length runs.(0).Engine.hours in
-  Array.init hours (fun h ->
-      let costs =
-        Array.map (fun r -> r.Engine.hours.(h).Engine.total_cost) runs
-      in
-      let migrations =
-        Array.map
-          (fun r -> float_of_int r.Engine.hours.(h).Engine.migrations)
-          runs
-      in
-      (Stats.summary costs, Stats.summary migrations))
+  let days = Runner.runs ~trials (day ~mode ~k ~l ~n ~mu policy) in
+  Array.init (Array.length days.(0).Engine.hours) (fun h ->
+      let stat f = Runner.summary days (fun r -> f r.Engine.hours.(h)) in
+      ( stat (fun hour -> hour.Engine.total_cost),
+        stat (fun hour -> float_of_int hour.Engine.migrations) ))
 
 let total ~mode ~k ~l ~n ~mu ~trials policy =
   Runner.average ~trials (fun ~seed ->
-      (Event_engine.run_day (scenario ~mode ~k ~l ~n ~mu ~seed) ~policy)
-        .Engine.total_cost)
+      (day ~mode ~k ~l ~n ~mu policy ~seed).Engine.total_cost)
 
 let run mode =
   let k = Mode.k_dynamic mode in

@@ -23,19 +23,19 @@ let run mode =
         (src, dst)
       in
       let budget = Mode.opt_budget mode in
-      let optimal =
-        Runner.average ~trials (fun ~seed ->
+      (* The exact search starts from the DP stroll as its incumbent. *)
+      let strolls =
+        Runner.runs ~trials (fun ~seed ->
             let src, dst = endpoints seed in
             let dp = Stroll_dp.solve ~cm ~src ~dst ~n () in
-            (Stroll_exact.solve ~cm ~src ~dst ~n ~budget
-               ~incumbent:(dp.cost, dp.switches) ())
-              .cost)
+            let exact =
+              Stroll_exact.solve ~cm ~src ~dst ~n ~budget
+                ~incumbent:(dp.cost, dp.switches) ()
+            in
+            (exact.cost, dp.cost))
       in
-      let dp =
-        Runner.average ~trials (fun ~seed ->
-            let src, dst = endpoints seed in
-            (Stroll_dp.solve ~cm ~src ~dst ~n ()).cost)
-      in
+      let optimal = Runner.summary strolls fst in
+      let dp = Runner.summary strolls snd in
       let pd =
         Runner.average ~trials (fun ~seed ->
             let src, dst = endpoints seed in

@@ -46,11 +46,13 @@ let fat_tree_problem ?(weighted = false) ~k ~l ~n ~seed () =
   Problem.make ~cm ~flows ~n ()
 
 (* Seeded trials are independent; spread them over the domain pool.
-   Results land in seed order, so the summary is bit-identical to the
-   sequential protocol for any PPDC_DOMAINS. *)
-let average ~trials f =
-  Stats.summary
-    (Ppdc_prelude.Parallel.init trials (fun i ->
-         Ppdc_prelude.Obs.time "runner.trial" (fun () -> f ~seed:(i + 1))))
+   Results land in seed order, so every summary read off them is
+   bit-identical to the sequential protocol for any PPDC_DOMAINS. *)
+let runs ~trials f =
+  Ppdc_prelude.Parallel.init trials (fun i ->
+      Ppdc_prelude.Obs.time "runner.trial" (fun () -> f ~seed:(i + 1)))
+
+let summary runs stat = Stats.summary (Array.map stat runs)
+let average ~trials f = summary (runs ~trials f) Fun.id
 
 let mean_cell (s : Stats.summary) = Printf.sprintf "%.1f±%.1f" s.mean s.ci95

@@ -32,10 +32,23 @@ val fat_tree_problem :
     paper's rack locality and Facebook rate mix, and an SFC of length
     [n]. The same seed always yields the same instance. *)
 
+val runs : trials:int -> (seed:int -> 'a) -> 'a array
+(** [runs ~trials f] runs [f ~seed] once for each seed 1..trials, spread
+    over the domain pool, and returns the results in seed order — the
+    paper's "20 runs" behind each data point. Each trial is one
+    [runner.trial] span. A data point that reports several statistics
+    of one trial reads them all off one [runs] array with {!summary},
+    so each trial runs once. *)
+
+val summary : 'a array -> ('a -> float) -> Ppdc_prelude.Stats.summary
+(** [summary runs stat] is the mean ± 95% CI of [stat] over [runs], in
+    array order: the same floats in the same order at any domain
+    count. *)
+
 val average :
   trials:int -> (seed:int -> float) -> Ppdc_prelude.Stats.summary
-(** Run [f ~seed] for seeds 1..trials and summarize (mean ± 95% CI), the
-    paper's "average of 20 runs" protocol. *)
+(** [summary (runs ~trials f) Fun.id]: the paper's "average of 20 runs"
+    for a data point that reports one statistic. *)
 
 val mean_cell : Ppdc_prelude.Stats.summary -> string
 (** Render a summary as ["mean±ci"] for table cells. *)

@@ -333,51 +333,6 @@ let load_topology t params =
       ("cached_cost_matrix", Bool cached);
     ]
 
-(* Algo. 1 lifted to a whole-chain placement: greedy traffic-weighted
-   ingress/egress, primal-dual prize-collecting stroll for the middle
-   n-2 switches. Approximate by construction — the point of exposing it
-   over RPC is comparing it against dp/optimal on live instances. *)
-let primal_dual_place problem ~rates =
-  let att = Cost.attach problem ~rates in
-  let sw = Problem.switches problem in
-  let argmin ?(exclude = -1) score =
-    let best = ref (-1) in
-    let best_v = ref infinity in
-    Array.iter
-      (fun s ->
-        if s <> exclude then begin
-          let v = score s in
-          if Float.compare v !best_v < 0 then begin
-            best := s;
-            best_v := v
-          end
-        end)
-      sw;
-    !best
-  in
-  let n = Problem.n problem in
-  if n = 1 then
-    let s = argmin (fun s -> att.a_in.(s) +. att.a_out.(s)) in
-    ([| s |], Json.Obj [])
-  else begin
-    let p1 = argmin (fun s -> att.a_in.(s)) in
-    let pn = argmin ~exclude:p1 (fun s -> att.a_out.(s)) in
-    if n = 2 then ([| p1; pn |], Json.Obj [])
-    else begin
-      let candidates =
-        Array.of_list
-          (List.filter (fun s -> s <> p1 && s <> pn) (Array.to_list sw))
-      in
-      let o =
-        Stroll_primal_dual.solve ~cm:(Problem.cm problem) ~src:p1 ~dst:pn
-          ~n:(n - 2) ~candidates ()
-      in
-      ( Array.concat [ [| p1 |]; o.switches; [| pn |] ],
-        Json.Obj
-          [ ("prize", fnum o.prize); ("iterations", num o.iterations) ] )
-    end
-  end
-
 let place t params =
   with_session t params @@ fun s ->
   let algo = Option.value ~default:"dp" (Protocol.str_param params "algo") in
@@ -403,9 +358,17 @@ let place t params =
             ("explored", num o.explored);
           ] )
     | "primal_dual" ->
-        let placement, detail = primal_dual_place problem ~rates in
+        (* Approximate by construction: served to compare it against dp
+           and optimal on live instances. *)
+        let placement, stroll = Stroll_primal_dual.place problem ~rates in
+        let detail =
+          match stroll with
+          | Some o ->
+              [ ("prize", fnum o.prize); ("iterations", num o.iterations) ]
+          | None -> []
+        in
         let cost = Cost.comm_cost problem ~rates placement in
-        (placement, cost, [ ("primal_dual", detail) ])
+        (placement, cost, [ ("primal_dual", Json.Obj detail) ])
     | "steering" ->
         let o = Ppdc_baselines.Steering.place problem ~rates in
         (o.placement, o.cost, [])

@@ -70,6 +70,25 @@ let test_fig3_migration_is_paper_example () =
     true
     (Float.abs (reduction -. 0.586) < 0.01)
 
+(* Algo. 1 as a whole-chain placement on Fig. 3: one VNF goes to the
+   switch of least entry plus exit cost, h1's switch (100·2 + 1·10 =
+   210); two take the cheapest ingress and the cheapest other egress,
+   which is the optimal 410. No stroll is solved below n = 3. *)
+let test_fig3_primal_dual_short_chains () =
+  let problem = fig3 () in
+  let rates = [| 100.0; 1.0 |] in
+  List.iter
+    (fun (n, expected, cost) ->
+      let problem = Problem.with_n problem n in
+      let placement, stroll = Stroll_primal_dual.place problem ~rates in
+      let name = Printf.sprintf "n = %d" n in
+      Alcotest.(check (array int)) name expected placement;
+      check_float (name ^ " cost") cost (Cost.comm_cost problem ~rates placement);
+      check_float (name ^ " is optimal")
+        (Placement_opt.solve problem ~rates ()).cost cost;
+      Alcotest.(check bool) (name ^ " solves no stroll") true (stroll = None))
+    [ (1, [| 0 |], 210.0); (2, [| 0; 1 |], 410.0) ]
+
 (* --- Fig. 4: optimal stroll is a walk ------------------------------- *)
 
 (* Nodes: s=4 (host), t=5 (host), switches A=0, B=1, C=2, D=3.
@@ -494,6 +513,8 @@ let () =
             test_fig3_mpareto_migration;
           Alcotest.test_case "58.6% total-cost reduction" `Quick
             test_fig3_migration_is_paper_example;
+          Alcotest.test_case "primal-dual places n = 1 and n = 2" `Quick
+            test_fig3_primal_dual_short_chains;
         ] );
       ( "fig4-stroll",
         [

@@ -39,6 +39,21 @@ let test_problem_validation () =
   reject "endpoint not a host" (fun () ->
       let bad = Flow.make ~id:0 ~src_host:0 ~dst_host:ft.hosts.(0) ~base_rate:1.0 ~coast:East in
       Problem.make ~cm ~flows:[| bad |] ~n:2 ());
+  (* An id outside the graph gets the host message, not an array bound
+     failure from the node-kind lookup. *)
+  List.iter
+    (fun (name, src_host) ->
+      let bad =
+        Flow.make ~id:0 ~src_host ~dst_host:ft.hosts.(0) ~base_rate:1.0
+          ~coast:East
+      in
+      Alcotest.check_raises name
+        (Invalid_argument "Problem.make: flow 0 endpoint is not a host")
+        (fun () -> ignore (Problem.make ~cm ~flows:[| bad |] ~n:2 ())))
+    [
+      ("endpoint past the last node", Graph.num_nodes ft.graph);
+      ("negative endpoint", -1);
+    ];
   reject "candidate not a switch" (fun () ->
       Problem.make ~switch_candidates:[| ft.hosts.(0) |] ~cm ~flows:[| flow |]
         ~n:1 ());

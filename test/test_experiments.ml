@@ -44,7 +44,23 @@ let test_runner_average_protocol () =
   Alcotest.(check (list int)) "seeds 1..7" [ 1; 2; 3; 4; 5; 6; 7 ]
     (List.sort compare !seen);
   Alcotest.(check int) "n recorded" 7 summary.Stats.n;
-  Alcotest.(check (float 1e-9)) "mean of 1..7" 4.0 summary.Stats.mean
+  Alcotest.(check (float 1e-9)) "mean of 1..7" 4.0 summary.Stats.mean;
+  (* runs keeps what f returns, in seed order, one call per seed; a
+     statistic read off it is average's summary, bit for bit. *)
+  let calls = Array.init 8 (fun _ -> Atomic.make 0) in
+  let square ~seed = float_of_int (seed * seed) in
+  let runs =
+    Runner.runs ~trials:7 (fun ~seed ->
+        Atomic.incr calls.(seed);
+        square ~seed)
+  in
+  Alcotest.(check (array int)) "each seed once" [| 0; 1; 1; 1; 1; 1; 1; 1 |]
+    (Array.map Atomic.get calls);
+  Alcotest.(check (array (float 0.0))) "seed order"
+    (Array.init 7 (fun i -> square ~seed:(i + 1)))
+    runs;
+  Alcotest.(check bool) "summary runs Fun.id = average" true
+    (Runner.summary runs Fun.id = Runner.average ~trials:7 square)
 
 let test_runner_instance_determinism () =
   let build () =

@@ -225,11 +225,26 @@ let test_experiment_tables_bit_identical () =
         | Some e -> List.map Table.to_csv (e.run Mode.Quick)
         | None -> Alcotest.failf "experiment %s not registered" id)
   in
+  (* With every experiment whose rows read several statistics off one
+     Runner.runs array, and fig11's hourly series. *)
   List.iter
     (fun id ->
       Alcotest.(check (list string))
         (id ^ " tables") (render 1 id) (render 4 id))
-    [ "example1"; "fig8" ]
+    [
+      "example1";
+      "fig8";
+      "eta_sweep";
+      "fig7";
+      "fig11";
+      "abl_frontier";
+      "abl_mu";
+      "abl_lookahead";
+      "ext_multi_sfc";
+      "ext_failures";
+      "ext_churn";
+      "ext_utilization";
+    ]
 
 let () =
   let qtest = QCheck_alcotest.to_alcotest in

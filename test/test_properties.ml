@@ -369,12 +369,12 @@ let prop_mpareto_bounded_below_by_tom =
       tom.cost <= mp.total_cost +. 1e-6)
 
 (* Engine-vs-library differential: drive the full RPC conversation
-   (load → place optimal → place dp → rates_update → migrate) through
-   [Engine.handle_line] and replay the engine's documented construction
-   through the library API. Agreement must be exact — same floats, same
-   switches — because the engine is a thin shell over these very
-   functions; any drift means the RPC layer computes something else
-   than the paper code. *)
+   (load → place optimal → place primal_dual → place dp → rates_update
+   → migrate) through [Engine.handle_line] and replay the engine's
+   documented construction through the library API. Agreement must be
+   exact — same floats, same switches — because the engine is a thin
+   shell over these very functions; any drift means the RPC layer
+   computes something else than the paper code. *)
 module Engine = Ppdc_server.Engine
 module Json = Ppdc_prelude.Json
 
@@ -421,21 +421,25 @@ let engine_matches_library ~weighted seed =
   let e_opt =
     req {|{"id":2,"method":"place","params":{"session":"d","algo":"optimal"}}|}
   in
+  let e_pd =
+    req
+      {|{"id":3,"method":"place","params":{"session":"d","algo":"primal_dual"}}|}
+  in
   let e_dp =
-    req {|{"id":3,"method":"place","params":{"session":"d","algo":"dp"}}|}
+    req {|{"id":4,"method":"place","params":{"session":"d","algo":"dp"}}|}
   in
   ignore
     (req
-       {|{"id":4,"method":"rates_update","params":{"session":"d","seed":%d}}|}
+       {|{"id":5,"method":"rates_update","params":{"session":"d","seed":%d}}|}
        (seed + 1));
   let e_mig =
     req
-      {|{"id":5,"method":"migrate","params":{"session":"d","algo":"mpareto","mu":%g}}|}
+      {|{"id":6,"method":"migrate","params":{"session":"d","algo":"mpareto","mu":%g}}|}
       mu
   in
   let e_mig_opt =
     req
-      {|{"id":6,"method":"migrate","params":{"session":"d","algo":"optimal","mu":%g}}|}
+      {|{"id":7,"method":"migrate","params":{"session":"d","algo":"optimal","mu":%g}}|}
       mu
   in
   (* Library side: the same instance, built by the experiments. *)
@@ -445,6 +449,7 @@ let engine_matches_library ~weighted seed =
   let flows = Problem.flows problem in
   let rates = Flow.base_rates flows in
   let opt = Placement_opt.solve problem ~rates () in
+  let pd, stroll = Stroll_primal_dual.place problem ~rates in
   let dp = Placement_dp.solve problem ~rates () in
   let rates' = Workload.redraw_rates ~rng:(Rng.create (seed + 1)) flows in
   (* The engine applied place dp last, so its session placement —
@@ -461,6 +466,15 @@ let engine_matches_library ~weighted seed =
   && same_float (jnum "cost" e_opt) opt.cost
   && jnum "explored" e_opt = float_of_int opt.explored
   && jbool "proven_optimal" e_opt = opt.proven_optimal
+  && jplacement e_pd = pd
+  && same_float (jnum "cost" e_pd) (Cost.comm_cost problem ~rates pd)
+  && (match (Json.member "primal_dual" e_pd, stroll) with
+     | Some (Json.Obj []), None -> n <= 2
+     | Some detail, Some o ->
+         n >= 3
+         && same_float (jnum "prize" detail) o.prize
+         && jnum "iterations" detail = float_of_int o.iterations
+     | _ -> false)
   && jplacement e_dp = dp.placement
   && same_float (jnum "cost" e_dp) dp.cost
   && jplacement e_mig = mp.migration
