@@ -298,6 +298,16 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ k_arg $ l_arg $ seed_arg $ output_arg)
 
+(* Finite rates can still overflow the day's cost (a trace row of
+   1e308s); such a day is refused before any of it prints, as the
+   daemon refuses such an answer. A policy that refuses the costs
+   itself (mcf's flow network takes finite arc costs only) raises
+   [Invalid_argument], refused the same way. *)
+let check_day_total total =
+  if not (Float.is_finite total) then
+    refuse "simulate"
+      (Printf.sprintf "the rates overflow the day's cost to %g" total)
+
 (* The per-event view of `simulate`: the day's trace as an event
    stream, replayed by Event_engine under a when-to-migrate trigger,
    optionally enriched with probe ticks and a failure episode. *)
@@ -337,7 +347,12 @@ let simulate_events scenario ~trace ~seed ~policy ~trigger ~probe_every
               day ends at %g h, so T must be below %g"
              at duration horizon (horizon -. duration));
       stream := Events.merge !stream episode);
-  let r = Event_engine.run scenario ~policy ~trigger ~events:!stream () in
+  let r =
+    match Event_engine.run scenario ~policy ~trigger ~events:!stream () with
+    | r -> r
+    | exception Invalid_argument msg -> refuse msg
+  in
+  check_day_total r.total_cost;
   let table =
     Table.create
       ~title:
@@ -415,7 +430,12 @@ let simulate_cmd =
         ~trigger:(Option.value ~default:(Event_engine.Periodic 1.0) trigger)
         ~probe_every ~failure_at
     else begin
-      let run = Event_engine.run_trace scenario ~policy ~trace in
+      let run =
+        match Event_engine.run_trace scenario ~policy ~trace with
+        | run -> run
+        | exception Invalid_argument msg -> refuse "simulate" msg
+      in
+      check_day_total run.total_cost;
       let table =
         Table.create
           ~title:

@@ -35,10 +35,6 @@ val equal : t -> t -> bool
 (** Structural equality; [Num]s compare with [Float.compare] (so equal
     NaNs are equal and [0. <> -0.]), object fields must match in order. *)
 
-val escape_into : Buffer.t -> string -> unit
-(** Append a quoted, escaped JSON string literal — the string printer
-    the NDJSON writer in {!Obs} builds on. *)
-
 val float_repr : float -> string
 (** Shortest decimal representation that round-trips through
     [float_of_string]; ["null"] for non-finite values. Byte-identical

@@ -224,63 +224,58 @@ let reset () =
 
 (* --- NDJSON writer ------------------------------------------------------ *)
 
-(* String escaping and float formatting live in the shared prelude
-   [Json] module (the reader half of this wire format lives there
-   too). *)
-let escape_into = Json.escape_into
-let float_repr = Json.float_repr
+(* [Json] prints an integer below 10^12 as [string_of_int] does. *)
+let json_int i = Json.Num (float_of_int i)
 
-let value_into buffer = function
-  | Int i -> Buffer.add_string buffer (string_of_int i)
-  | Float x -> Buffer.add_string buffer (float_repr x)
-  | String s -> escape_into buffer s
-  | Bool b -> Buffer.add_string buffer (string_of_bool b)
-
-let record_into_buffer buffer fields =
-  Buffer.add_char buffer '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buffer ',';
-      escape_into buffer k;
-      Buffer.add_char buffer ':';
-      value_into buffer v)
-    fields;
-  Buffer.add_string buffer "}\n"
+let json_of_value = function
+  | Int i -> json_int i
+  | Float x -> Json.Num x
+  | String s -> Json.Str s
+  | Bool b -> Json.Bool b
 
 let to_ndjson snap =
-  let buffer = Buffer.create 4096 in
-  record_into_buffer buffer
-    [
-      ("type", String "meta");
-      ("schema", String "ppdc.metrics/1");
-      ("domains", Int (List.length (shards ())));
-    ];
-  List.iter
-    (fun e ->
-      record_into_buffer buffer
-        (("type", String "event") :: ("seq", Int e.seq)
-        :: ("name", String e.name) :: e.fields))
-    snap.events;
-  List.iter
-    (fun (name, v) ->
-      record_into_buffer buffer
-        [ ("type", String "counter"); ("name", String name); ("value", Int v) ])
-    snap.counters;
+  let str s = Json.Str s and int = json_int in
   let dist kind ~unit_suffix (name, d) =
-    record_into_buffer buffer
+    Json.Obj
       [
-        ("type", String kind);
-        ("name", String name);
-        ("count", Int d.count);
-        ("total" ^ unit_suffix, Float d.total);
-        ("mean" ^ unit_suffix, Float d.mean);
-        ("p50" ^ unit_suffix, Float d.p50);
-        ("p95" ^ unit_suffix, Float d.p95);
-        ("max" ^ unit_suffix, Float d.max);
+        ("type", str kind);
+        ("name", str name);
+        ("count", int d.count);
+        ("total" ^ unit_suffix, Json.Num d.total);
+        ("mean" ^ unit_suffix, Json.Num d.mean);
+        ("p50" ^ unit_suffix, Json.Num d.p50);
+        ("p95" ^ unit_suffix, Json.Num d.p95);
+        ("max" ^ unit_suffix, Json.Num d.max);
       ]
   in
-  List.iter (dist "span" ~unit_suffix:"_s") snap.spans;
-  List.iter (dist "hist" ~unit_suffix:"") snap.hists;
+  let records =
+    Json.Obj
+      [
+        ("type", str "meta");
+        ("schema", str "ppdc.metrics/1");
+        ("domains", int (List.length (shards ())));
+      ]
+    :: List.map
+         (fun e ->
+           Json.Obj
+             (("type", str "event") :: ("seq", int e.seq)
+             :: ("name", str e.name)
+             :: List.map (fun (k, v) -> (k, json_of_value v)) e.fields))
+         snap.events
+    @ List.map
+        (fun (name, v) ->
+          Json.Obj
+            [ ("type", str "counter"); ("name", str name); ("value", int v) ])
+        snap.counters
+    @ List.map (dist "span" ~unit_suffix:"_s") snap.spans
+    @ List.map (dist "hist" ~unit_suffix:"") snap.hists
+  in
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun r ->
+      Buffer.add_string buffer (Json.to_string r);
+      Buffer.add_char buffer '\n')
+    records;
   Buffer.contents buffer
 
 let export ~path =

@@ -12,10 +12,10 @@ module Workload = Ppdc_traffic.Workload
 module Failures = Ppdc_extensions.Failures
 open Ppdc_core
 
-(* Concurrency model (see DESIGN.md §4e/§4j). Three lock classes,
+(* Concurrency model (see DESIGN.md §4e/§4j). Two lock classes,
    always taken in this order and never the reverse:
 
-     shard (Registry)  >  session.lock  >  stats_mutex
+     shard (Registry)  >  session.lock
 
    ["shard"] is the per-shard mutex of the sharded session registry
    ({!Registry}): a lookup or insert locks only the shard its session
@@ -23,16 +23,16 @@ open Ppdc_core
    collisions instead of one global lock. [session.lock] serializes
    the requests of one session (two clients of the same session see a
    consistent placement/rates/graph) while distinct sessions run in
-   parallel on the transport's worker pool. [stats_mutex] is a leaf
-   guarding the per-method latency table and the load probe; the plain
-   request counters are atomics and need no lock at all. The shared
-   cost-matrix cache is an {!Lru}, which takes its own leaf lock and
-   builds a missing matrix outside it, under the session lock alone:
-   a request for another fabric never waits behind a build, while
-   concurrent misses for the same digest wait for the one build. The
-   session's attachment memo ([attached]) is read and replaced only
-   under [session.lock], like the rest of the session's state. *)
-[@@@ppdc.lock_order "shard session stats"]
+   parallel on the transport's worker pool. The request counters, the
+   per-method meters and the load probe are atomics and need no lock
+   at all. The shared cost-matrix cache is an {!Lru}, which takes its
+   own leaf lock and builds a missing matrix outside it, under the
+   session lock alone: a request for another fabric never waits
+   behind a build, while concurrent misses for the same digest wait
+   for the one build. The session's attachment memo ([attached]) is
+   read and replaced only under [session.lock], like the rest of the
+   session's state. *)
+[@@@ppdc.lock_order "shard session"]
 
 (* The attachment sums (A_in, A_out, Λ) of a session's last dp or
    mpareto solve, and the three inputs they were computed from, each
@@ -67,10 +67,17 @@ type session = {
 
 let failed_links (s : session) = List.rev s.failed_rev
 
-type method_stats = {
-  mutable calls : int;
-  mutable total_s : float;
-  mutable max_s : float;
+(* What one method has cost so far, counted without a lock: its
+   calls, and the total and the largest time from its lookup to its
+   encoded answer, in nanoseconds. When metrics are on the same time
+   feeds the Obs [span]; the meter every unknown name shares has
+   none. *)
+type meter = {
+  meth : string;
+  span : string option;
+  calls : int Atomic.t;
+  total_ns : int Atomic.t;
+  max_ns : int Atomic.t;
 }
 
 type load = {
@@ -84,8 +91,8 @@ type t = {
   cache : (string, Cost_matrix.t) Lru.t;
   registry : session Registry.t;
   started : float;
-  by_method : (string, method_stats) Hashtbl.t;
-  stats_mutex : Mutex.t; [@ppdc.guards "stats"]
+  methods : (meter * (t -> Json.t -> Json.t)) list;  (* one per handler *)
+  unknown : meter;  (* shared by every name no handler serves *)
   total_requests : int Atomic.t;
   errors : int Atomic.t;
   deadline_errors : int Atomic.t;
@@ -93,34 +100,14 @@ type t = {
      the budgets, distinct from the eviction counts themselves (one
      eviction can cause any number of evicted answers). *)
   evicted_answers : int Atomic.t;
-  mutable load_probe : (unit -> load) option;  (* under [stats_mutex] *)
+  load_probe : (unit -> load) option Atomic.t;
   stop : bool Atomic.t;
 }
-
-let create ?(cache_capacity = 8) ?shards ?session_budget ?tenant_sessions
-    ?tenant_bytes ?tenant_inflight () =
-  {
-    cache = Lru.create ~capacity:cache_capacity;
-    registry =
-      Registry.create ?shards ?session_budget ?tenant_sessions ?tenant_bytes
-        ?tenant_inflight ();
-    started = Clock.now ();
-    by_method = Hashtbl.create 16;
-    stats_mutex = Mutex.create ();
-    total_requests = Atomic.make 0;
-    errors = Atomic.make 0;
-    deadline_errors = Atomic.make 0;
-    evicted_answers = Atomic.make 0;
-    load_probe = None;
-    stop = Atomic.make false;
-  }
 
 let set_registry_test_hook t hook = Registry.set_test_hook t.registry hook
 let set_build_test_hook t hook = Lru.set_build_test_hook t.cache hook
 let stopped t = Atomic.get t.stop
-
-let set_load_probe t probe =
-  Mutexes.with_lock t.stats_mutex (fun () -> t.load_probe <- Some probe)
+let set_load_probe t probe = Atomic.set t.load_probe (Some probe)
 
 (* Handler-side failure: mapped to an error response by [handle_line]. *)
 exception Reject of Protocol.error_code * string
@@ -166,7 +153,6 @@ let with_session t params f =
   | Registry.Found s -> Mutexes.with_lock s.lock (fun () -> f s)
   | Registry.Was_evicted ->
       Atomic.incr t.evicted_answers;
-      Obs.incr "rpc.session_evicted";
       reject Session_evicted
         "session %S was evicted by a session budget; load_topology again" name
   | Registry.Unknown ->
@@ -178,17 +164,10 @@ let with_session t params f =
 (* Resolve the session's all-pairs matrix through the LRU: the single
    expensive step of every query, skipped whenever this fabric (by
    structural digest) has been seen before. *)
-let resolve_cm t (s : session) =
-  let hit, cm =
-    Lru.find_or_add t.cache s.digest (fun () ->
-        Obs.time "server.cost_matrix.compute" (fun () ->
-            Cost_matrix.compute s.graph))
-  in
-  Obs.incr (if hit then "server.cache.hits" else "server.cache.misses");
-  (hit, cm)
-
 let problem_of t s =
-  let hit, cm = resolve_cm t s in
+  let hit, cm =
+    Lru.find_or_add t.cache s.digest (fun () -> Cost_matrix.compute s.graph)
+  in
   (hit, Problem.make ~cm ~flows:s.flows ~n:s.n ())
 
 (* The attachment sums of [problem], which [problem_of] built for [s]:
@@ -301,11 +280,6 @@ let load_topology t params =
   let outcome =
     Registry.put t.registry ~name ~bytes:(session_bytes ~graph ~flows) session
   in
-  List.iter
-    (fun (e : Registry.eviction) ->
-      Obs.incr "server.session.evicted";
-      Obs.incr ("server.session.evicted." ^ Registry.reason_slug e.reason))
-    outcome.evicted;
   let cached = Lru.mem t.cache digest in
   Json.Obj
     [
@@ -487,22 +461,9 @@ let rates_update t params =
   let explicit = Protocol.float_list_param params "rates" in
   let seed = Protocol.int_param params "seed" in
   let scale = Protocol.float_param params "scale" in
-  let chosen =
-    List.filter_map Fun.id
-      [
-        Option.map (fun _ -> `Rates) explicit;
-        Option.map (fun _ -> `Seed) seed;
-        Option.map (fun _ -> `Scale) scale;
-      ]
-  in
-  (match chosen with
-  | [ _ ] -> ()
-  | _ ->
-      reject Invalid_params
-        "exactly one of \"rates\", \"seed\" or \"scale\" is required");
   let rates =
     match (explicit, seed, scale) with
-    | Some r, _, _ ->
+    | Some r, None, None ->
         if Array.length r <> Array.length s.flows then
           reject Invalid_params "expected %d rates, got %d"
             (Array.length s.flows) (Array.length r);
@@ -512,13 +473,15 @@ let rates_update t params =
               reject Invalid_params "rates must be finite and non-negative")
           r;
         r
-    | None, Some seed, _ ->
+    | None, Some seed, None ->
         Workload.redraw_rates ~rng:(Rng.create seed) s.flows
     | None, None, Some c ->
         if (not (Float.is_finite c)) || Float.compare c 0.0 < 0 then
           reject Invalid_params "scale must be finite and non-negative";
         Array.map (fun x -> c *. x) s.rates
-    | None, None, None -> assert false
+    | _ ->
+        reject Invalid_params
+          "exactly one of \"rates\", \"seed\" or \"scale\" is required"
   in
   (* Finite rates, or a finite scale, can still overflow the total rate
      Λ; refused before the session's rates change. *)
@@ -556,14 +519,12 @@ let fail_links t params =
   let repaired, cached =
     match
       Lru.derive t.cache s.digest ~parent:parent_digest (fun parent ->
-          Obs.time "server.cost_matrix.repair" (fun () ->
-              Option.map fst (Cost_matrix.repair_to parent degraded)))
+          Option.map fst (Cost_matrix.repair_to parent degraded))
     with
     | Lru.Cached -> (false, true)
     | Lru.Absent -> (false, false)
     | Lru.Derived -> (true, true)
   in
-  if repaired then Obs.incr "server.cache.repairs";
   Json.Obj
     [
       ("failed_count", num (List.length failed));
@@ -654,18 +615,29 @@ let stats t _params =
         (name, tenant, s) :: acc)
     |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
-  let by_method, probe =
-    Mutexes.with_lock t.stats_mutex (fun () ->
-        let by_method =
-          Hashtbl.fold
-            (fun m st acc -> (m, (st.calls, st.total_s, st.max_s)) :: acc)
-            t.by_method []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        in
-        (by_method, t.load_probe))
-  in
-  let totals =
-    (Atomic.get t.total_requests, Atomic.get t.errors, Atomic.get t.deadline_errors)
+  (* The methods called so far, by name, each meter read once: a
+     method's count and its latency agree. *)
+  let counts, latency =
+    List.filter_map
+      (fun m ->
+        let calls = Atomic.get m.calls in
+        if calls = 0 then None
+        else
+          let total_ns = float_of_int (Atomic.get m.total_ns) in
+          let max_ns = float_of_int (Atomic.get m.max_ns) in
+          Some
+            ( (m.meth, num calls),
+              ( m.meth,
+                Json.Obj
+                  [
+                    ("count", num calls);
+                    ("total_ms", fnum (total_ns /. 1e6));
+                    ("mean_ms", fnum (total_ns /. float_of_int calls /. 1e6));
+                    ("max_ms", fnum (max_ns /. 1e6));
+                  ] ) ))
+      (t.unknown :: List.map fst t.methods)
+    |> List.sort (fun ((a, _), _) ((b, _), _) -> String.compare a b)
+    |> List.split
   in
   let sessions =
     List.map
@@ -692,26 +664,6 @@ let stats t _params =
           ])
       session_list
   in
-  let total_requests, errors, deadline_errors = totals in
-  let counts =
-    List.map (fun (m, (calls, _, _)) -> (m, num calls)) by_method
-  in
-  let latency =
-    List.map
-      (fun (m, (calls, total_s, max_s)) ->
-        ( m,
-          Json.Obj
-            [
-              ("count", num calls);
-              ("total_ms", fnum (1000.0 *. total_s));
-              ( "mean_ms",
-                fnum
-                  (if calls = 0 then 0.0
-                   else 1000.0 *. total_s /. float_of_int calls) );
-              ("max_ms", fnum (1000.0 *. max_s));
-            ] ))
-      by_method
-  in
   let cache =
     let c = Lru.stats t.cache in
     Json.Obj
@@ -726,9 +678,8 @@ let stats t _params =
         ("waiting", num c.waiting);
       ]
   in
+  let c = Registry.counters t.registry and l = Registry.limits t.registry in
   let registry_section =
-    let c = Registry.counters t.registry in
-    let l = Registry.limits t.registry in
     Json.Obj
       [
         ("shards", num (Registry.shard_count t.registry));
@@ -755,8 +706,6 @@ let stats t _params =
       ]
   in
   let fairness_section =
-    let c = Registry.counters t.registry in
-    let l = Registry.limits t.registry in
     Json.Obj
       [
         ("tenant_inflight", num_opt l.tenant_inflight);
@@ -778,7 +727,7 @@ let stats t _params =
       ]
   in
   let server =
-    match probe with
+    match Atomic.get t.load_probe with
     | None -> []
     | Some probe ->
         let l = probe () in
@@ -800,9 +749,9 @@ let stats t _params =
        ( "requests",
          Json.Obj
            [
-             ("total", num total_requests);
-             ("errors", num errors);
-             ("deadline_exceeded", num deadline_errors);
+             ("total", num (Atomic.get t.total_requests));
+             ("errors", num (Atomic.get t.errors));
+             ("deadline_exceeded", num (Atomic.get t.deadline_errors));
              ("by_method", Json.Obj counts);
              ("latency_ms", Json.Obj latency);
            ] );
@@ -833,34 +782,57 @@ let handlers =
     ("shutdown", shutdown);
   ]
 
-let dispatch t (req : Protocol.request) =
-  match List.assoc_opt req.meth handlers with
-  | Some handler ->
-      Obs.time ("rpc." ^ req.meth) (fun () -> handler t req.params)
-  | None -> reject Unknown_method "unknown method %S" req.meth
+let meter meth span =
+  {
+    meth;
+    span;
+    calls = Atomic.make 0;
+    total_ns = Atomic.make 0;
+    max_ns = Atomic.make 0;
+  }
 
-let note_error t =
-  Atomic.incr t.errors;
-  Obs.incr "rpc.errors"
+let create ?(cache_capacity = 8) ?shards ?session_budget ?tenant_sessions
+    ?tenant_bytes ?tenant_inflight () =
+  {
+    cache = Lru.create ~capacity:cache_capacity;
+    registry =
+      Registry.create ?shards ?session_budget ?tenant_sessions ?tenant_bytes
+        ?tenant_inflight ();
+    started = Clock.now ();
+    methods =
+      List.map
+        (fun (m, handler) -> (meter m (Some ("rpc." ^ m)), handler))
+        handlers;
+    (* One meter for every name no handler serves: a client choosing
+       method names must not grow [stats]. *)
+    unknown = meter "unknown_method" None;
+    total_requests = Atomic.make 0;
+    errors = Atomic.make 0;
+    deadline_errors = Atomic.make 0;
+    evicted_answers = Atomic.make 0;
+    load_probe = Atomic.make None;
+    stop = Atomic.make false;
+  }
 
-(* One entry per served method, and one shared by every other name: a
-   client choosing method names must not grow the table. *)
-let record_latency t meth elapsed =
-  let meth =
-    if List.mem_assoc meth handlers then meth else "unknown_method"
+(* The call is counted last, so [stats] never reads a call without
+   its time. *)
+let record m dt =
+  let ns = Float.to_int (dt *. 1e9) in
+  let rec raise_max () =
+    let seen = Atomic.get m.max_ns in
+    if ns > seen && not (Atomic.compare_and_set m.max_ns seen ns) then
+      raise_max ()
   in
-  Mutexes.with_lock t.stats_mutex (fun () ->
-      let st =
-        match Hashtbl.find_opt t.by_method meth with
-        | Some st -> st
-        | None ->
-            let st = { calls = 0; total_s = 0.0; max_s = 0.0 } in
-            Hashtbl.add t.by_method meth st;
-            st
-      in
-      st.calls <- st.calls + 1;
-      st.total_s <- st.total_s +. elapsed;
-      if Float.compare elapsed st.max_s > 0 then st.max_s <- elapsed)
+  raise_max ();
+  ignore (Atomic.fetch_and_add m.total_ns ns);
+  Atomic.incr m.calls;
+  match m.span with Some span -> Obs.observe_span span dt | None -> ()
+
+let error_of = function
+  | Reject (code, msg) -> (code, msg)
+  | Protocol.Bad_params msg | Invalid_argument msg ->
+      (Protocol.Invalid_params, msg)
+  | exn -> (Protocol.Internal_error, Printexc.to_string exn)
 
 (* Tenant of a tenant-scoped request (one that names a session). Total:
    an ill-typed "session" field is left for the handler's own parameter
@@ -872,33 +844,31 @@ let request_tenant (req : Protocol.request) =
 
 let run_handler t (req : Protocol.request) =
   let t0 = Clock.now () in
-  let finish response =
-    record_latency t req.meth (Clock.elapsed_s ~since:t0);
-    response
+  let meter, handler =
+    match
+      List.find_opt (fun (m, _) -> String.equal m.meth req.meth) t.methods
+    with
+    | Some served -> served
+    | None ->
+        ( t.unknown,
+          fun _ _ -> reject Unknown_method "unknown method %S" req.meth )
   in
-  match dispatch t req with
-  | result -> finish (Protocol.ok_response ~id:req.id result)
-  | exception Reject (code, msg) ->
-      note_error t;
-      finish (Protocol.error_response ~id:req.id code msg)
-  | exception Protocol.Bad_params msg ->
-      note_error t;
-      finish (Protocol.error_response ~id:req.id Invalid_params msg)
-  | exception Invalid_argument msg ->
-      note_error t;
-      finish (Protocol.error_response ~id:req.id Invalid_params msg)
-  | exception exn ->
-      note_error t;
-      finish
-        (Protocol.error_response ~id:req.id Internal_error
-           (Printexc.to_string exn))
+  let response =
+    match handler t req.params with
+    | result -> Protocol.ok_response ~id:req.id result
+    | exception exn ->
+        Atomic.incr t.errors;
+        let code, msg = error_of exn in
+        Protocol.error_response ~id:req.id code msg
+  in
+  record meter (Clock.elapsed_s ~since:t0);
+  response
 
 let handle_line ?deadline t line =
   Atomic.incr t.total_requests;
-  Obs.incr "rpc.requests";
   match Protocol.request_of_line line with
   | Error (code, msg) ->
-      note_error t;
+      Atomic.incr t.errors;
       Protocol.error_response ~id:Json.Null code msg
   | Ok req -> (
       match deadline with
@@ -907,8 +877,6 @@ let handle_line ?deadline t line =
              without starting the handler so the worker moves on. *)
           Atomic.incr t.errors;
           Atomic.incr t.deadline_errors;
-          Obs.incr "rpc.errors";
-          Obs.incr "rpc.deadline_exceeded";
           Protocol.error_response ~id:req.id Deadline_exceeded
             "request deadline expired before the handler could start"
       | _ -> (
@@ -919,8 +887,7 @@ let handle_line ?deadline t line =
              session (health, stats, shutdown) are never gated. *)
           match request_tenant req with
           | Some tenant when not (Registry.enter_tenant t.registry tenant) ->
-              note_error t;
-              Obs.incr "server.fairness.rejected";
+              Atomic.incr t.errors;
               Protocol.error_response ~id:req.id Overloaded
                 (Printf.sprintf
                    "tenant %S is at its in-flight request cap; retry later"

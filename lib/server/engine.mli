@@ -15,9 +15,9 @@
     mutex per shard (lock class ["shard"]), so two creates or lookups
     contend only when their names share a shard; each session carries
     its own lock, so two requests against the same session serialize
-    while distinct sessions run in parallel; and a leaf stats mutex
-    guards the per-method latency table (plain request counters are
-    atomics). Lock order is always shard > session > stats. The shared
+    while distinct sessions run in parallel. Lock order is always
+    shard > session; the request counters, the per-method meters and
+    the load probe are atomics, so counting takes no lock. The shared
     cost-matrix cache is a {!Ppdc_prelude.Lru}, which holds its own
     leaf lock only to look a digest up, claim its build or install the
     matrix: the build itself ([Cost_matrix.compute] on a miss,
@@ -65,16 +65,21 @@
     weighted [k > 32] (each about 120 MB of matrix), or [l > 1000000]
     flows.
 
-    Every request is counted, and a request for a served method is
-    timed under an [Obs] span ([rpc.<method>]); cache traffic shows up
-    as [server.cache.hits]/[server.cache.misses], and per-method
-    latency is also aggregated into the [stats] result
-    ([requests.by_method], [requests.latency_ms]). Requests naming a
-    method the engine does not serve share one [unknown_method] entry
-    there, so clients cannot grow those tables. Its [runtime] section
-    carries the process's GC counters from [Gc.quick_stat]
-    ([major_collections], [minor_collections], [heap_words],
-    [top_heap_words]), so a GC-bound mix shows from the daemon alone.
+    Every request is counted, and every request that reaches a
+    handler is timed once, from its method lookup to its encoded
+    answer, into its method's meter: [stats] reports the meters of the
+    methods called so far ([requests.by_method] and
+    [requests.latency_ms]), and each count lands after the request's
+    own answer, so [stats] counts itself from the next call on.
+    Requests naming a method the engine does not serve share one
+    [unknown_method] meter, so clients cannot grow those tables. When
+    [Obs] is on, the same time feeds the served method's [rpc.<method>]
+    span. [stats] is the daemon's one set of books: the cache's,
+    registry's and transport's own counters are read there, and [Obs]
+    holds no copy of them. Its [runtime] section carries the
+    process's GC counters from [Gc.quick_stat] ([major_collections],
+    [minor_collections], [heap_words], [top_heap_words]), so a
+    GC-bound mix shows from the daemon alone.
     A malformed or failing request produces a structured error
     response and leaves the engine serving — no handler exception
     escapes {!handle_line}.

@@ -158,7 +158,6 @@ let serve_unix ?max_line ?workers ?(max_pending = default_max_pending)
                 match Work_queue.push queue (fd, Clock.now ()) with
                 | Work_queue.Accepted -> ()
                 | Work_queue.Overloaded | Work_queue.Stopped ->
-                    Obs.incr "server.rejected";
                     reject_connection fd)
           done))
 

@@ -261,6 +261,43 @@ let test_engine_unknown_methods_bounded () =
   Alcotest.(check (float 0.0)) "total grew by 200 and the second stats"
     201.0 (grew "total")
 
+(* The meters keep integer nanoseconds: each method's mean is at most
+   its max, and its total is its count times its mean to within 1 ns
+   per call. *)
+let test_engine_latency_meters () =
+  let e = eng () in
+  ignore (load e ());
+  List.iter
+    (fun line -> ignore (Engine.handle_line e line))
+    [
+      {|{"id":1,"method":"health"}|};
+      {|{"id":2,"method":"place","params":{"session":"s"}}|};
+      {|{"id":3,"method":"place","params":{"session":"s"}}|};
+      {|{"id":4,"method":"migrate","params":{"session":"s","mu":100}}|};
+      {|{"id":5,"method":"frobnicate"}|};
+      {|{"id":6,"method":"stats"}|};
+    ];
+  let stats = expect_ok (Engine.handle_line e {|{"id":7,"method":"stats"}|}) in
+  let latency =
+    match
+      Option.bind (Json.member "requests" stats) (Json.member "latency_ms")
+    with
+    | Some (Json.Obj rows) -> rows
+    | _ -> Alcotest.fail "stats without requests.latency_ms"
+  in
+  Alcotest.(check (list string)) "metered methods"
+    [ "health"; "load_topology"; "migrate"; "place"; "stats"; "unknown_method" ]
+    (List.map fst latency);
+  List.iter
+    (fun (m, row) ->
+      let count = num_field row "count" and mean = num_field row "mean_ms" in
+      Alcotest.(check bool) (m ^ ": mean_ms <= max_ms") true
+        (mean <= num_field row "max_ms");
+      Alcotest.(check (float (count *. 1e-6)))
+        (m ^ ": total_ms = count x mean_ms") (num_field row "total_ms")
+        (count *. mean))
+    latency
+
 let test_engine_fail_links_repairs_warm_cache () =
   (* When the healthy fabric's matrix is already cached, fail_links
      derives the degraded matrix incrementally and installs it under
@@ -1027,6 +1064,8 @@ let () =
             test_engine_bad_mu;
           Alcotest.test_case "unknown methods share one entry" `Quick
             test_engine_unknown_methods_bounded;
+          Alcotest.test_case "latency meters agree with their counts" `Quick
+            test_engine_latency_meters;
           Alcotest.test_case "simulate_events takes every policy name" `Quick
             test_engine_simulate_every_policy;
           Alcotest.test_case "load_topology refuses fabrics it cannot hold"

@@ -242,14 +242,80 @@ let test_concurrent_clients () =
   Alcotest.(check int)
     "no errors" 0
     (int_of_float (num_field requests "errors"));
-  let by_method = member_exn requests "by_method" in
+  (* The meters lost no concurrent update: each method counted exactly
+     the calls the clients sent, its latency count agrees, and the
+     counts sum to [total - 1] — the final stats request is in [total]
+     before its own meter counts it. *)
+  let methods =
+    List.concat_map
+      (List.map (fun (_, req) -> meth_of_request req))
+      (Array.to_list conversations)
+  in
+  let counted =
+    match member_exn requests "by_method" with
+    | Json.Obj rows ->
+        List.map
+          (fun (m, n) ->
+            match n with
+            | Json.Num x -> (m, int_of_float x)
+            | _ -> Alcotest.failf "by_method.%s is not a number" m)
+          rows
+    | j -> Alcotest.failf "by_method is not an object: %s" (Json.to_string j)
+  in
+  Alcotest.(check (list string))
+    "metered methods"
+    (List.sort_uniq String.compare methods)
+    (List.map fst counted);
+  let latency = member_exn requests "latency_ms" in
+  List.iter
+    (fun (m, n) ->
+      Alcotest.(check int)
+        (m ^ " count")
+        (List.length (List.filter (String.equal m) methods))
+        n;
+      Alcotest.(check int)
+        (m ^ " latency count") n
+        (int_of_float (num_field (member_exn latency m) "count")))
+    counted;
   Alcotest.(check int)
-    "place count" (2 * num_clients)
-    (int_of_float (num_field by_method "place"));
+    "counts sum to total - 1"
+    (int_of_float (num_field requests "total") - 1)
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 counted);
   let server = member_exn stats "server" in
   Alcotest.(check int)
     "stats reports the worker pool" 2
     (int_of_float (num_field server "workers"))
+
+(* Two domains call one engine at once: the lock-free meter must count
+   every call, however the updates interleave. The calls are many
+   because a lost update needs two to overlap: a meter that reads its
+   count and writes it back lost thousands of these 200,000 on a 2-core
+   host, and none of the 20 the socket clients above send. *)
+let test_meters_lose_no_update () =
+  let engine = Engine.create () in
+  let calls = 100_000 in
+  let hammer () =
+    for _ = 1 to calls do
+      ignore (Engine.handle_line engine {|{"method":"health"}|})
+    done
+  in
+  let other = Domain.spawn hammer in
+  hammer ();
+  Domain.join other;
+  let requests =
+    member_exn
+      (expect_ok (Engine.handle_line engine {|{"id":1,"method":"stats"}|}))
+      "requests"
+  in
+  Alcotest.(check int)
+    "health count" (2 * calls)
+    (int_of_float (num_field (member_exn requests "by_method") "health"));
+  Alcotest.(check int)
+    "health latency count" (2 * calls)
+    (int_of_float
+       (num_field
+          (member_exn (member_exn requests "latency_ms") "health")
+          "count"))
 
 (* --- overload ----------------------------------------------------------- *)
 
@@ -849,6 +915,8 @@ let () =
           Alcotest.test_case
             "parallel clients: id echo, sequential equivalence, counters"
             `Quick test_concurrent_clients;
+          Alcotest.test_case "meters lose no concurrent update" `Quick
+            test_meters_lose_no_update;
         ] );
       ( "overload",
         [

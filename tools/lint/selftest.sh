@@ -19,10 +19,11 @@ BACKUP=$(mktemp /tmp/ppdc-selftest.XXXXXX)
 
 BASE=$(wc -l < "$TARGET")
 # Offsets into ci_seed.snippet (1-based, counting its leading blank
-# line): the R6 inversion is the seed_touch_session call on line 7
-# (col 45) — a session lock taken through a callee while the stats
-# leaf is held — the R7 leak is the bare Mutex.lock on line 10 (col 2).
-R6_LOC="$TARGET:$((BASE + 7)):45 [R6-lock-order]"
+# line): the R6 inversion is the seed_find_session call on line 7
+# (col 38) — a shard lock taken through a callee (Registry.find) while
+# a session lock is held — the R7 leak is the bare Mutex.lock on line
+# 10 (col 2).
+R6_LOC="$TARGET:$((BASE + 7)):38 [R6-lock-order]"
 R7_LOC="$TARGET:$((BASE + 10)):2 [R7-unsafe-locking]"
 
 cp "$TARGET" "$BACKUP"
