@@ -46,6 +46,12 @@ let checked conv ok msg =
 let at_least_one what =
   checked Arg.int (fun v -> v >= 1) ("expected " ^ what ^ " of at least 1")
 
+(* Rates and timeouts. *)
+let finite_positive what =
+  checked Arg.float
+    (fun x -> Float.is_finite x && x > 0.0)
+    ("expected a finite " ^ what ^ " above 0")
+
 let k_arg =
   let doc = "Fat-tree arity k (even). k=8 gives 128 hosts, k=16 gives 1024." in
   let arity =
@@ -124,6 +130,15 @@ let with_metrics metrics f =
 let refuse cmd msg =
   Printf.eprintf "ppdc %s: %s\n" cmd msg;
   exit 1
+
+(* A daemon that cannot be reached, or that stops answering, is refused
+   the same way, naming its socket. *)
+let with_daemon cmd socket f =
+  try f () with
+  | Unix.Unix_error (e, fn, _) ->
+      refuse cmd
+        (Printf.sprintf "%s: %s: %s" socket fn (Unix.error_message e))
+  | Failure msg -> refuse cmd (Printf.sprintf "%s: %s" socket msg)
 
 (* The converters check k, l and n one by one; an n above the fabric's
    switch count is refused here. *)
@@ -736,7 +751,7 @@ let max_line_arg =
   in
   Arg.(
     value
-    & opt int Ppdc_server.Transport.default_max_line
+    & opt (at_least_one "a line length") Ppdc_server.Transport.default_max_line
     & info [ "max-line" ] ~docv:"BYTES" ~doc)
 
 let serve_cmd =
@@ -779,7 +794,10 @@ let serve_cmd =
        stored rows × 320 columns, ≈1.4 MB; k=32 ≈23 MB; keyed by \
        structural topology digest)."
     in
-    Arg.(value & opt int 8 & info [ "cache" ] ~docv:"ENTRIES" ~doc)
+    Arg.(
+      value
+      & opt (at_least_one "a cache capacity") 8
+      & info [ "cache" ] ~docv:"ENTRIES" ~doc)
   in
   let max_pending_arg =
     let doc =
@@ -788,9 +806,12 @@ let serve_cmd =
        one structured $(i,overloaded) error and closed, instead of \
        queueing without bound."
     in
+    let bound =
+      checked Arg.int (fun v -> v >= 0) "expected a queue bound of at least 0"
+    in
     Arg.(
       value
-      & opt int Ppdc_server.Transport.default_max_pending
+      & opt bound Ppdc_server.Transport.default_max_pending
       & info [ "max-pending" ] ~docv:"N" ~doc)
   in
   let request_timeout_arg =
@@ -803,7 +824,7 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (finite_positive "request timeout")) None
       & info [ "request-timeout" ] ~docv:"SECONDS" ~doc)
   in
   let shards_arg =
@@ -812,7 +833,10 @@ let serve_cmd =
        default: the $(b,-j) domain count). More shards means less lock \
        contention between unrelated sessions."
     in
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (some (at_least_one "a shard count")) None
+      & info [ "shards" ] ~docv:"N" ~doc)
   in
   let session_budget_arg =
     let doc =
@@ -821,7 +845,9 @@ let serve_cmd =
        is answered $(i,session_evicted))."
     in
     Arg.(
-      value & opt (some int) None & info [ "session-budget" ] ~docv:"N" ~doc)
+      value
+      & opt (some (at_least_one "a session budget")) None
+      & info [ "session-budget" ] ~docv:"N" ~doc)
   in
   let tenant_sessions_arg =
     let doc =
@@ -830,7 +856,9 @@ let serve_cmd =
        tenant."
     in
     Arg.(
-      value & opt (some int) None & info [ "tenant-sessions" ] ~docv:"N" ~doc)
+      value
+      & opt (some (at_least_one "a session cap")) None
+      & info [ "tenant-sessions" ] ~docv:"N" ~doc)
   in
   let tenant_bytes_arg =
     let doc =
@@ -838,7 +866,9 @@ let serve_cmd =
        by LRU eviction within the tenant."
     in
     Arg.(
-      value & opt (some int) None & info [ "tenant-bytes" ] ~docv:"BYTES" ~doc)
+      value
+      & opt (some (at_least_one "a byte budget")) None
+      & info [ "tenant-bytes" ] ~docv:"BYTES" ~doc)
   in
   let tenant_inflight_arg =
     let doc =
@@ -847,7 +877,9 @@ let serve_cmd =
        work, so one noisy tenant cannot monopolize the worker pool."
     in
     Arg.(
-      value & opt (some int) None & info [ "tenant-inflight" ] ~docv:"N" ~doc)
+      value
+      & opt (some (at_least_one "an in-flight cap")) None
+      & info [ "tenant-inflight" ] ~docv:"N" ~doc)
   in
   let doc =
     "Run the long-lived placement/migration daemon (ppdc.rpc/1 over \
@@ -888,8 +920,9 @@ let rpc_cmd =
       | _ | (exception Failure _) -> req
     in
     let responses =
-      Ppdc_server.Transport.call ?timeout ~path:socket
-        (List.mapi prepare requests)
+      with_daemon "rpc" socket (fun () ->
+          Ppdc_server.Transport.call ?timeout ~path:socket
+            (List.mapi prepare requests))
     in
     List.iter print_endline responses
   in
@@ -907,7 +940,7 @@ let rpc_cmd =
     in
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (finite_positive "timeout")) None
       & info [ "timeout" ] ~docv:"SECONDS" ~doc)
   in
   let requests_arg =
@@ -939,7 +972,9 @@ let loadgen_cmd =
         timeout;
       }
     in
-    let o = Ppdc_server.Loadgen.run cfg in
+    let o =
+      with_daemon "loadgen" socket (fun () -> Ppdc_server.Loadgen.run cfg)
+    in
     Format.eprintf "%a@." Ppdc_server.Loadgen.pp_outcome o;
     let doc = Ppdc_server.Loadgen.outcome_to_bench_json o in
     (match out with
@@ -964,7 +999,10 @@ let loadgen_cmd =
   in
   let rate_arg =
     let doc = "Open-loop Poisson arrival rate, requests per second." in
-    Arg.(value & opt float 200. & info [ "rate" ] ~docv:"R" ~doc)
+    Arg.(
+      value
+      & opt (finite_positive "rate") 200.
+      & info [ "rate" ] ~docv:"R" ~doc)
   in
   let requests_arg =
     let doc = "Total requests to send." in
@@ -972,19 +1010,31 @@ let loadgen_cmd =
   in
   let tenants_arg =
     let doc = "Number of tenants (sessions are named t<i>-s<j>)." in
-    Arg.(value & opt int 4 & info [ "tenants" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (at_least_one "a tenant count") 4
+      & info [ "tenants" ] ~docv:"N" ~doc)
   in
   let sessions_arg =
     let doc = "Sessions per tenant." in
-    Arg.(value & opt int 4 & info [ "sessions" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (at_least_one "a session count") 4
+      & info [ "sessions" ] ~docv:"N" ~doc)
   in
   let connections_arg =
     let doc = "Pipelined daemon connections per tenant." in
-    Arg.(value & opt int 2 & info [ "connections" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (at_least_one "a connection count") 2
+      & info [ "connections" ] ~docv:"N" ~doc)
   in
   let timeout_arg =
     let doc = "Wall-clock cap on the whole run, in seconds." in
-    Arg.(value & opt float 60. & info [ "timeout" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value
+      & opt (finite_positive "timeout") 60.
+      & info [ "timeout" ] ~docv:"SECONDS" ~doc)
   in
   let out_arg =
     let doc = "Also write the ppdc.bench/1 JSON document to $(docv)." in

@@ -1,5 +1,4 @@
 module Cost_matrix = Ppdc_topology.Cost_matrix
-module Parallel = Ppdc_prelude.Parallel
 
 type bound = Chain | Stroll
 
@@ -12,7 +11,6 @@ type spec = {
   a_out : float array;
   moves : (float * int array) option;
   bound : bound;
-  fan_out : bool;
   budget : int;
 }
 
@@ -28,8 +26,8 @@ type result = {
 let[@inline] cost (r : Cost_matrix.rows) u v =
   if u = v then 0.0 else r.dist.{r.base.(u) + r.col.(v)} +. r.leaf.(v)
 
-(* Read-only, shared by every branch and every domain of the fan-out.
-   Candidates are handled by index into [sp.candidates] throughout. *)
+(* Read-only inputs of one search. Candidates are handled by index into
+   [sp.candidates] throughout. *)
 type context = {
   sp : spec;
   k : int;
@@ -41,8 +39,7 @@ type context = {
   root : int array * float array;  (* the root's children, as [sorted] *)
 }
 
-(* Per-branch search state: the fan-out gives every depth-0 subtree its
-   own, so branches share no mutable data. *)
+(* The search's mutable state, threaded through the whole scan. *)
 type state = {
   used : Bytes.t;
   chosen : int array;
@@ -50,7 +47,6 @@ type state = {
   children : (int array * float array) array;
       (* per slot: the child order and each child's step cost in that
          order; slot 0 is the root, the rest are filled on first need *)
-  budget : int;
   mutable explored : int;
   mutable exhausted : bool;
   mutable pruned : int;
@@ -142,7 +138,7 @@ let[@inline] verdict c r x p best =
   | Stroll -> if p +. c.hop.(r) +. c.min_a_out >= best then Cut else Expand
 
 let rec dfs c st depth =
-  if st.explored >= st.budget then st.exhausted <- true
+  if st.explored >= c.sp.budget then st.exhausted <- true
   else begin
     st.explored <- st.explored + 1;
     let partial = st.partial.(depth) in
@@ -182,16 +178,16 @@ let rec dfs c st depth =
     end
   end
 
-let search c ~budget ~cost ~incumbent root =
+let run sp ~cost ~incumbent =
+  let c = context sp in
   let children = Array.make c.slots ([||], [||]) in
-  children.(0) <- root;
+  children.(0) <- c.root;
   let st =
     {
       used = Bytes.make c.k '\000';
-      chosen = Array.make c.sp.n (-1);
-      partial = Array.make (c.sp.n + 1) 0.0;
+      chosen = Array.make sp.n (-1);
+      partial = Array.make (sp.n + 1) 0.0;
       children;
-      budget;
       explored = 0;
       exhausted = false;
       pruned = 0;
@@ -200,41 +196,10 @@ let search c ~budget ~cost ~incumbent root =
     }
   in
   dfs c st 0;
-  st
-
-(* The fan-out runs one task per root child, in root order, each with
-   an equal budget share and the caller's incumbent as its only bound
-   (its root counts once per task). Reducing in task order with the
-   sequential scan's strict [<] keeps the answer whenever neither run
-   exhausts its budget; [explored] grows, because no subtree prunes
-   against another's improvements. *)
-let run sp ~cost ~incumbent =
-  let c = context sp in
-  let states =
-    if sp.fan_out && Parallel.domain_count () > 1 then begin
-      let share = max 1 ((sp.budget + c.k - 1) / c.k) in
-      let order, steps = c.root in
-      Parallel.init c.k (fun i ->
-          search c ~budget:share ~cost ~incumbent
-            ([| order.(i) |], [| steps.(i) |]))
-    end
-    else [| search c ~budget:sp.budget ~cost ~incumbent c.root |]
-  in
-  Array.fold_left
-    (fun (acc : result) (st : state) ->
-      let better = st.best_cost < acc.best_cost in
-      {
-        best = (if better then st.best else acc.best);
-        best_cost = (if better then st.best_cost else acc.best_cost);
-        explored = acc.explored + st.explored;
-        exhausted = acc.exhausted || st.exhausted;
-        pruned_at_root = acc.pruned_at_root + st.pruned;
-      })
-    {
-      best = Array.copy incumbent;
-      best_cost = cost;
-      explored = 0;
-      exhausted = false;
-      pruned_at_root = 0;
-    }
-    states
+  {
+    best = st.best;
+    best_cost = st.best_cost;
+    explored = st.explored;
+    exhausted = st.exhausted;
+    pruned_at_root = st.pruned;
+  }

@@ -34,9 +34,6 @@ type spec = {
   moves : (float * int array) option;
       (** TOM: [Some (μ, p)] adds [μ·c(p(j), x_j)] at every position *)
   bound : bound;
-  fan_out : bool;
-      (** search the depth-0 subtrees on the domain pool when it has more
-          than one domain (Algo. 4 only; see {!Placement_opt}) *)
   budget : int;  (** search nodes *)
 }
 
@@ -52,6 +49,7 @@ type result = {
 val run : spec -> cost:float -> incumbent:int array -> result
 (** [run spec ~cost ~incumbent] searches for a sequence strictly cheaper
     than [cost], the cost of [incumbent] (which may be [[||]] with cost
-    [infinity]). Ties go to the first sequence found in child order, so
-    every run is deterministic; a fan-out run returns the sequential
-    answer whenever neither exhausts its budget. *)
+    [infinity]). Ties go to the first sequence found in child order, and
+    one incumbent is threaded through the whole scan, so every run —
+    its [explored] count included — is the same at every domain
+    count. *)

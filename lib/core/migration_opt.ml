@@ -25,7 +25,6 @@ let solve problem ~rates ~mu ~current ?(budget = 20_000_000) ?incumbent () =
         a_out = Array.map (fun s -> att.a_out.(s)) switches;
         moves = Some (mu, current);
         bound = Chain;
-        fan_out = false;
         budget;
       }
       ~cost:(Cost.total_cost problem ~rates ~mu ~src:current ~dst:seed)

@@ -7,9 +7,9 @@
     [Chain] bound: the migration term's admissible lower bound is 0
     (leave the VNF in place), which holds only for [μ ≥ 0]. The
     incumbent is the mPareto solution, so within budget the result is
-    provably optimal and never worse than mPareto. The search runs
-    sequentially at any domain count (a depth-0 fan-out would change
-    budget-capped answers). *)
+    provably optimal and never worse than mPareto. The search is
+    sequential, so [explored] and [proven_optimal] are the same at every
+    domain count. *)
 
 type outcome = {
   migration : Placement.t;

@@ -27,7 +27,6 @@ let solve problem ~rates ?(budget = 20_000_000) ?incumbent () =
         a_out = Array.map (fun s -> att.a_out.(s)) switches;
         moves = None;
         bound = Chain;
-        fan_out = true;
         budget;
       }
       ~cost:(Cost.comm_cost_with_attach problem att seed)

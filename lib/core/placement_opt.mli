@@ -15,15 +15,8 @@
     ([proven_optimal = true]); if the budget is exhausted the best
     incumbent found so far is returned and flagged, which is how the
     "Optimal" curves are produced at paper scale (see DESIGN.md §4).
-
-    With [Ppdc_prelude.Parallel.domain_count () > 1] the depth-0
-    subtrees are searched on the domain pool, each against the seed
-    incumbent only, with an equal share of [budget], and the subtree
-    winners are reduced in deterministic child order. [placement] and
-    [cost] then still match the sequential search whenever neither run
-    exhausts its budget, but [explored] (and, near the budget limit,
-    [proven_optimal]) can differ because per-subtree pruning is weaker
-    than threading one evolving incumbent through the whole scan. *)
+    The search is sequential, so [explored] and [proven_optimal] are the
+    same at every domain count. *)
 
 type outcome = {
   placement : Placement.t;

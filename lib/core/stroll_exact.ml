@@ -42,7 +42,6 @@ let solve ~cm ~src ~dst ~n ?(budget = 20_000_000) ?incumbent () =
           a_out = Array.map (fun x -> Cost_matrix.cost cm x dst) candidates;
           moves = None;
           bound = Stroll;
-          fan_out = false;
           budget;
         }
         ~cost ~incumbent

@@ -1,14 +1,10 @@
-(* Fixed domain pool with deterministic index-ordered results.
+(* Deterministic index-ordered sections on a pool of helper domains.
 
-   Scheduling is dynamic (workers claim indices from an atomic counter)
+   Scheduling is dynamic (lanes claim indices from an atomic counter)
    but every observable output is keyed by index and reduced in index
-   order after a barrier, so results do not depend on the schedule. *)
-
-(* Lock hierarchy of this module, machine-checked by ppdc-lint R6:
-   the pool-state registry mutex is taken before any pool's own mutex
-   (shutdown/resize hold it while draining a pool), and the per-job
-   error mutex nests innermost. *)
-[@@@ppdc.lock_order "parallel.pool_state parallel.pool parallel.err"]
+   order after a barrier, so results do not depend on the schedule.
+   The helpers are a [Work_queue] of [width - 1] domains; the calling
+   domain is the remaining lane. *)
 
 let env_domains () =
   match Sys.getenv_opt "PPDC_DOMAINS" with
@@ -33,194 +29,125 @@ let set_domains d =
   if d < 1 then invalid_arg "Parallel.set_domains: need at least one domain";
   Atomic.set requested d
 
-(* --- job: one index-based task set ------------------------------------ *)
+(* --- section: one index-based task set --------------------------------- *)
 
-type job = {
+type section = {
   body : int -> unit;
   total : int;
   next : int Atomic.t;  (* next index to claim *)
   pending : int Atomic.t;  (* indices not yet finished *)
   failed : int Atomic.t;  (* lowest failing index, or max_int *)
-  mutable error : exn option;  (* exception at [failed]; err_mutex *)
-  err_mutex : Mutex.t; [@ppdc.guards "parallel.err"]
+  mutable error : exn option;  (* exception at [failed]; done_mutex *)
 }
 
-let record_error job i exn =
-  Mutexes.with_lock job.err_mutex (fun () ->
-      if i < Atomic.get job.failed then begin
-        Atomic.set job.failed i;
-        job.error <- Some exn
+(* One section runs at a time, so one leaf lock serves them all: it
+   guards [error] and orders the last lane's broadcast after the
+   caller's check of [pending]. A broadcast from a section that has
+   already returned wakes the next one's caller spuriously, which its
+   wait loop absorbs. *)
+let done_mutex = Mutex.create () [@@ppdc.guards "parallel.done"]
+let done_cond = Condition.create ()
+
+let record_error s i exn =
+  Mutexes.with_lock done_mutex (fun () ->
+      if i < Atomic.get s.failed then begin
+        Atomic.set s.failed i;
+        s.error <- Some exn
       end)
 
 (* Claim and run indices until the set is drained (or an earlier index
    failed, in which case later indices are abandoned — a sequential loop
-   would never have reached them). Returns the number completed, so the
-   caller can account for them against [pending] in one atomic. *)
-let work job =
+   would never have reached them), then account for them against
+   [pending] in one atomic; the lane that finishes the last index wakes
+   the caller. A helper that starts after its section has drained
+   claims nothing and touches nothing. *)
+let lane s =
   let done_here = ref 0 in
   let continue = ref true in
   while !continue do
-    let i = Atomic.fetch_and_add job.next 1 in
-    if i >= job.total then continue := false
+    let i = Atomic.fetch_and_add s.next 1 in
+    if i >= s.total then continue := false
     else begin
-      if i > Atomic.get job.failed then ()
+      if i > Atomic.get s.failed then ()
       else begin
-        try job.body i with exn -> record_error job i exn
+        try s.body i with exn -> record_error s i exn
       end;
       incr done_here
     end
   done;
-  !done_here
-
-(* --- pool -------------------------------------------------------------- *)
-
-type pool = {
-  mutable workers : unit Domain.t array;
-  mutex : Mutex.t; [@ppdc.guards "parallel.pool"]
-  work_cond : Condition.t;  (* new job or stop *)
-  done_cond : Condition.t;  (* a job drained *)
-  mutable generation : int;
-  mutable job : job option;
-  mutable stop : bool;
-}
-
-let finish_indices pool job k =
-  if Atomic.fetch_and_add job.pending (-k) = k then
-    (* Last batch: wake the submitter. The lock orders this broadcast
-       after the submitter's check of [pending] under the same mutex. *)
-    Mutexes.with_lock pool.mutex (fun () ->
-        Condition.broadcast pool.done_cond)
-
-let rec worker_loop pool seen_generation =
-  let generation, job, stop =
-    Mutexes.with_lock pool.mutex (fun () ->
-        while pool.generation = seen_generation && not pool.stop do
-          Condition.wait pool.work_cond pool.mutex
-        done;
-        (pool.generation, pool.job, pool.stop))
-  in
-  if not stop then begin
-    (match job with
-    | Some j ->
-        let k = work j in
-        if k > 0 then finish_indices pool j k
-    | None -> ());
-    worker_loop pool generation
-  end
-
-let make_pool num_workers =
-  let pool =
-    {
-      workers = [||];
-      mutex = Mutex.create ();
-      work_cond = Condition.create ();
-      done_cond = Condition.create ();
-      generation = 0;
-      job = None;
-      stop = false;
-    }
-  in
-  pool.workers <-
-    Array.init num_workers (fun _ ->
-        Domain.spawn (fun () -> worker_loop pool 0));
-  pool
-
-let pool_state : pool option ref = ref None
-[@@ppdc.domain_safe "read and written only while holding pool_mutex"]
-
-let pool_mutex = Mutex.create () [@@ppdc.guards "parallel.pool_state"]
-
-let exit_hook_registered = ref false
-[@@ppdc.domain_safe "flipped once under pool_mutex inside obtain_pool"]
-
-let shutdown_locked () =
-  match !pool_state with
-  | None -> ()
-  | Some pool ->
-      Mutexes.with_lock pool.mutex (fun () ->
-          pool.stop <- true;
-          Condition.broadcast pool.work_cond);
-      Array.iter Domain.join pool.workers;
-      pool_state := None
-
-let shutdown () = Mutexes.with_lock pool_mutex shutdown_locked
-
-(* A pool with [width - 1] workers (the caller is the remaining lane),
-   resized when the requested width changes. *)
-let obtain_pool width =
-  Mutexes.with_lock pool_mutex (fun () ->
-      (match !pool_state with
-      | Some pool when Array.length pool.workers = width - 1 -> ()
-      | Some _ -> shutdown_locked ()
-      | None -> ());
-      match !pool_state with
-      | Some pool -> pool
-      | None ->
-          let pool = make_pool (width - 1) in
-          pool_state := Some pool;
-          if not !exit_hook_registered then begin
-            exit_hook_registered := true;
-            at_exit shutdown
-          end;
-          pool)
+  let k = !done_here in
+  if k > 0 && Atomic.fetch_and_add s.pending (-k) = k then
+    Mutexes.with_lock done_mutex (fun () -> Condition.broadcast done_cond)
 
 (* Only the main domain fans out. A section started anywhere else — on a
-   pool worker (a task body calling back into this module) or on a
-   domain the program spawned itself, such as a socket daemon's request
-   worker — runs sequentially where it starts: that domain is already
-   one lane of the program's parallelism, and adding the pool beside it
+   helper (a task body calling back into this module) or on a domain
+   the program spawned itself, such as a socket daemon's request worker
+   — runs sequentially where it starts: that domain is already one lane
+   of the program's parallelism, and adding the helpers beside it
    oversubscribes the cores. [busy] is the same rule for the main
    domain's own lane: a task body it runs calls back in sequentially,
-   keeping the pool single-purpose and the schedule deadlock-free. *)
+   so one section runs at a time and the schedule is deadlock-free. *)
 let busy = Atomic.make false
 
-let run_sequential n body =
-  for i = 0 to n - 1 do
-    body i
-  done
+(* The helpers for the current width, replaced when the width changes. *)
+let helpers : (int * section Work_queue.t) option ref = ref None
+[@@ppdc.domain_safe "read and written only by the main domain holding busy"]
+
+let helpers_for width =
+  match !helpers with
+  | Some (w, queue) when w = width -> queue
+  | stale ->
+      Option.iter (fun (_, queue) -> Work_queue.shutdown queue) stale;
+      let queue =
+        Work_queue.create ~workers:(width - 1) ~max_pending:(width - 1) lane
+      in
+      helpers := Some (width, queue);
+      queue
 
 let run n body =
-  if n <= 0 then ()
+  let width = domain_count () in
+  if
+    width = 1 || n <= 1
+    || (not (Domain.is_main_domain ()))
+    || not (Atomic.compare_and_set busy false true)
+  then
+    for i = 0 to n - 1 do
+      body i
+    done
   else
-    let width = domain_count () in
-    if width = 1 || n = 1 || not (Domain.is_main_domain ()) then
-      run_sequential n body
-    else if not (Atomic.compare_and_set busy false true) then
-      run_sequential n body
-    else
-      Fun.protect
-        ~finally:(fun () -> Atomic.set busy false)
-        (fun () ->
-          let pool = obtain_pool width in
-          let job =
-            {
-              body;
-              total = n;
-              next = Atomic.make 0;
-              pending = Atomic.make n;
-              failed = Atomic.make max_int;
-              error = None;
-              err_mutex = Mutex.create ();
-            }
-          in
-          Mutexes.with_lock pool.mutex (fun () ->
-              pool.job <- Some job;
-              pool.generation <- pool.generation + 1;
-              Condition.broadcast pool.work_cond);
-          let k = work job in
-          if k > 0 then finish_indices pool job k;
-          Mutexes.with_lock pool.mutex (fun () ->
-              while Atomic.get job.pending > 0 do
-                Condition.wait pool.done_cond pool.mutex
+    Fun.protect
+      ~finally:(fun () -> Atomic.set busy false)
+      (fun () ->
+        let s =
+          {
+            body;
+            total = n;
+            next = Atomic.make 0;
+            pending = Atomic.make n;
+            failed = Atomic.make max_int;
+            error = None;
+          }
+        in
+        let queue = helpers_for width in
+        (* A refused push leaves more indices to the lanes that run. *)
+        for _ = 2 to min width n do
+          ignore (Work_queue.push queue s : Work_queue.push_result)
+        done;
+        lane s;
+        let error =
+          Mutexes.with_lock done_mutex (fun () ->
+              while Atomic.get s.pending > 0 do
+                Condition.wait done_cond done_mutex
               done;
-              pool.job <- None);
-          match job.error with Some exn -> raise exn | None -> ())
+              s.error)
+        in
+        Option.iter raise error)
 [@@ppdc.domain_safe
-  "the pool/err mutexes taken here are the scheduler's own, never held \
-   across user code, and a call from a task body runs sequentially (off \
-   the main domain, or through the busy flag on it) — so task bodies \
-   calling back into Parallel cannot deadlock; exempted from the R8 \
-   roll-up for that reason"]
+  "done_mutex is the scheduler's own, never held across user code, and \
+   a call from a task body runs sequentially (off the main domain, or \
+   through the busy flag on it) — so task bodies calling back into \
+   Parallel cannot deadlock; exempted from the R8 roll-up for that \
+   reason"]
 
 let parallel_for n f = run n f
 
@@ -235,9 +162,3 @@ let init n f =
       (function Some v -> v | None -> assert false (* barrier filled it *))
       slots
   end
-
-let parallel_map f a = init (Array.length a) (fun i -> f a.(i))
-
-let map_reduce ~n ~map ~init:acc0 ~combine =
-  let results = init n map in
-  Array.fold_left combine acc0 results

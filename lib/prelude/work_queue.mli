@@ -6,15 +6,13 @@
     worker is busy and the pending queue is full it returns
     [Overloaded] immediately, so the caller can answer the client with
     a structured rejection instead of letting latency grow without
-    bound. Built for [Ppdc_server.Transport]'s accept loop, where a job
-    is one accepted connection, but the module is generic.
-
-    This pool is deliberately not {!Parallel}: that module runs one
-    index-based task set at a time to completion (a compute barrier),
-    while this one runs an open-ended stream of independent,
-    long-lived jobs (connections) concurrently. Jobs may themselves
-    enter [Parallel] sections; the two pools do not interact beyond
-    [Parallel]'s own reentrancy guard.
+    bound. It is the library's one domain pool, with two users:
+    [Ppdc_server.Transport]'s accept loop, where a job is one accepted
+    connection, and {!Parallel}, whose helper jobs each claim indices
+    of one section until it drains. Each user owns its own queue. A
+    job that opens a [Parallel] section runs it in place on its worker
+    (only the main domain fans out), so the two never wait on each
+    other.
 
     Thread safety: every operation may be called from any domain.
     Job-body exceptions are contained (counted in {!failures}, the

@@ -1,9 +1,8 @@
 (* The RPC engine's answers to serve.ndjson, one request line at a
    time through [Engine.handle_line], with the fields that carry wall
    time or process state stripped: elapsed_ms, uptime_s,
-   requests.latency_ms and the stats' runtime section. One domain and
-   an explicit shard count, so the transcript is the same at every
-   PPDC_DOMAINS. *)
+   requests.latency_ms and the stats' runtime section. An explicit
+   shard count, so the transcript is the same at every PPDC_DOMAINS. *)
 
 module Json = Ppdc_prelude.Json
 module Engine = Ppdc_server.Engine
@@ -21,7 +20,6 @@ let rec strip = function
   | j -> j
 
 let () =
-  Ppdc_prelude.Parallel.set_domains 1;
   let engine = Engine.create ~shards:4 () in
   In_channel.with_open_text "serve.ndjson" (fun ic ->
       In_channel.input_all ic

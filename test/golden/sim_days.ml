@@ -3,8 +3,7 @@
    sim_days.expected. The grid covers unit and weighted k=4/k=8
    fabrics, both deployments and mu from 1e2 to 1e4, each on the
    diurnal day ([run_day]) and on a 6-epoch churn trace ([run_trace]),
-   under all six policies. One domain, so Algo. 6's budgeted search
-   sees one schedule. *)
+   under all six policies. *)
 
 module Rng = Ppdc_prelude.Rng
 module Trace = Ppdc_traffic.Trace
@@ -35,7 +34,6 @@ let print_run name day (run : Engine.run) =
     run.hours
 
 let () =
-  Ppdc_prelude.Parallel.set_domains 1;
   List.iteri
     (fun seed (name, weighted, k, l, n, initial, mu) ->
       let problem = Runner.fat_tree_problem ~weighted ~k ~l ~n ~seed () in

@@ -503,6 +503,9 @@ let check_bundles name a b =
   Alcotest.(check (array int)) (name ^ " opt placement") a.opt.placement
     b.opt.placement;
   Alcotest.(check (float 0.0)) (name ^ " opt cost") a.opt.cost b.opt.cost;
+  Alcotest.(check int) (name ^ " opt explored") a.opt.explored b.opt.explored;
+  Alcotest.(check bool)
+    (name ^ " opt proven optimal") a.opt.proven_optimal b.opt.proven_optimal;
   Alcotest.(check (array int)) (name ^ " mpareto migration") a.mp.migration
     b.mp.migration;
   Alcotest.(check (float 0.0))

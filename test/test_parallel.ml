@@ -23,33 +23,12 @@ let with_domains d f =
 
 (* --- combinator laws (qcheck) ------------------------------------------- *)
 
-let prop_map_matches_array_map =
-  QCheck.Test.make ~name:"parallel_map ≡ Array.map" ~count:50
-    QCheck.(array small_int)
-    (fun a ->
-      let f x = (x * 37) - (x * x) in
-      with_domains 4 (fun () -> Parallel.parallel_map f a) = Array.map f a)
-
 let prop_init_matches_array_init =
   QCheck.Test.make ~name:"init ≡ Array.init" ~count:50
     QCheck.(int_bound 500)
     (fun n ->
       let f i = (i * 13) mod 7 in
       with_domains 4 (fun () -> Parallel.init n f) = Array.init n f)
-
-let prop_reduce_is_index_ordered =
-  (* The combine is order-sensitive, so this only holds if the reduction
-     really runs in index order regardless of the schedule. *)
-  QCheck.Test.make ~name:"map_reduce folds in index order" ~count:50
-    QCheck.(array small_int)
-    (fun a ->
-      let n = Array.length a in
-      let map i = a.(i) in
-      let combine acc x = (acc * 31) + x in
-      let sequential = Array.fold_left combine 17 (Array.init n map) in
-      with_domains 4 (fun () ->
-          Parallel.map_reduce ~n ~map ~init:17 ~combine)
-      = sequential)
 
 (* --- scheduling details -------------------------------------------------- *)
 
@@ -77,12 +56,10 @@ let test_lowest_index_exception_wins () =
 let test_nested_sections_degrade_gracefully () =
   with_domains 4 (fun () ->
       let outer =
-        Parallel.parallel_map
-          (fun x ->
-            Parallel.map_reduce ~n:10
-              ~map:(fun i -> x + i)
-              ~init:0 ~combine:( + ))
-          (Array.init 6 (fun i -> 100 * i))
+        Parallel.init 6 (fun x ->
+            let inner = Array.make 10 0 in
+            Parallel.parallel_for 10 (fun i -> inner.(i) <- (100 * x) + i);
+            Array.fold_left ( + ) 0 inner)
       in
       let expected =
         Array.init 6 (fun i -> (10 * 100 * i) + 45)
@@ -115,12 +92,12 @@ let test_sections_off_main_run_in_place () =
           (i * 37) mod 11)
     in
     let folded =
-      Parallel.map_reduce ~n
-        ~map:(fun i ->
-          mark 2 i;
-          i + 1)
-        ~init:17
-        ~combine:(fun acc x -> (acc * 31) + x)
+      Array.fold_left
+        (fun acc x -> (acc * 31) + x)
+        17
+        (Parallel.init n (fun i ->
+             mark 2 i;
+             i + 1))
     in
     ((squares, mixed, folded), ran_on)
   in
@@ -140,6 +117,57 @@ let test_sections_off_main_run_in_place () =
             (Printf.sprintf "domains=%d: results equal the main domain's" d)
             true (off_main = on_main)))
     [ 1; 4 ]
+
+(* Back-to-back sections while the width cycles 2 → 3 → 4 every 500
+   of them, so the helpers are replaced between sections that follow
+   each other at once. Some task bodies open a nested section, and
+   some sections raise at every index ≥ 1. In every fourth section the
+   caller's index 0 waits (boundedly) for a helper to join, and the
+   helper's task outlasts the caller's lane, so the caller must wait
+   for its helpers: a lost wake-up hangs this test, and a caller that
+   returns while a helper still runs reads an empty slot or misses the
+   raise. *)
+let test_back_to_back_sections_across_resizes () =
+  with_domains 2 (fun () ->
+      for s = 0 to 19_999 do
+        if s mod 500 = 0 then Parallel.set_domains (2 + (s / 500 mod 3));
+        let n = 2 + (s mod 7) in
+        let value i =
+          if (s + i) mod 5 = 0 then
+            Array.fold_left ( + ) 0 (Parallel.init 3 (fun j -> (i * 7) + j))
+          else (s * 31) + i
+        in
+        let joined = Atomic.make false in
+        let f i =
+          if s mod 4 = 0 then
+            if not (Domain.is_main_domain ()) then begin
+              Atomic.set joined true;
+              for _ = 1 to 10_000 do
+                ignore (Sys.opaque_identity i)
+              done
+            end
+            else if i = 0 then begin
+              let spins = ref 0 in
+              while (not (Atomic.get joined)) && !spins < 200_000 do
+                incr spins
+              done
+            end;
+          value i
+        in
+        if s mod 11 = 3 then begin
+          match
+            Parallel.init n (fun i ->
+                let v = f i in
+                if i >= 1 then failwith (string_of_int i) else v)
+          with
+          | _ -> Alcotest.failf "section %d raised nothing" s
+          | exception Failure msg ->
+              if msg <> "1" then
+                Alcotest.failf "section %d re-raised index %s, not 1" s msg
+        end
+        else if Parallel.init n f <> Array.init n value then
+          Alcotest.failf "section %d differs from Array.init" s
+      done)
 
 (* --- solver determinism --------------------------------------------------- *)
 
@@ -252,9 +280,7 @@ let () =
     [
       ( "combinators",
         [
-          qtest prop_map_matches_array_map;
           qtest prop_init_matches_array_init;
-          qtest prop_reduce_is_index_ordered;
         ] );
       ( "scheduling",
         [
@@ -268,6 +294,8 @@ let () =
             test_set_domains_validation;
           Alcotest.test_case "sections off the main domain run where they start"
             `Quick test_sections_off_main_run_in_place;
+          Alcotest.test_case "back-to-back sections across resizes" `Quick
+            test_back_to_back_sections_across_resizes;
         ] );
       ( "determinism",
         [

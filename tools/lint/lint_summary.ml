@@ -77,8 +77,6 @@ let parallel_entries =
   [
     "Parallel.parallel_for";
     "Parallel.init";
-    "Parallel.parallel_map";
-    "Parallel.map_reduce";
     "Parallel.run";
   ]
 
